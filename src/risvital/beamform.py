@@ -117,7 +117,9 @@ def split_scale(total_power: float, gamma: float, a_c: complex) -> float:
     if mag >= 1.0:
         raise IllConditionedConstraints(f"|a_c| = {mag} >= 1")
     denom = 1.0 - 2.0 * gamma * (1.0 + mag) + 2.0 * gamma ** 2 * (1.0 + mag)
-    assert denom > 0.0, "split denominator must stay positive for |a_c| < 1"
+    if denom <= 0.0:
+        raise IllConditionedConstraints(
+            f"split denominator {denom} <= 0 at gamma = {gamma}, |a_c| = {mag}")
     return float(np.sqrt(total_power * (1.0 - mag ** 2) / denom))
 
 
@@ -148,6 +150,8 @@ def temporal_weights(l: int, slots_direct, slots_ris, a_direct, a_ris,
     """Alternating full-power precoder: direction 1 in its slots, else direction 2.
 
     Each branch nulls the other direction and spends the whole budget.
+    `plan_transmissions` builds the two branches once and assigns them by
+    slot; this per-pulse form is the reference its tests compare against.
     """
     slots_direct = set(slots_direct)
     slots_ris = set(slots_ris)

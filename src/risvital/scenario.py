@@ -3,9 +3,11 @@ into a simulated slow-time acquisition.
 
 A run draws one block-fading channel realization, modulates the two path
 reflectivities with the respiration trace seen from each incidence angle,
-transmits the scheduled precoder per pulse, and matched-filters the noisy
-echo into an antennas x pulses record. Noise is redrawn per pulse; the
-channel and clutter stay fixed for the run.
+transmits the scheduled precoder per pulse, and adds receiver noise to
+the matched-filtered antennas x pulses record. White fast-time noise at the
+configured floor N0 leaves the matched filter as CN(0, N0/E) for a pulse of
+energy E, so that output is drawn directly, independently per antenna and
+pulse; the channel and clutter stay fixed for the run.
 """
 
 from dataclasses import dataclass, field, replace
@@ -226,22 +228,37 @@ def transmit_steering(scn: Scenario):
     return np.conj(a_d.entries), np.conj(a_r.entries)
 
 
+def child_seeds(seed, n: int) -> list[np.random.SeedSequence]:
+    """The first `n` children of `seed`, derived without mutating it.
+
+    `SeedSequence.spawn` advances the parent, so spawning twice from one
+    sequence gives different streams. These children depend only on the
+    parent's entropy and spawn key, which makes a run replayable from the
+    sequence it was given; for a fresh sequence they equal `spawn(n)`.
+    """
+    ss = seed if isinstance(seed, np.random.SeedSequence) \
+        else np.random.SeedSequence(seed)
+    return [np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,),
+                                   pool_size=ss.pool_size)
+            for i in range(n)]
+
+
 def simulate_acquisition(scn: Scenario, schedule: np.ndarray,
                          seed) -> tuple[SlowTimeRecord, ChannelRealization]:
     """Run one acquisition of L pulses under a per-pulse precoder schedule.
 
     `schedule` is (M, L). Per pulse, the end-to-end channel response is
-    excited, white noise at the configured floor is added across fast time,
-    and each antenna row is matched filtered to one complex sample.
+    excited and each antenna row is matched filtered to one complex sample.
+    The matched filter conj(s)/E turns white fast-time noise of variance N0
+    per sample into CN(0, N0/E) per sample of the record, which is drawn
+    directly. `seed` is not mutated: the same seed replays the same record.
     """
     schedule = np.asarray(schedule, dtype=complex)
     m = scn.radar.element_count
     length = scn.slow_time_samples
     if schedule.shape != (m, length):
         raise ValueError(f"schedule shape {schedule.shape} != ({m}, {length})")
-    ss = seed if isinstance(seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(seed)
-    ch_seed, ris_obs_seed, dir_obs_seed, noise_seed = ss.spawn(4)
+    ch_seed, ris_obs_seed, dir_obs_seed, noise_seed = child_seeds(seed, 4)
 
     ch = realize_channel(scn.placement, scn.radar.array_config,
                          scn.ris_config(),
@@ -262,13 +279,11 @@ def simulate_acquisition(scn: Scenario, schedule: np.ndarray,
               + ch.h_D[:, None] * (beta * (ch.h_D @ schedule))
               + ch.H_C @ schedule)
 
-    waveform = scn.radar.waveform()
     rng = np.random.default_rng(noise_seed)
-    sigma = np.sqrt(scn.radar.noise_power / 2.0)
-    shape = (m, length, waveform.k_fast)
-    noise_fast = sigma * (rng.standard_normal(shape)
-                          + 1j * rng.standard_normal(shape))
-    noise_mf = noise_fast @ np.conj(waveform.samples) / waveform.energy
+    energy = scn.radar.waveform().energy
+    sigma = np.sqrt(scn.radar.noise_power / (2.0 * energy))
+    noise_mf = sigma * (rng.standard_normal((m, length))
+                        + 1j * rng.standard_normal((m, length)))
     record = SlowTimeRecord(samples=signal + noise_mf,
                             slow_rate=scn.radar.slow_rate)
     return record, ch

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .beamform import split_precoder, temporal_weights
-from .scenario import (RunResult, Scenario, extract_vital_signs,
+from .beamform import split_precoder
+from .scenario import (RunResult, Scenario, child_seeds, extract_vital_signs,
                        simulate_acquisition, transmit_steering)
 from .sigproc import VitalSignEstimate, root_music_doa
 
@@ -84,11 +84,11 @@ def plan_transmissions(strategy: StrategyConfig, length: int,
         return np.tile(w[:, None], (1, length)), None, None
     if strategy.kind == "temporal":
         slots_direct, slots_ris = temporal_slots(length, strategy.ris_share)
+        w_direct = split_precoder(a_direct, a_ris, 1.0, total_power).weights
+        w_ris = split_precoder(a_direct, a_ris, 0.0, total_power).weights
         schedule = np.empty((a_direct.size, length), dtype=complex)
-        direct_set, ris_set = set(slots_direct.tolist()), set(slots_ris.tolist())
-        for l in range(length):
-            schedule[:, l] = temporal_weights(l, direct_set, ris_set, a_direct,
-                                              a_ris, total_power).weights
+        schedule[:, slots_direct] = w_direct[:, None]
+        schedule[:, slots_ris] = w_ris[:, None]
         return schedule, slots_direct, slots_ris
     # opportunistic: gamma pinned to the active path
     path = strategy.initial_path or "ris"
@@ -248,7 +248,6 @@ def run_closed_loop(scn: Scenario, strategy: StrategyConfig, n_windows: int,
     unless `ideal` fixes the known-best path), and each window's quality
     scores update the allocation for the next one.
     """
-    ss = np.random.SeedSequence(seed)
     state = LoopState(mode=strategy.kind, gamma_ris=strategy.ris_share)
     if strategy.kind == "opportunistic":
         init = strategy.initial_path
@@ -258,17 +257,19 @@ def run_closed_loop(scn: Scenario, strategy: StrategyConfig, n_windows: int,
     logs: list[WindowLog] = []
     if n_windows <= 0:
         return logs
-    pos_seed, *window_seeds = ss.spawn(n_windows + 1)
-    state.theta_direct_estimate = estimate_position(scn, pos_seed)
+    # children: the initial probe, one per window, then one per re-fix probe
+    seeds = child_seeds(seed, 2 * n_windows + 1)
+    window_seeds, fix_seeds = seeds[1:n_windows + 1], seeds[n_windows + 1:]
+    state.theta_direct_estimate = estimate_position(scn, seeds[0])
     state.ris_profile_version = 1
-    for idx, wseed in enumerate(window_seeds):
+    for idx, (wseed, fix_seed) in enumerate(zip(window_seeds, fix_seeds)):
         window_strategy = _window_strategy(strategy, state)
         result = run_once(scn, window_strategy, wseed)
         est_direct = result.estimates["direct"]
         est_ris = result.estimates["ris"]
         state = evaluate_and_update(state, est_direct, est_ris, strategy)
         if state.needs_position_fix:
-            state.theta_direct_estimate = estimate_position(scn, wseed)
+            state.theta_direct_estimate = estimate_position(scn, fix_seed)
             state.ris_profile_version += 1
         logs.append(WindowLog(window=idx, strategy=strategy.kind,
                               gamma_ris=result.gamma_ris,

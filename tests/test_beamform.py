@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risvital.beamform import (ConstraintPair, IllConditionedConstraints,
                                min_norm_precoder, min_power_closed_form,
@@ -160,6 +162,40 @@ class TestSplitScale:
     def test_gamma_out_of_range(self):
         with pytest.raises(ValueError):
             split_scale(1.0, 1.5, 0.2)
+
+    def test_vanishing_denominator_raises(self):
+        # |a_c| one ulp below 1 rounds the even-split denominator to zero;
+        # the guard must be an exception that `python -O` keeps
+        with pytest.raises(IllConditionedConstraints):
+            split_scale(1.0, 0.5, float(np.nextafter(1.0, 0.0)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(2, 8), vec_seed=st.integers(0, 2 ** 32 - 1),
+           corr=st.floats(0.0, 1.0 - 1e-6),
+           phase=st.floats(-np.pi, np.pi),
+           gamma=st.floats(0.0, 1.0),
+           total_power=st.floats(1e-6, 10.0))
+    def test_split_meets_budget_and_shares(self, m, vec_seed, corr, phase,
+                                           gamma, total_power):
+        # a2 = e^{j phase} (corr a1 + sqrt(1 - corr^2) u) with u orthogonal
+        # to a1, so |a_c| = corr
+        rng = np.random.default_rng(vec_seed)
+        a1, u = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+        a1 /= np.linalg.norm(a1)
+        u -= np.vdot(a1, u) * a1
+        u /= np.linalg.norm(u)
+        a2 = np.exp(1j * phase) * (corr * a1 + np.sqrt(1.0 - corr ** 2) * u)
+        a_c = steering_correlation(a1, a2)
+        assert abs(a_c) < 1.0 - 1e-6 + 1e-12
+        p = split_precoder(a1, a2, gamma, total_power)
+        s = split_scale(total_power, gamma, a_c)
+        # rounding grows with the Gram condition number 1 / (1 - |a_c|^2)
+        tol = 1e-12 / (1.0 - abs(a_c) ** 2)
+        assert p.achieved_power == pytest.approx(total_power, rel=tol)
+        assert abs(np.vdot(a1, p.weights)) == pytest.approx(s * gamma,
+                                                            abs=tol * s)
+        assert abs(np.vdot(a2, p.weights)) == pytest.approx(s * (1 - gamma),
+                                                            abs=tol * s)
 
 
 class TestSplitPrecoder:

@@ -7,7 +7,8 @@ from risvital.beamform import split_precoder
 from risvital.channel import realize_channel
 from risvital.physio import TraceError, rcs_series
 from risvital.scenario import (ProcessingConfig, RadarConfig,
-                               Scenario, db_to_linear, dbm_to_watts,
+                               Scenario, child_seeds, db_to_linear,
+                               dbm_to_watts,
                                extract_vital_signs, linear_to_db, noiseless,
                                simulate_acquisition, transmit_steering,
                                watts_to_dbm)
@@ -79,6 +80,29 @@ class TestSimulateAcquisition:
         npt.assert_array_equal(r1.samples, r2.samples)
         r3, _ = simulate_acquisition(scn, schedule, seed=12)
         assert np.any(r3.samples != r1.samples)
+
+    def test_zero_schedule_record_is_matched_filter_noise(self):
+        # nothing transmitted: the record is the matched-filter output of
+        # white fast-time noise, CN(0, N0/E) per entry
+        scn = Scenario()
+        zeros = np.zeros((scn.radar.element_count, scn.slow_time_samples),
+                         dtype=complex)
+        noise = np.concatenate([
+            simulate_acquisition(scn, zeros, seed)[0].samples.ravel()
+            for seed in range(5)])
+        expected = scn.radar.noise_power / scn.radar.waveform().energy
+        assert np.mean(np.abs(noise) ** 2) == pytest.approx(expected, rel=0.05)
+        assert np.var(noise.real) == pytest.approx(expected / 2, rel=0.1)
+        assert np.var(noise.imag) == pytest.approx(expected / 2, rel=0.1)
+        assert abs(np.mean(noise ** 2)) < 0.05 * expected
+
+    def test_seed_sequence_not_mutated(self):
+        scn = Scenario()
+        ss = np.random.SeedSequence(9)
+        r1, _ = simulate_acquisition(scn, constant_schedule(scn, 0.5), ss)
+        assert ss.n_children_spawned == 0
+        r2, _ = simulate_acquisition(scn, constant_schedule(scn, 0.5), 9)
+        npt.assert_array_equal(r1.samples, r2.samples)
 
     def test_energy_accounting_direct_path(self):
         # noiseless direct-only received power, checked against the exact
@@ -170,3 +194,21 @@ class TestNoiselessHelper:
                              scn.ris_config(),
                              db_to_linear(scn.channel.k_rice_db), 0.0, 1)
         npt.assert_array_equal(ch.H_C, 0.0)
+
+
+class TestChildSeeds:
+    def test_fresh_sequence_matches_spawn(self):
+        for seed in (0, 7, [3, 1, 4]):
+            ours = child_seeds(seed, 4)
+            theirs = np.random.SeedSequence(seed).spawn(4)
+            for a, b in zip(ours, theirs):
+                assert a.spawn_key == b.spawn_key
+                npt.assert_array_equal(a.generate_state(4),
+                                       b.generate_state(4))
+
+    def test_repeatable_from_spawned_sequence(self):
+        parent = np.random.SeedSequence(7).spawn(2)[1]
+        first = child_seeds(parent, 3)
+        assert parent.n_children_spawned == 0
+        assert [c.spawn_key for c in child_seeds(parent, 3)] == \
+            [c.spawn_key for c in first] == [(1, 0), (1, 1), (1, 2)]

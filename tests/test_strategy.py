@@ -3,6 +3,8 @@ import numpy.testing as npt
 import pytest
 from dataclasses import replace
 
+from risvital import strategy as strategy_module
+from risvital.beamform import temporal_weights
 from risvital.physio import DisplacementTrace
 from risvital.scenario import Scenario, noiseless, transmit_steering
 from risvital.sigproc import Spectrum, VitalSignEstimate
@@ -46,6 +48,19 @@ class TestPlanTransmissions:
         # direct slots null the RIS direction and vice versa
         assert abs(np.vdot(self.a_r, schedule[:, 0])) < 1e-12
         assert abs(np.vdot(self.a_d, schedule[:, 239])) < 1e-12
+
+    def test_temporal_matches_per_pulse_oracle(self):
+        # the slot-indexed schedule must equal, byte for byte, the one built
+        # pulse by pulse from temporal_weights
+        length = 240
+        for share in (0.0, 0.1, 0.5, 0.9, 1.0):
+            schedule, sd, sr = plan_transmissions(
+                StrategyConfig(kind="temporal", ris_share=share), length,
+                self.a_d, self.a_r, self.p)
+            for l in range(length):
+                oracle = temporal_weights(l, sd, sr, self.a_d, self.a_r,
+                                          self.p).weights
+                assert schedule[:, l].tobytes() == oracle.tobytes(), (share, l)
 
     def test_opportunistic_pins_one_path(self):
         schedule, _, _ = plan_transmissions(
@@ -169,6 +184,15 @@ class TestRunOnce:
         assert set(result.estimates) == {"direct", "ris"}
         assert result.gamma_ris == pytest.approx(0.5)
 
+    def test_same_seed_sequence_replays(self):
+        ss = np.random.SeedSequence(7)
+        first = run_once(Scenario(), StrategyConfig(kind="spatial"), ss)
+        second = run_once(Scenario(), StrategyConfig(kind="spatial"), ss)
+        npt.assert_array_equal(first.record.samples, second.record.samples)
+        for path in ("direct", "ris"):
+            assert (first.estimates[path].peak_prominence_db
+                    == second.estimates[path].peak_prominence_db)
+
 
 class TestClosedLoop:
     def test_zero_windows(self):
@@ -215,6 +239,30 @@ class TestClosedLoop:
         for key in ("window", "strategy", "gamma_ris", "ris_peak_freq_Hz",
                     "ris_prominence_db", "direct_peak_freq_Hz"):
             assert key in entry
+
+    def test_position_fix_probes_draw_their_own_streams(self, monkeypatch):
+        # an unreachable threshold forces a re-fix after every window
+        used = {"window": [], "probe": []}
+        real_run_once = strategy_module.run_once
+        real_estimate = strategy_module.estimate_position
+
+        def record_run(scn, strategy, seed):
+            used["window"].append(seed.spawn_key)
+            return real_run_once(scn, strategy, seed)
+
+        def record_probe(scn, seed):
+            used["probe"].append(seed.spawn_key)
+            return real_estimate(scn, seed)
+
+        monkeypatch.setattr(strategy_module, "run_once", record_run)
+        monkeypatch.setattr(strategy_module, "estimate_position",
+                            record_probe)
+        logs = run_closed_loop(Scenario(), StrategyConfig(
+            kind="spatial", prominence_threshold_db=1e3), 3, seed=4)
+        assert all(log.state.needs_position_fix for log in logs)
+        keys = used["window"] + used["probe"]
+        assert len(used["probe"]) == 4
+        assert len(set(keys)) == len(keys) == 7
 
     def test_ideal_opportunistic_fixes_best_path(self):
         scn = noiseless(Scenario())
