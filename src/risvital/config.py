@@ -1,20 +1,29 @@
-"""Declarative scenario configs: strict unit parsing, loading, round-trip.
+"""Declarative scenario configs: strict parsing, loading, round-trip.
 
 A config is one YAML document with radar / ris / placement / physiology /
-channel / processing / strategy / sweep sections. Scalar quantities carry
-explicit unit suffixes ("7.15 GHz", "250 ms", "10 mW", "2 cm", "10 dB");
-bare numbers are taken as base SI units. Unknown keys and unit/dimension
-mismatches are rejected rather than guessed at.
+channel / processing / strategy / sweep sections. `SCHEMA` maps each
+section to its dataclass and each key to a field and a value kind; it
+drives both `parse_config` and `serialize_config`. Defaults live in the
+dataclasses (the placement's in `default_placement`); only the sweep
+section, which has no dataclass, keeps its defaults here.
+
+Every section is a mapping and unknown keys are rejected. Quantities carry
+unit suffixes ("7.15 GHz", "250 ms", "10 mW", "-3 dBm", "2 cm", "10 dB")
+or are finite bare SI numbers; counts are whole numbers; flags are YAML
+true/false; `clutter_window` is an odd count or off; a `trace_file` holds
+exactly duration x slow-rate samples. Any violation, including the
+dataclasses' own checks, raises `ConfigError`.
 """
 
 import hashlib
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .geometry import Placement
 from .scenario import (ChannelConfig, PhysioConfig, ProcessingConfig,
                        RadarConfig, RisPanel, Scenario, dbm_to_watts,
                        default_placement)
@@ -31,183 +40,212 @@ _UNIT_TABLES = {
     "length": {"m": 1.0, "cm": 1e-2, "mm": 1e-3},
     "power": {"W": 1.0, "mW": 1e-3, "uW": 1e-6},
     "db": {"dB": 1.0},
-    "ratio": {},
 }
+
+
+def _require(ok: bool, value, key: str, what: str):
+    if not ok:
+        raise ConfigError(f"{key}: expected {what}, got {value!r}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    # PyYAML reads an exponent without a dot (`1e-10`) as a string.
+    try:
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    _require(math.isfinite(number), value, key, "a finite number")
+    return number
 
 
 def parse_quantity(value, kind: str, key: str = "") -> float:
     """Parse a number-with-unit string (or bare SI number) of a given kind."""
     table = _UNIT_TABLES[kind]
-    where = f" for {key!r}" if key else ""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if not isinstance(value, str):
-        raise ConfigError(f"expected a quantity{where}, got {value!r}")
-    parts = value.split()
-    if len(parts) != 2:
-        raise ConfigError(
-            f"quantity{where} must be '<number> <unit>', got {value!r}")
-    number, unit = parts
-    try:
-        magnitude = float(number)
-    except ValueError:
-        raise ConfigError(f"bad number {number!r}{where}") from None
+    key = key or "quantity"
+    parts = value.split() if isinstance(value, str) else [value]
+    if len(parts) == 1:
+        return _number(parts[0], key)
+    _require(len(parts) == 2, value, key, "'<number> <unit>'")
+    magnitude, unit = _number(parts[0], key), parts[1]
     if kind == "power" and unit == "dBm":
         return dbm_to_watts(magnitude)
     if unit not in table:
-        allowed = ", ".join(table) or "a bare number"
-        raise ConfigError(
-            f"unit {unit!r}{where} does not measure {kind}; use {allowed}")
+        raise ConfigError(f"{key}: unit {unit!r} does not measure {kind}; "
+                          f"use {', '.join(table)}")
     return magnitude * table[unit]
 
 
-def _take(section: dict, key: str, default=None):
-    return section.pop(key) if key in section else default
+def _count(value, key: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return _require(type(value) is int and value >= 0, value, key,
+                    "a whole number >= 0")
+
+
+def _list(value, key: str, what: str, length=None):
+    return _require(isinstance(value, (list, tuple))
+                    and length in (None, len(value)), value, key, what)
+
+
+def _vector(value, key: str) -> np.ndarray:
+    return np.array([_number(v, key) for v in
+                     _list(value, key, "a 3-vector in metres", 3)])
+
+
+def _window(value, key: str):
+    if value is None or value is False or value == "off":  # YAML off is false
+        return None
+    window = _count(value, key)
+    return _require(window >= 3 and window % 2 == 1, window, key,
+                    "an odd count >= 3 or off")
+
+
+def _band(value, key: str) -> tuple:
+    low, high = (parse_quantity(v, "frequency", key)
+                 for v in _list(value, key, "[low, high]", 2))
+    return _require(low < high, (low, high), key, "low < high")
+
+
+_KINDS = {
+    **{kind: (lambda value, key, kind=kind: parse_quantity(value, kind, key))
+       for kind in _UNIT_TABLES},
+    "number": _number,
+    "count": _count,
+    "flag": lambda v, key: _require(isinstance(v, bool), v, key,
+                                    "true or false"),
+    "text": lambda v, key: _require(isinstance(v, str), v, key, "a string"),
+    "vector": _vector,
+    # None stands for auto, resolved against the placement in parse_config.
+    "chest": lambda v, key: None if v == "auto" else _vector(v, key),
+    "window": _window,
+    "band": _band,
+    "table": lambda v, key: tuple(
+        tuple(_number(x, key) for x in _list(row, key, "[angle_deg, gain]", 2))
+        for row in _list(v, key, "a list of [angle_deg, gain] pairs")),
+    "numbers": lambda v, key: [_number(x, key) for x in
+                               _list(v, key, "a list of numbers")],
+}
+
+# YAML section -> (Scenario attribute, default factory, rows of
+# (YAML key, dataclass field, kind)). The strategy section is the
+# StrategyConfig that parse_config returns beside the Scenario.
+SCHEMA = {
+    "radar": ("radar", RadarConfig, (
+        ("element_count", "element_count", "count"),
+        ("carrier_frequency", "carrier_frequency", "frequency"),
+        ("bandwidth", "bandwidth", "frequency"),
+        ("fast_time_samples", "fast_time_samples", "count"),
+        ("pulse_repetition_interval", "pulse_repetition_interval", "time"),
+        ("total_power", "total_power", "power"),
+        ("noise_figure", "noise_figure_db", "db"),
+        ("tone_frequency", "tone_frequency", "frequency"),
+        ("element_spacing", "element_spacing", "length"),
+    )),
+    "ris": ("ris", RisPanel, (
+        ("rows", "rows", "count"),
+        ("cols", "cols", "count"),
+        ("element_spacing", "element_spacing", "length"),
+        ("phase_bits", "phase_bits", "count"),
+    )),
+    "placement": ("placement", default_placement, (
+        ("radar", "radar_position", "vector"),
+        ("ris_center", "ris_center", "vector"),
+        ("ris_normal", "ris_normal", "vector"),
+        ("target", "target_position", "vector"),
+        ("chest_normal", "chest_normal", "chest"),
+    )),
+    "physiology": ("physio", PhysioConfig, (
+        ("breathing_rate", "breath_rate", "frequency"),
+        ("peak_to_peak", "peak_to_peak", "length"),
+        ("duration", "duration", "time"),
+        ("harmonics", "harmonics", "count"),
+        ("drift", "drift", "length"),
+        ("reflectivity_ris", "reflectivity_ris", "number"),
+        ("reflectivity_direct", "reflectivity_direct", "number"),
+        ("gain_exponent", "gain_exponent", "number"),
+        ("gain_table", "gain_table", "table"),
+        ("distortion_strength", "distortion_strength", "number"),
+        ("trace_file", "trace_file", "text"),
+    )),
+    "channel": ("channel", ChannelConfig, (
+        ("rician_k", "k_rice_db", "db"),
+        ("clutter_strength", "clutter_strength", "number"),
+    )),
+    "processing": ("processing", ProcessingConfig, (
+        ("clutter_window", "clutter_window", "window"),
+        ("zero_pad_factor", "zero_pad_factor", "count"),
+        ("band", "band", "band"),
+        ("detrend", "detrend", "flag"),
+    )),
+    "strategy": ("strategy", StrategyConfig, (
+        ("kind", "kind", "text"),
+        ("ris_share", "ris_share", "number"),
+        ("adaptation_step", "adaptation_step", "number"),
+        ("prominence_threshold", "prominence_threshold_db", "db"),
+        ("hysteresis_windows", "hysteresis_windows", "count"),
+        ("initial_path", "initial_path", "text"),
+        ("ideal", "ideal", "flag"),
+    )),
+}
+SWEEP_ROWS = (("gammas", "gammas", "numbers"), ("seeds", "seeds", "count"))
+
 
 def _reject_unknown(section: dict, name: str) -> None:
     if section:
         raise ConfigError(f"unknown keys in {name!r} section: "
-                          + ", ".join(sorted(section)))
+                          + ", ".join(sorted(map(str, section))))
 
 
-def _vector(value, key: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (3,):
-        raise ConfigError(f"{key!r} must be a 3-vector in metres")
-    return arr
-
-
-def _parse_placement(section: dict) -> Placement:
-    if not section:
-        return default_placement()
-    radar = _vector(_take(section, "radar", [0.0, 0.0, 1.0]), "radar")
-    ris_center = _vector(_take(section, "ris_center", [2.707, 1.4606, 1.0]),
-                         "ris_center")
-    ris_normal = _vector(_take(section, "ris_normal", [0.0, -1.0, 0.0]),
-                         "ris_normal")
-    target = _vector(_take(section, "target", [3.0, 0.0, 1.0]), "target")
-    chest = _take(section, "chest_normal", "auto")
-    if isinstance(chest, str):
-        if chest != "auto":
-            raise ConfigError("chest_normal must be a 3-vector or 'auto'")
-        chest_normal = ris_center - target
-        chest_normal = chest_normal / np.linalg.norm(chest_normal)
-    else:
-        chest_normal = _vector(chest, "chest_normal")
-    _reject_unknown(section, "placement")
-    return Placement(radar_position=radar, ris_center=ris_center,
-                     ris_normal=ris_normal, target_position=target,
-                     chest_normal=chest_normal)
+def _parse_section(doc: dict, name: str, rows) -> dict:
+    """Pop section `name` from `doc` and parse its keys into field values."""
+    section = doc.pop(name, {})
+    section = dict(_require(isinstance(section, dict), section,
+                            f"{name!r} section", "a mapping"))
+    fields = {field: _KINDS[kind](section.pop(key), f"{name}.{key}")
+              for key, field, kind in rows if key in section}
+    _reject_unknown(section, name)
+    return fields
 
 
 def parse_config(doc: dict):
     """Build (Scenario, StrategyConfig, sweep dict) from a parsed document."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
-    doc = {k: dict(v) if isinstance(v, dict) else v for k, v in doc.items()}
-
-    r = doc.pop("radar", {})
-    radar = RadarConfig(
-        element_count=int(_take(r, "element_count", 5)),
-        carrier_frequency=parse_quantity(
-            _take(r, "carrier_frequency", 7.15e9), "frequency",
-            "carrier_frequency"),
-        bandwidth=parse_quantity(_take(r, "bandwidth", 0.5e6), "frequency",
-                                 "bandwidth"),
-        fast_time_samples=int(_take(r, "fast_time_samples", 64)),
-        pulse_repetition_interval=parse_quantity(
-            _take(r, "pulse_repetition_interval", 0.25), "time",
-            "pulse_repetition_interval"),
-        total_power=parse_quantity(_take(r, "total_power", 10e-3), "power",
-                                   "total_power"),
-        noise_figure_db=parse_quantity(_take(r, "noise_figure", 10.0), "db",
-                                       "noise_figure"),
-        tone_frequency=(None if "tone_frequency" not in r else parse_quantity(
-            r.pop("tone_frequency"), "frequency", "tone_frequency")),
-        element_spacing=(None if "element_spacing" not in r else
-                         parse_quantity(r.pop("element_spacing"), "length",
-                                        "element_spacing")),
-    )
-    _reject_unknown(r, "radar")
-
-    s = doc.pop("ris", {})
-    ris = RisPanel(
-        rows=int(_take(s, "rows", 10)),
-        cols=int(_take(s, "cols", 10)),
-        element_spacing=(None if "element_spacing" not in s else
-                         parse_quantity(s.pop("element_spacing"), "length",
-                                        "ris.element_spacing")),
-        phase_bits=(None if "phase_bits" not in s else int(s.pop("phase_bits"))),
-    )
-    _reject_unknown(s, "ris")
-
-    placement = _parse_placement(doc.pop("placement", {}))
-
-    p = doc.pop("physiology", {})
-    physio = PhysioConfig(
-        breath_rate=parse_quantity(_take(p, "breathing_rate", 0.133),
-                                   "frequency", "breathing_rate"),
-        peak_to_peak=parse_quantity(_take(p, "peak_to_peak", 0.02), "length",
-                                    "peak_to_peak"),
-        duration=parse_quantity(_take(p, "duration", 60.0), "time", "duration"),
-        harmonics=int(_take(p, "harmonics", 0)),
-        drift=parse_quantity(_take(p, "drift", 0.0), "length", "drift"),
-        reflectivity_ris=float(_take(p, "reflectivity_ris", 40.0)),
-        reflectivity_direct=float(_take(p, "reflectivity_direct", 3.0)),
-        gain_exponent=(None if "gain_exponent" not in p
-                       else float(p.pop("gain_exponent"))),
-        gain_table=tuple(tuple(row) for row in _take(p, "gain_table", ())),
-        distortion_strength=float(_take(p, "distortion_strength", 0.35)),
-        trace_file=_take(p, "trace_file"),
-    )
-    _reject_unknown(p, "physiology")
-
-    c = doc.pop("channel", {})
-    channel = ChannelConfig(
-        k_rice_db=parse_quantity(_take(c, "rician_k", 10.0), "db", "rician_k"),
-        clutter_strength=float(_take(c, "clutter_strength", 1e-10)),
-    )
-    _reject_unknown(c, "channel")
-
-    pr = doc.pop("processing", {})
-    band = _take(pr, "band", (0.05, 0.7))
-    band = tuple(parse_quantity(b, "frequency", "band") for b in band)
-    if len(band) != 2 or band[0] >= band[1]:
-        raise ConfigError("band must be [low, high] with low < high")
-    window = _take(pr, "clutter_window", 21)
-    processing = ProcessingConfig(
-        clutter_window=None if window in (None, "off") else int(window),
-        zero_pad_factor=int(_take(pr, "zero_pad_factor", 4)),
-        band=band,
-        detrend=bool(_take(pr, "detrend", True)),
-    )
-    _reject_unknown(pr, "processing")
-
-    st = doc.pop("strategy", {})
-    strategy = StrategyConfig(
-        kind=str(_take(st, "kind", "spatial")),
-        ris_share=float(_take(st, "ris_share", 0.5)),
-        adaptation_step=float(_take(st, "adaptation_step", 0.1)),
-        prominence_threshold_db=parse_quantity(
-            _take(st, "prominence_threshold", 6.0), "db",
-            "prominence_threshold"),
-        hysteresis_windows=int(_take(st, "hysteresis_windows", 2)),
-        initial_path=_take(st, "initial_path"),
-        ideal=bool(_take(st, "ideal", False)),
-    )
-    _reject_unknown(st, "strategy")
-
-    sw = doc.pop("sweep", {})
-    sweep = {
-        "gammas": [float(g) for g in _take(
-            sw, "gammas", [round(0.1 * i, 1) for i in range(11)])],
-        "seeds": int(_take(sw, "seeds", 20)),
-    }
-    _reject_unknown(sw, "sweep")
+    doc = dict(doc)
+    fields = {attr: _parse_section(doc, name, rows)
+              for name, (attr, _, rows) in SCHEMA.items()}
+    sweep = {"gammas": [round(0.1 * i, 1) for i in range(11)], "seeds": 20}
+    sweep.update(_parse_section(doc, "sweep", SWEEP_ROWS))
     _reject_unknown(doc, "top-level")
 
-    scenario = Scenario(radar=radar, ris=ris, placement=placement,
-                        physio=physio, channel=channel, processing=processing)
+    defaults = {attr: make() for attr, make, _ in SCHEMA.values()}
+    placement, base = fields["placement"], defaults["placement"]
+    if placement.get("chest_normal") is None:  # auto: face the RIS
+        facing = (placement.get("ris_center", base.ris_center)
+                  - placement.get("target_position", base.target_position))
+        placement["chest_normal"] = facing / np.linalg.norm(facing)
+    try:
+        built = {attr: replace(default, **fields[attr])
+                 for attr, default in defaults.items()}
+        strategy = built.pop("strategy")
+        scenario = Scenario(**built)
+        # Build the derived models here so that their checks report as
+        # config errors rather than at run time.
+        scenario.radar.array_config
+        physio = scenario.physio
+        for reflectivity in (physio.reflectivity_ris,
+                             physio.reflectivity_direct):
+            scenario.rcs_model(reflectivity)
+        if physio.trace_file is not None:
+            have = scenario.base_trace().samples.size
+            _require(have == scenario.slow_time_samples, have,
+                     f"samples in trace_file {physio.trace_file!r}",
+                     f"{scenario.slow_time_samples} (duration x slow rate)")
+    except OSError as exc:
+        raise ConfigError(f"physiology.trace_file: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return scenario, strategy, sweep
 
 
@@ -223,76 +261,28 @@ def load_config(path):
     return parse_config(doc)
 
 
+def _plain(value):
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def serialize_config(scenario: Scenario, strategy: StrategyConfig,
                      sweep: dict) -> dict:
-    """Scenario back to a plain-SI config document (parse round-trips)."""
-    pl = scenario.placement
-    doc = {
-        "radar": {
-            "element_count": scenario.radar.element_count,
-            "carrier_frequency": scenario.radar.carrier_frequency,
-            "bandwidth": scenario.radar.bandwidth,
-            "fast_time_samples": scenario.radar.fast_time_samples,
-            "pulse_repetition_interval":
-                scenario.radar.pulse_repetition_interval,
-            "total_power": scenario.radar.total_power,
-            "noise_figure": scenario.radar.noise_figure_db,
-        },
-        "ris": {"rows": scenario.ris.rows, "cols": scenario.ris.cols},
-        "placement": {
-            "radar": pl.radar_position.tolist(),
-            "ris_center": pl.ris_center.tolist(),
-            "ris_normal": pl.ris_normal.tolist(),
-            "target": pl.target_position.tolist(),
-            "chest_normal": pl.chest_normal.tolist(),
-        },
-        "physiology": {
-            "breathing_rate": scenario.physio.breath_rate,
-            "peak_to_peak": scenario.physio.peak_to_peak,
-            "duration": scenario.physio.duration,
-            "harmonics": scenario.physio.harmonics,
-            "drift": scenario.physio.drift,
-            "reflectivity_ris": scenario.physio.reflectivity_ris,
-            "reflectivity_direct": scenario.physio.reflectivity_direct,
-            "distortion_strength": scenario.physio.distortion_strength,
-        },
-        "channel": {
-            "rician_k": scenario.channel.k_rice_db,
-            "clutter_strength": scenario.channel.clutter_strength,
-        },
-        "processing": {
-            "clutter_window": scenario.processing.clutter_window,
-            "zero_pad_factor": scenario.processing.zero_pad_factor,
-            "band": list(scenario.processing.band),
-            "detrend": scenario.processing.detrend,
-        },
-        "strategy": {
-            "kind": strategy.kind,
-            "ris_share": strategy.ris_share,
-            "adaptation_step": strategy.adaptation_step,
-            "prominence_threshold": strategy.prominence_threshold_db,
-            "hysteresis_windows": strategy.hysteresis_windows,
-            "ideal": strategy.ideal,
-        },
-        "sweep": dict(sweep),
-    }
-    if strategy.initial_path is not None:
-        doc["strategy"]["initial_path"] = strategy.initial_path
-    if scenario.radar.tone_frequency is not None:
-        doc["radar"]["tone_frequency"] = scenario.radar.tone_frequency
-    if scenario.radar.element_spacing is not None:
-        doc["radar"]["element_spacing"] = scenario.radar.element_spacing
-    if scenario.ris.element_spacing is not None:
-        doc["ris"]["element_spacing"] = scenario.ris.element_spacing
-    if scenario.ris.phase_bits is not None:
-        doc["ris"]["phase_bits"] = scenario.ris.phase_bits
-    if scenario.physio.gain_exponent is not None:
-        doc["physiology"]["gain_exponent"] = scenario.physio.gain_exponent
-    if scenario.physio.gain_table:
-        doc["physiology"]["gain_table"] = [list(r) for r in
-                                           scenario.physio.gain_table]
-    if scenario.physio.trace_file is not None:
-        doc["physiology"]["trace_file"] = scenario.physio.trace_file
+    """Scenario back to a plain-SI config document (parse round-trips).
+
+    Unset optional fields are left out, except a clutter window of None
+    (off): leaving that out would restore the default window.
+    """
+    doc = {}
+    for name, (attr, _, rows) in SCHEMA.items():
+        owner = strategy if attr == "strategy" else getattr(scenario, attr)
+        values = ((key, kind, getattr(owner, field))
+                  for key, field, kind in rows)
+        doc[name] = {key: _plain(value) for key, kind, value in values
+                     if not (value is None and kind != "window"
+                             or kind == "table" and not value)}
+    doc["sweep"] = dict(sweep)
     return doc
 
 

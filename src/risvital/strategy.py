@@ -56,7 +56,6 @@ class LoopState:
     last_prominence: dict = field(default_factory=dict)
     below_threshold_count: int = 0
     theta_direct_estimate: float | None = None
-    ris_profile_version: int = 0
     needs_position_fix: bool = False
 
 
@@ -261,7 +260,6 @@ def run_closed_loop(scn: Scenario, strategy: StrategyConfig, n_windows: int,
     seeds = child_seeds(seed, 2 * n_windows + 1)
     window_seeds, fix_seeds = seeds[1:n_windows + 1], seeds[n_windows + 1:]
     state.theta_direct_estimate = estimate_position(scn, seeds[0])
-    state.ris_profile_version = 1
     for idx, (wseed, fix_seed) in enumerate(zip(window_seeds, fix_seeds)):
         window_strategy = _window_strategy(strategy, state)
         result = run_once(scn, window_strategy, wseed)
@@ -270,7 +268,6 @@ def run_closed_loop(scn: Scenario, strategy: StrategyConfig, n_windows: int,
         state = evaluate_and_update(state, est_direct, est_ris, strategy)
         if state.needs_position_fix:
             state.theta_direct_estimate = estimate_position(scn, fix_seed)
-            state.ris_profile_version += 1
         logs.append(WindowLog(window=idx, strategy=strategy.kind,
                               gamma_ris=result.gamma_ris,
                               active_path=state.active_path,

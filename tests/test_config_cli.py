@@ -1,10 +1,24 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risvital.cli import main
-from risvital.config import (ConfigError, config_hash, load_config,
-                             parse_config, parse_quantity, serialize_config)
+from risvital.config import (SCHEMA, SWEEP_ROWS, ConfigError, config_hash,
+                             load_config, parse_config, parse_quantity,
+                             serialize_config)
+from risvital.physio import synth_respiration, write_trace_csv
+from risvital.strategy import STRATEGY_KINDS
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_config_text(text):
+    return parse_config(yaml.safe_load(text))
 
 EXAMPLE = """
 radar:
@@ -216,3 +230,183 @@ class TestCliConfigOverride:
         # temporal halves: each displacement trace covers half the record
         disp = (out / "ris_displacement.csv").read_text().splitlines()
         assert len(disp) == 121
+
+
+class TestStrictValues:
+    @pytest.mark.parametrize("doc, message", [
+        ({"processing": {"detrend": "false"}}, "true or false"),
+        ({"strategy": {"ideal": "no"}}, "true or false"),
+        ({"radar": {"element_count": 5.9}}, "whole number"),
+        ({"ris": {"rows": True}}, "whole number"),
+        ({"sweep": {"seeds": 2.7}}, "whole number"),
+        ({"ris": "oops"}, "'ris' section: expected a mapping"),
+        ({"radar": None}, "'radar' section: expected a mapping"),
+        ({"strategy": {"kind": "bogus"}}, "unknown strategy kind"),
+        ({"strategy": {"ris_share": 1.5}}, "outside"),
+        ({"placement": {"chest_normal": [1.0, 1.0, 0.0]}}, "unit length"),
+        ({"placement": {"target": [0.0, 0.0, 1.0]}}, "coincide"),
+        ({"placement": {"radar": "here"}}, "3-vector"),
+        ({"physiology": {"gain_table": [[0.0, 1.0, 2.0]]}}, "angle_deg"),
+        ({"physiology": {"gain_table": 5}}, "angle_deg"),
+        ({"physiology": {"gain_table": [[90.0, 0.0], [0.0, 1.0]]}},
+         "ascending"),
+        ({"physiology": {"trace_file": "no-such-trace.csv"}},
+         "no-such-trace.csv"),
+        ({"physiology": {"reflectivity_ris": True}}, "finite number"),
+        ({"physiology": {"duration": float("inf")}}, "finite"),
+        ({"processing": {"clutter_window": 20}}, "odd count"),
+        ({"processing": {"band": ["0.7 Hz", "0.05 Hz"]}}, "low < high"),
+        ({"radar": {1: 2}}, "unknown keys"),
+        ({"radar": {"element_count": 0}}, "element_count must be >= 1"),
+    ])
+    def test_rejected(self, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("text", ["radar:\n", "strategy:\n  kind: bogus\n"])
+    def test_rejected_through_cli(self, tmp_path, capsys, text):
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text(text)
+        code = main(["acquire", "--config", str(cfg), "--out",
+                     str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_lenient_spellings(self):
+        scenario, _, sweep = load_config_text(
+            "radar: {element_count: 5.0}\n"
+            "channel: {clutter_strength: 1e-10}\n"
+            "processing: {clutter_window: off}\n"
+            "physiology: {drift: 1e-3}\n")
+        assert scenario.radar.element_count == 5
+        assert scenario.channel.clutter_strength == 1e-10
+        assert scenario.processing.clutter_window is None
+        assert scenario.physio.drift == 1e-3
+
+
+class TestTraceFile:
+    @staticmethod
+    def _config(tmp_path, samples):
+        trace = tmp_path / "trace.csv"
+        write_trace_csv(trace, [synth_respiration(0.2, 0.02, samples / 4.0,
+                                                  4.0)])
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text(f"physiology:\n  trace_file: {trace}\n")
+        return cfg
+
+    @pytest.mark.parametrize("samples", [200, 300])
+    def test_wrong_length_is_config_error(self, tmp_path, capsys, samples):
+        cfg = self._config(tmp_path, samples)
+        code = main(["acquire", "--config", str(cfg), "--out",
+                     str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert str(samples) in err and "240" in err
+
+    def test_missing_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text(f"physiology:\n  trace_file: {tmp_path / 'no.csv'}\n")
+        code = main(["acquire", "--config", str(cfg), "--out",
+                     str(tmp_path / "x")])
+        assert code == 1
+        assert "no.csv" in capsys.readouterr().err
+
+    def test_matching_length_runs(self, tmp_path):
+        cfg = self._config(tmp_path, 240)
+        out = tmp_path / "run"
+        assert main(["acquire", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len((out / "ris_displacement.csv").read_text()
+                   .splitlines()) == 241
+
+
+class TestGoldenHash:
+    """Any change to the serialized form, or to the defaults, is deliberate."""
+
+    @pytest.mark.parametrize("path", ["scenario.example.yaml",
+                                      "bench/scenario.yaml"])
+    def test_example_files_hash_to_defaults(self, path):
+        assert config_hash(*load_config(ROOT / path)) == "9c980917a0464811"
+
+    def test_empty_document(self):
+        assert config_hash(*parse_config({})) == "9c980917a0464811"
+
+    def test_clutter_filter_off(self):
+        doc = {"processing": {"clutter_window": "off"}}
+        assert config_hash(*parse_config(doc)) == "1922f201b67e5174"
+
+
+# Every drawn value is valid for its field: numbers lie in (0, 1], which
+# holds ris_share and gain_exponent; the array has at least one element;
+# each position has its own z range, so no two points coincide, and none
+# meets a default point (all at z = 1 m). trace_file names a file and is
+# covered by TestTraceFile instead.
+_UNIT = {"frequency": "Hz", "time": "ms", "length": "cm", "power": "dBm",
+         "db": "dB"}
+_NUMBER = st.floats(0.01, 1.0)
+_UNIT_NORMALS = st.sampled_from([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0],
+                                 [0.0, 0.0, 1.0]])
+
+
+def _point(z_low):
+    return st.tuples(st.floats(-5, 5), st.floats(-5, 5),
+                     st.floats(z_low, z_low + 0.5)).map(list)
+
+
+def _table(rows):
+    angles = sorted(a for a, _ in rows)
+    gains = sorted((g for _, g in rows), reverse=True)
+    return [[a, g] for a, g in zip(angles, gains)]
+
+
+_BY_KEY = {
+    "element_count": st.integers(1, 64),
+    "kind": st.sampled_from(STRATEGY_KINDS),
+    "initial_path": st.sampled_from(["direct", "ris"]),
+    "radar": _point(1.5), "ris_center": _point(2.5), "target": _point(3.5),
+    "ris_normal": _UNIT_NORMALS,
+    "chest_normal": st.one_of(st.just("auto"), _UNIT_NORMALS),
+}
+_BY_KIND = {
+    **{kind: st.one_of(_NUMBER, _NUMBER.map(lambda v, u=unit: f"{v!r} {u}"))
+       for kind, unit in _UNIT.items()},
+    "number": _NUMBER,
+    "count": st.integers(0, 64),
+    "flag": st.booleans(),
+    "window": st.one_of(st.sampled_from([None, "off", False]),
+                        st.integers(1, 30).map(lambda n: 2 * n + 1)),
+    "band": st.lists(_NUMBER, min_size=2, max_size=2, unique=True).map(sorted),
+    "table": st.lists(st.tuples(st.floats(0, 90), _NUMBER),
+                      max_size=4).map(_table),
+    "numbers": st.lists(_NUMBER, max_size=5),
+}
+
+
+def _section(rows):
+    return st.fixed_dictionaries({}, optional={
+        key: _BY_KEY[key] if key in _BY_KEY else _BY_KIND[kind]
+        for key, _, kind in rows
+        if key != "trace_file"})
+
+
+_DOCUMENTS = st.fixed_dictionaries({}, optional={
+    name: _section(rows) for name, (_, _, rows)
+    in (SCHEMA | {"sweep": (None, None, SWEEP_ROWS)}).items()})
+
+
+class TestSchema:
+    def test_every_dataclass_field_has_one_row(self):
+        for _, make, rows in SCHEMA.values():
+            names = [field for _, field, _ in rows]
+            assert sorted(names) == sorted(
+                f.name for f in dataclasses.fields(make()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_DOCUMENTS)
+    def test_parse_serialize_parse(self, doc):
+        first = parse_config(doc)
+        serialized = serialize_config(*first)
+        for again in (parse_config(serialized),
+                      load_config_text(yaml.safe_dump(serialized))):
+            assert again == first
+            assert config_hash(*again) == config_hash(*first)
