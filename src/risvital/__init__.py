@@ -6,10 +6,10 @@ from .beamform import (ConstraintPair, IllConditionedConstraints, Precoder,
                        min_norm_precoder, min_power_closed_form,
                        split_precoder, split_scale, steering_correlation,
                        temporal_weights)
-from .channel import (ChannelRealization, RicianSpec, RisConfig,
-                      assemble_end_to_end, build_ris_grid, clutter_draw,
-                      los_channel, realize_channel, rician_draw,
-                      ris_focus_profile)
+from .channel import (ChannelModel, ChannelRealization, RicianSpec,
+                      RisConfig, assemble_end_to_end, build_ris_grid,
+                      channel_model, clutter_draw, los_channel,
+                      realize_channel, rician_draw, ris_focus_profile)
 from .geometry import (ArrayConfig, GeometryError, PathAngles, Placement,
                        SteeringVector, angles_from_placement, ula_steering)
 from .physio import (DisplacementTrace, RcsModel, angle_gain, load_trace_csv,
@@ -17,8 +17,8 @@ from .physio import (DisplacementTrace, RcsModel, angle_gain, load_trace_csv,
                      write_trace_csv)
 from .scenario import (ChannelConfig, PhysioConfig, ProcessingConfig,
                        RadarConfig, RisPanel, RunResult, Scenario,
-                       default_placement, extract_vital_signs, noiseless,
-                       simulate_acquisition)
+                       StaticScene, default_placement, extract_vital_signs,
+                       noiseless, simulate_acquisition)
 from .sigproc import (SlowTimeRecord, Spectrum, VitalSignEstimate, Waveform,
                       clutter_filter, make_waveform, matched_filter,
                       peak_quality, phase_demodulate, power_spectrum,

@@ -4,6 +4,8 @@ Builds the radar->RIS matrix, RIS->target and radar->target vectors from
 exact element-to-element free-space propagation, draws Rician fading
 around those line-of-sight components, and assembles the end-to-end
 monostatic matrix with the two rank-1 target terms plus static clutter.
+`channel_model` does the geometry once; its `draw` is the per-seed part.
+The RIS reflection Gamma is diagonal, so it is kept as its (N,) diagonal.
 
 Propagation phase convention is exp(-j*2*pi*d/lambda) with one-way Friis
 amplitude lambda/(4*pi*d) per link leg, so the far-field line-of-sight
@@ -66,9 +68,14 @@ class RisConfig:
         return self.rows * self.cols
 
     @property
+    def reflection(self) -> np.ndarray:
+        """Unit-modulus reflection coefficient per element, (N,)."""
+        return np.exp(1j * self.phases)
+
+    @property
     def reflection_matrix(self) -> np.ndarray:
         """Diagonal unit-modulus reflection matrix."""
-        return np.diag(np.exp(1j * self.phases))
+        return np.diag(self.reflection)
 
     def with_phases(self, phases: np.ndarray) -> "RisConfig":
         return RisConfig(self.rows, self.cols, self.element_spacing,
@@ -113,22 +120,19 @@ class ChannelRealization:
     h_T: np.ndarray    # (N,)   RIS <-> target
     h_D: np.ndarray    # (M,)   radar <-> target
     H_C: np.ndarray    # (M, M) static clutter
-    Gamma: np.ndarray  # (N, N) diagonal, unit modulus
+    reflection: np.ndarray  # (N,) RIS reflection, the diagonal of Gamma
 
     def __post_init__(self):
-        for name in ("H_I", "h_T", "h_D", "H_C", "Gamma"):
+        for name in ("H_I", "h_T", "h_D", "H_C", "reflection"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=complex))
         m, n = self.H_I.shape
         if self.h_T.shape != (n,) or self.h_D.shape != (m,):
             raise ChannelError("channel component shapes are inconsistent")
-        if self.H_C.shape != (m, m) or self.Gamma.shape != (n, n):
+        if self.H_C.shape != (m, m) or self.reflection.shape != (n,):
             raise ChannelError("channel component shapes are inconsistent")
-        off = self.Gamma - np.diag(np.diag(self.Gamma))
-        if np.any(off != 0):
-            raise ChannelError("Gamma must be diagonal")
-        if np.max(np.abs(np.abs(np.diag(self.Gamma)) - 1.0)) > 1e-12:
-            raise ChannelError("Gamma entries must have unit modulus")
+        if np.max(np.abs(np.abs(self.reflection) - 1.0)) > 1e-12:
+            raise ChannelError("reflection entries must have unit modulus")
         for name in ("H_I", "h_T", "h_D", "H_C"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ChannelError(f"{name} contains non-finite entries")
@@ -136,7 +140,7 @@ class ChannelRealization:
     @property
     def ris_cascade(self) -> np.ndarray:
         """One-way radar->RIS->target channel vector H_I @ Gamma @ h_T."""
-        return self.H_I @ (np.diag(self.Gamma) * self.h_T)
+        return self.H_I @ (self.reflection * self.h_T)
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -186,8 +190,7 @@ def assemble_end_to_end(ch: ChannelRealization, alpha: complex,
     Both target terms are symmetric rank-1 outer products v * c * v^T of the
     one-way path vectors, scaled by the complex RCS of that path.
     """
-    gamma_diag = np.diag(ch.Gamma)
-    v_ris = ch.H_I @ (gamma_diag * ch.h_T)
+    v_ris = ch.ris_cascade
     return (alpha * np.outer(v_ris, v_ris)
             + beta * np.outer(ch.h_D, ch.h_D)
             + ch.H_C)
@@ -203,6 +206,40 @@ def clutter_draw(strength: float, rng_seed, m: int) -> np.ndarray:
     return upper + np.triu(draw, 1).T
 
 
+@dataclass(frozen=True)
+class ChannelModel:
+    """The seed-independent half of a block-fading channel draw.
+
+    `specs` holds the unit-RMS Rician specs of (H_I, h_T, h_D) and `scales`
+    the RMS magnitude of each line-of-sight part, so a draw rescales its
+    fading to the path loss; `reflection` is the RIS phase vector.
+    """
+
+    specs: tuple
+    scales: tuple
+    reflection: np.ndarray
+    clutter_strength: float
+
+    def draw(self, rng_seed) -> ChannelRealization:
+        """One realization: H_I, h_T, h_D, then the clutter, from one stream."""
+        rng = np.random.default_rng(rng_seed)
+        h_i, h_t, h_d = (scale * rician_draw(spec, rng)
+                         for spec, scale in zip(self.specs, self.scales))
+        h_c = clutter_draw(self.clutter_strength, rng, h_d.size)
+        return ChannelRealization(H_I=h_i, h_T=h_t, h_D=h_d, H_C=h_c,
+                                  reflection=self.reflection)
+
+
+def channel_model(p: Placement, cfg: ArrayConfig, ris: RisConfig,
+                  k_rice: float, clutter_strength: float) -> ChannelModel:
+    """The exact LoS geometry normalized into Rician specs, for many draws."""
+    los = los_channel(p, cfg, ris)
+    scales = tuple(np.sqrt(np.mean(np.abs(part) ** 2)) for part in los)
+    specs = tuple(RicianSpec(k_factor=k_rice, los_component=part / scale)
+                  for part, scale in zip(los, scales))
+    return ChannelModel(specs, scales, ris.reflection, clutter_strength)
+
+
 def realize_channel(p: Placement, cfg: ArrayConfig, ris: RisConfig,
                     k_rice: float, clutter_strength: float,
                     rng_seed) -> ChannelRealization:
@@ -210,16 +247,8 @@ def realize_channel(p: Placement, cfg: ArrayConfig, ris: RisConfig,
 
     The unit-variance nLoS draw of each component is scaled to the RMS
     magnitude of its LoS counterpart so fading perturbs the link without
-    erasing its path loss.
+    erasing its path loss. Runs that share a geometry build the
+    `channel_model` once and call its `draw` per seed.
     """
-    rng = np.random.default_rng(rng_seed)
-    h_i_los, h_t_los, h_d_los = los_channel(p, cfg, ris)
-    parts = []
-    for los in (h_i_los, h_t_los, h_d_los):
-        scale = np.sqrt(np.mean(np.abs(los) ** 2))
-        spec = RicianSpec(k_factor=k_rice, los_component=los / scale)
-        parts.append(scale * rician_draw(spec, rng))
-    h_i, h_t, h_d = parts
-    h_c = clutter_draw(clutter_strength, rng, cfg.element_count)
-    return ChannelRealization(H_I=h_i, h_T=h_t, h_D=h_d, H_C=h_c,
-                              Gamma=np.diag(np.exp(1j * ris.phases)))
+    return channel_model(p, cfg, ris, k_rice,
+                         clutter_strength).draw(rng_seed)

@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, config_hash, load_config, parse_config
+from .config import ConfigError, _count, config_hash, load_config, parse_config
 from .strategy import gamma_sweep, run_closed_loop, run_once
 
 EXIT_OK = 0
@@ -45,14 +45,25 @@ def _fmt(value):
 
 
 def _load(args):
+    """Config file (or defaults) with the command-line overrides applied.
+
+    A bad override is a config error like a bad config value: counts are
+    whole numbers >= 0, and the strategy fields pass StrategyConfig's checks.
+    """
+    for flag in ("seeds", "windows"):
+        if getattr(args, flag, None) is not None:
+            _count(getattr(args, flag), f"--{flag}")
     if args.config is not None:
         scenario, strategy, sweep = load_config(args.config)
     else:
         scenario, strategy, sweep = parse_config({})
-    if getattr(args, "strategy", None):
-        strategy = replace(strategy, kind=args.strategy)
-    if getattr(args, "ris_share", None) is not None:
-        strategy = replace(strategy, ris_share=args.ris_share)
+    try:
+        if getattr(args, "strategy", None):
+            strategy = replace(strategy, kind=args.strategy)
+        if getattr(args, "ris_share", None) is not None:
+            strategy = replace(strategy, ris_share=args.ris_share)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return scenario, strategy, sweep
 
 

@@ -28,7 +28,11 @@ class TraceError(ValueError):
 
 @dataclass(frozen=True)
 class DisplacementTrace:
-    """Chest displacement samples [m] at a fixed slow-time rate."""
+    """Chest displacement samples [m] at a fixed slow-time rate.
+
+    Time runs along the last axis; a leading axis, if any, stacks the
+    traces of several seeds.
+    """
 
     samples: np.ndarray
     slow_rate: float
@@ -37,7 +41,7 @@ class DisplacementTrace:
     def __post_init__(self):
         object.__setattr__(self, "samples",
                            np.asarray(self.samples, dtype=float))
-        if self.samples.ndim != 1 or self.samples.size < 2:
+        if self.samples.ndim not in (1, 2) or self.samples.shape[-1] < 2:
             raise TraceError("trace needs at least 2 samples")
         if not np.all(np.isfinite(self.samples)):
             raise TraceError("trace samples must be finite")
@@ -45,11 +49,11 @@ class DisplacementTrace:
             raise TraceError("slow_rate must be positive")
 
     def __len__(self) -> int:
-        return self.samples.size
+        return self.samples.shape[-1]
 
     @property
     def times(self) -> np.ndarray:
-        return np.arange(self.samples.size) / self.slow_rate
+        return np.arange(len(self)) / self.slow_rate
 
 
 @dataclass(frozen=True)
@@ -182,29 +186,34 @@ def observed_displacement(model: RcsModel, trace: DisplacementTrace,
     """Displacement actually seen from an angle: attenuated, optionally distorted.
 
     The jitter is white noise confined to the distortion band, scaled by the
-    lost fraction of the angle gain, so a frontal view stays clean.
+    lost fraction of the angle gain, so a frontal view stays clean. A list
+    of seeds gives one observation per seed on a leading axis, each drawn
+    exactly as that seed alone would draw it.
     """
+    batch = isinstance(rng_seed, list)
+    seeds = rng_seed if batch else [rng_seed]
     gain = angle_gain(model, incidence)
-    d = gain * trace.samples
+    d = np.broadcast_to(gain * trace.samples, (len(seeds), len(trace)))
     if model.distortion_strength > 0.0 and gain < 1.0:
-        rng = np.random.default_rng(rng_seed)
+        white = np.stack([np.random.default_rng(seed).standard_normal(len(trace))
+                          for seed in seeds])
         amp = np.max(np.abs(trace.samples)) if trace.samples.size else 0.0
         level = model.distortion_strength * (1.0 - gain) * amp
-        d = d + level * _bandlimited_noise(rng, len(trace), trace.slow_rate,
+        d = d + level * _bandlimited_noise(white, trace.slow_rate,
                                            model.distortion_band)
-    return DisplacementTrace(samples=d, slow_rate=trace.slow_rate,
-                             label=trace.label)
+    return DisplacementTrace(samples=d if batch else d[0],
+                             slow_rate=trace.slow_rate, label=trace.label)
 
 
-def _bandlimited_noise(rng: np.random.Generator, n: int, rate: float,
-                       band) -> np.ndarray:
-    """Unit-RMS real noise restricted to [band[0], band[1]] Hz."""
-    spectrum = np.fft.rfft(rng.standard_normal(n))
+def _bandlimited_noise(white: np.ndarray, rate: float, band) -> np.ndarray:
+    """White rows restricted to [band[0], band[1]] Hz and scaled to unit RMS."""
+    n = white.shape[-1]
+    spectrum = np.fft.rfft(white)
     freqs = np.fft.rfftfreq(n, d=1.0 / rate)
-    spectrum[(freqs < band[0]) | (freqs > band[1])] = 0.0
+    spectrum[..., (freqs < band[0]) | (freqs > band[1])] = 0.0
     noise = np.fft.irfft(spectrum, n)
-    rms = np.sqrt(np.mean(noise ** 2))
-    return noise / rms if rms > 0 else noise
+    rms = np.sqrt(np.mean(noise ** 2, axis=-1, keepdims=True))
+    return noise / np.where(rms > 0, rms, 1.0)
 
 
 def rcs_series(model: RcsModel, trace: DisplacementTrace, incidence: float,
@@ -212,7 +221,8 @@ def rcs_series(model: RcsModel, trace: DisplacementTrace, incidence: float,
     """Complex reflectivity per slow-time sample, Doppler-phase modulated.
 
     The displacement enters the phase at 4*pi/lambda: the echo travels the
-    chest offset twice, matching the 1/2 that the demodulator applies.
+    chest offset twice, matching the 1/2 that the demodulator applies. A
+    list of seeds gives an (S, L) array, one row per seed.
     """
     observed = observed_displacement(model, trace, incidence, rng_seed)
     return model.reflectivity * np.exp(

@@ -8,20 +8,32 @@ the matched-filtered antennas x pulses record. White fast-time noise at the
 configured floor N0 leaves the matched filter as CN(0, N0/E) for a pulse of
 energy E, so that output is drawn directly, independently per antenna and
 pulse; the channel and clutter stay fixed for the run.
+
+A run splits into a static scene and per-seed draws. `Scenario.static`
+holds everything that does not depend on the seed (look angles, the RIS
+profile, the normalized LoS channel, steering vectors, receive weights,
+the base trace, the RCS models and the noise scale); it is built on first
+use and kept for the scenario's lifetime. The per-seed part draws the
+channel, the two RCS jitters and the noise from the seed's own children.
+`simulate_acquisition` and `extract_vital_signs` take a list of seeds as
+a leading batch axis, (S, M, L), and give every seed the same bits it
+gets alone; a single run is the batch of one.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import sigproc
-from .channel import (ChannelRealization, RisConfig, build_ris_grid,
-                      realize_channel, ris_focus_profile)
+from .beamform import split_precoder
+from .channel import (ChannelModel, ChannelRealization, RisConfig,
+                      build_ris_grid, channel_model, ris_focus_profile)
 from .geometry import (SPEED_OF_LIGHT, ArrayConfig, PathAngles, Placement,
                        angles_from_placement, ula_steering)
 from .physio import DisplacementTrace, RcsModel, load_trace_csv, rcs_series, \
     synth_respiration
-from .sigproc import (SlowTimeRecord, VitalSignEstimate, Waveform,
+from .sigproc import (SlowTimeRecord, Spectrum, VitalSignEstimate, Waveform,
                       clutter_filter, make_waveform, peak_quality,
                       phase_demodulate, power_spectrum, separate_paths)
 
@@ -149,6 +161,22 @@ def default_placement() -> Placement:
 
 
 @dataclass(frozen=True)
+class StaticScene:
+    """The seed-independent part of a run, built once per scenario."""
+
+    angles: PathAngles
+    ris: RisConfig
+    channel: ChannelModel
+    rx_steering: tuple   # (direct, RIS) SteeringVectors
+    tx_steering: tuple   # conjugated entries, see transmit_steering
+    rx_weights: tuple    # (direct, RIS) separation weights
+    trace: DisplacementTrace
+    rcs_ris: RcsModel
+    rcs_direct: RcsModel
+    noise_sigma: float   # per real component of the matched-filter noise
+
+
+@dataclass(frozen=True)
 class Scenario:
     radar: RadarConfig = field(default_factory=RadarConfig)
     ris: RisPanel = field(default_factory=RisPanel)
@@ -204,6 +232,41 @@ class Scenario:
                                  self.radar.slow_rate, harmonics=p.harmonics,
                                  drift=p.drift, rng_seed=0)
 
+    @cached_property
+    def static(self) -> StaticScene:
+        """The seed-independent part of every run, built on first use.
+
+        Its arrays are read-only: every run of the scenario shares them.
+        """
+        radar = self.radar
+        ris = self.ris_config()
+        rx = self.steering_pair()
+        a_direct, a_ris = (a.entries for a in rx)
+        energy = radar.waveform().energy
+        scene = StaticScene(
+            angles=self.angles,
+            ris=ris,
+            channel=channel_model(self.placement, radar.array_config, ris,
+                                  db_to_linear(self.channel.k_rice_db),
+                                  self.channel.clutter_strength),
+            rx_steering=rx,
+            tx_steering=transmit_steering(self),
+            rx_weights=tuple(
+                split_precoder(a_direct, a_ris, share,
+                               radar.total_power).weights
+                for share in (1.0, 0.0)),
+            trace=self.base_trace(),
+            rcs_ris=self.rcs_model(self.physio.reflectivity_ris),
+            rcs_direct=self.rcs_model(self.physio.reflectivity_direct),
+            noise_sigma=np.sqrt(radar.noise_power / (2.0 * energy)))
+        for array in (ris.element_positions, ris.phases,
+                      scene.channel.reflection,
+                      *(spec.los_component for spec in scene.channel.specs),
+                      *(a.entries for a in rx), *scene.tx_steering,
+                      *scene.rx_weights, scene.trace.samples):
+            array.flags.writeable = False
+        return scene
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -243,8 +306,7 @@ def child_seeds(seed, n: int) -> list[np.random.SeedSequence]:
             for i in range(n)]
 
 
-def simulate_acquisition(scn: Scenario, schedule: np.ndarray,
-                         seed) -> tuple[SlowTimeRecord, ChannelRealization]:
+def simulate_acquisition(scn: Scenario, schedule: np.ndarray, seed):
     """Run one acquisition of L pulses under a per-pulse precoder schedule.
 
     `schedule` is (M, L). Per pulse, the end-to-end channel response is
@@ -252,66 +314,75 @@ def simulate_acquisition(scn: Scenario, schedule: np.ndarray,
     The matched filter conj(s)/E turns white fast-time noise of variance N0
     per sample into CN(0, N0/E) per sample of the record, which is drawn
     directly. `seed` is not mutated: the same seed replays the same record.
+
+    Returns (record, channel). A list of seeds runs them as one batch: the
+    record is then (S, M, L) and a list of channels comes back, and each
+    seed draws from its own children in the order a lone run does.
     """
+    batch = isinstance(seed, list)
+    seeds = seed if batch else [seed]
     schedule = np.asarray(schedule, dtype=complex)
     m = scn.radar.element_count
     length = scn.slow_time_samples
     if schedule.shape != (m, length):
         raise ValueError(f"schedule shape {schedule.shape} != ({m}, {length})")
-    ch_seed, ris_obs_seed, dir_obs_seed, noise_seed = child_seeds(seed, 4)
-
-    ch = realize_channel(scn.placement, scn.radar.array_config,
-                         scn.ris_config(),
-                         k_rice=db_to_linear(scn.channel.k_rice_db),
-                         clutter_strength=scn.channel.clutter_strength,
-                         rng_seed=ch_seed)
-
-    trace = scn.base_trace()
-    angles = scn.angles
+    st = scn.static
+    children = [child_seeds(s, 4) for s in seeds]
+    channels = [st.channel.draw(ch_seed) for ch_seed, _, _, _ in children]
     lam = scn.radar.wavelength
-    alpha = rcs_series(scn.rcs_model(scn.physio.reflectivity_ris), trace,
-                       angles.chest_incidence_ris, lam, rng_seed=ris_obs_seed)
-    beta = rcs_series(scn.rcs_model(scn.physio.reflectivity_direct), trace,
-                      angles.chest_incidence_direct, lam, rng_seed=dir_obs_seed)
+    alpha = rcs_series(st.rcs_ris, st.trace, st.angles.chest_incidence_ris,
+                       lam, rng_seed=[c[1] for c in children])
+    beta = rcs_series(st.rcs_direct, st.trace,
+                      st.angles.chest_incidence_direct, lam,
+                      rng_seed=[c[2] for c in children])
 
-    v_ris = ch.ris_cascade
-    signal = (v_ris[:, None] * (alpha * (v_ris @ schedule))
-              + ch.h_D[:, None] * (beta * (ch.h_D @ schedule))
-              + ch.H_C @ schedule)
+    v_ris = np.stack([ch.ris_cascade for ch in channels])
+    h_d = np.stack([ch.h_D for ch in channels])
+    h_c = np.stack([ch.H_C for ch in channels])
+    # (S, 1, M) @ (M, L) keeps each seed's vector product bit-identical to
+    # a lone run; an (S, M) @ (M, L) product rounds differently
+    signal = (v_ris[:, :, None] * (alpha[:, None] * (v_ris[:, None] @ schedule))
+              + h_d[:, :, None] * (beta[:, None] * (h_d[:, None] @ schedule))
+              + h_c @ schedule)
 
-    rng = np.random.default_rng(noise_seed)
-    energy = scn.radar.waveform().energy
-    sigma = np.sqrt(scn.radar.noise_power / (2.0 * energy))
-    noise_mf = sigma * (rng.standard_normal((m, length))
-                        + 1j * rng.standard_normal((m, length)))
-    record = SlowTimeRecord(samples=signal + noise_mf,
+    # real then imaginary parts, one (2, M, L) draw per seed
+    noise = np.stack([np.random.default_rng(c[3]).standard_normal(
+        (2, m, length)) for c in children])
+    samples = signal + st.noise_sigma * (noise[:, 0] + 1j * noise[:, 1])
+    record = SlowTimeRecord(samples=samples if batch else samples[0],
                             slow_rate=scn.radar.slow_rate)
-    return record, ch
+    return record, (channels if batch else channels[0])
 
 
 def extract_vital_signs(scn: Scenario, record: SlowTimeRecord,
                         w_direct: np.ndarray, w_ris: np.ndarray,
-                        slots_direct=None, slots_ris=None) -> dict:
+                        slots_direct=None, slots_ris=None):
     """Clutter-filter, separate, demodulate, and grade both path branches.
 
     With temporal slot sets, each branch is demodulated over its own slots
-    only; otherwise over the full record.
+    only; otherwise over the full record. Returns a dict of path label to
+    estimate (None for a branch too short to grade), or one such dict per
+    seed for an (S, M, L) record.
     """
     proc = scn.processing
     samples = record.samples
+    batch = samples.ndim == 3
     if proc.clutter_window is not None:
         samples = clutter_filter(samples, proc.clutter_window)
     r_direct, r_ris = separate_paths(samples, w_direct, w_ris)
+    if not batch:
+        r_direct, r_ris = r_direct[None], r_ris[None]
     # a branch must observe at least one full period of the slowest
     # analysed frequency before its spectrum means anything
     min_len = max(8, int(np.ceil(scn.radar.slow_rate / proc.band[0])))
-    out = {}
+    out = [{} for _ in r_direct]
     for label, series, slots in (("direct", r_direct, slots_direct),
                                  ("ris", r_ris, slots_ris)):
         if slots is not None:
-            series = series[np.asarray(sorted(slots), dtype=int)]
-        if series.size < min_len:
-            out[label] = None
+            series = np.take(series, sorted(slots), axis=-1)
+        if series.shape[-1] < min_len:
+            for est in out:
+                est[label] = None
             continue
         displacement = phase_demodulate(series, scn.radar.wavelength,
                                         scn.radar.slow_rate,
@@ -319,13 +390,16 @@ def extract_vital_signs(scn: Scenario, record: SlowTimeRecord,
         # common frequency grid across branches: slot subsets are padded to
         # the full acquisition length so peak locations stay comparable
         spectrum = power_spectrum(displacement, proc.zero_pad_factor,
-                                  n_fft=proc.zero_pad_factor * record.samples.shape[1])
-        peak, prom = peak_quality(spectrum, proc.band)
-        out[label] = VitalSignEstimate(displacement=displacement,
-                                       spectrum=spectrum, peak_freq=peak,
-                                       peak_prominence_db=prom,
-                                       path_label=label)
-    return out
+                                  n_fft=proc.zero_pad_factor * samples.shape[-1])
+        peaks, proms = peak_quality(spectrum, proc.band)
+        for i, est in enumerate(out):
+            est[label] = VitalSignEstimate(
+                displacement=DisplacementTrace(displacement.samples[i],
+                                               displacement.slow_rate, label),
+                spectrum=Spectrum(spectrum.freqs, spectrum.power[i]),
+                peak_freq=float(peaks[i]),
+                peak_prominence_db=float(proms[i]), path_label=label)
+    return out if batch else out[0]
 
 
 def noiseless(scn: Scenario) -> Scenario:

@@ -3,7 +3,9 @@ path separation, phase demodulation, spectral estimation, and root-MUSIC.
 
 The chain collapses each pulse to one complex sample per antenna, strips
 the static environment in slow time, splits the record into the two path
-branches, and converts unwrapped phase back to chest displacement.
+branches, and converts unwrapped phase back to chest displacement. Every
+stage from the clutter filter to the peak grading also takes a leading
+seed axis, giving each seed the bits it would get alone.
 """
 
 from dataclasses import dataclass
@@ -47,15 +49,18 @@ class Waveform:
 
 @dataclass(frozen=True)
 class SlowTimeRecord:
-    """Matched-filtered samples, one row per antenna, one column per pulse."""
+    """Matched-filtered samples, one row per antenna, one column per pulse.
 
-    samples: np.ndarray  # (M, L) complex
+    A batch of seeds stacks its records on a leading axis, (S, M, L).
+    """
+
+    samples: np.ndarray  # (M, L) or (S, M, L) complex
     slow_rate: float
 
     def __post_init__(self):
         object.__setattr__(self, "samples",
                            np.asarray(self.samples, dtype=complex))
-        if self.samples.ndim != 2:
+        if self.samples.ndim not in (2, 3):
             raise SignalError("slow-time record must be a matrix")
         if not np.all(np.isfinite(self.samples)):
             raise SignalError("slow-time record contains non-finite entries")
@@ -63,7 +68,10 @@ class SlowTimeRecord:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """One-sided power spectrum as (frequency [Hz], power) pairs."""
+    """One-sided power spectrum as (frequency [Hz], power) pairs.
+
+    `power` may stack the spectra of several seeds on a leading axis.
+    """
 
     freqs: np.ndarray
     power: np.ndarray
@@ -109,24 +117,23 @@ def matched_filter(y_fast: np.ndarray, waveform: Waveform) -> complex:
 def clutter_filter(record: np.ndarray, window: int) -> np.ndarray:
     """Remove the centered length-`window` slow-time moving average per antenna.
 
-    Edge positions use the window truncated to the record, so slow-time
-    constant input maps to zero everywhere.
+    Slow time is the last axis. Edge positions use the window truncated to
+    the record, so slow-time constant input maps to zero everywhere.
     """
     record = np.asarray(record, dtype=complex)
-    if record.ndim == 1:
-        return clutter_filter(record[None, :], window)[0]
-    m, length = record.shape
+    length = record.shape[-1]
     if window % 2 == 0 or not 3 <= window <= length:
         raise SignalError(
             f"window must be odd and within [3, {length}], got {window}")
     half = window // 2
     # Running mean with truncated edge windows via cumulative sums.
-    csum = np.cumsum(record, axis=1)
-    csum = np.concatenate([np.zeros((m, 1), dtype=complex), csum], axis=1)
+    csum = np.cumsum(record, axis=-1)
+    csum = np.concatenate(
+        [np.zeros(record.shape[:-1] + (1,), dtype=complex), csum], axis=-1)
     idx = np.arange(length)
     lo = np.maximum(idx - half, 0)
     hi = np.minimum(idx + half, length - 1)
-    means = (csum[:, hi + 1] - csum[:, lo]) / (hi - lo + 1)
+    means = (csum[..., hi + 1] - csum[..., lo]) / (hi - lo + 1)
     return record - means
 
 
@@ -140,11 +147,12 @@ def moving_average_response(window: int, freq: float, rate: float) -> float:
 
 def separate_paths(record: np.ndarray, w_direct: np.ndarray,
                    w_ris: np.ndarray):
-    """Project the record onto the two receive beamformers."""
+    """Project the (..., M, L) record onto the two receive beamformers."""
     record = np.asarray(record, dtype=complex)
     w_direct = np.asarray(w_direct, dtype=complex)
     w_ris = np.asarray(w_ris, dtype=complex)
-    if record.shape[0] != w_direct.shape[0] or record.shape[0] != w_ris.shape[0]:
+    m = record.shape[-2]
+    if m != w_direct.shape[0] or m != w_ris.shape[0]:
         raise SignalError("beamformer length does not match antenna count")
     return np.conj(w_direct) @ record, np.conj(w_ris) @ record
 
@@ -154,17 +162,21 @@ def phase_demodulate(r: np.ndarray, wavelength: float, slow_rate: float,
     """Unwrapped slow-time phase converted to displacement d = (lambda/(4*pi)) * phi.
 
     The half compensates the round trip. `detrend` removes the least-squares
-    line, absorbing unwrap offsets and any constant phase gauge.
+    line, absorbing unwrap offsets and any constant phase gauge. Slow time
+    is the last axis.
     """
     r = np.asarray(r, dtype=complex)
     zero = np.flatnonzero(np.abs(r) == 0.0)
     if zero.size:
-        raise SignalError(f"zero-magnitude sample at slow-time index {zero[0]}")
+        raise SignalError("zero-magnitude sample at slow-time index "
+                          f"{zero[0] % r.shape[-1]}")
     phi = np.unwrap(np.angle(r))
     if detrend:
-        l_idx = np.arange(phi.size)
-        coeffs = np.polyfit(l_idx, phi, 1)
-        phi = phi - np.polyval(coeffs, l_idx)
+        l_idx = np.arange(phi.shape[-1])
+        # one fit per row: a fit of many rows at once rounds differently
+        fits = [np.polyval(np.polyfit(l_idx, row, 1), l_idx)
+                for row in phi.reshape(-1, l_idx.size)]
+        phi = phi - np.reshape(fits, phi.shape)
     return DisplacementTrace(samples=0.5 * wavelength / (2.0 * np.pi) * phi,
                              slow_rate=slow_rate, label=label)
 
@@ -177,21 +189,23 @@ def power_spectrum(trace: DisplacementTrace, zero_pad_factor: int = 4,
     `n_fft` overrides the transform length, letting short slot records be
     evaluated on the frequency grid of a longer acquisition.
     """
-    x = trace.samples
-    if x.size < 8:
+    # a row mean rounds like the 1-D mean only over contiguous rows
+    x = np.ascontiguousarray(trace.samples)
+    n = x.shape[-1]
+    if n < 8:
         raise SignalError("need at least 8 samples for a spectrum")
     if zero_pad_factor < 1:
         raise SignalError("zero_pad_factor must be >= 1")
-    windowed = (x - np.mean(x)) * np.hanning(x.size)
+    windowed = (x - np.mean(x, axis=-1, keepdims=True)) * np.hanning(n)
     if n_fft is None:
-        n_fft = x.size * zero_pad_factor
-    elif n_fft < x.size:
-        raise SignalError(f"n_fft = {n_fft} shorter than the record ({x.size})")
+        n_fft = n * zero_pad_factor
+    elif n_fft < n:
+        raise SignalError(f"n_fft = {n_fft} shorter than the record ({n})")
     spec = np.fft.rfft(windowed, n=n_fft)
     power = np.abs(spec) ** 2 / n_fft
-    power[1:] *= 2.0
+    power[..., 1:] *= 2.0
     if n_fft % 2 == 0:
-        power[-1] /= 2.0
+        power[..., -1] /= 2.0
     return Spectrum(freqs=np.fft.rfftfreq(n_fft, d=1.0 / trace.slow_rate),
                     power=power)
 
@@ -200,22 +214,32 @@ def peak_quality(spectrum: Spectrum, band=RESPIRATION_BAND):
     """Strongest in-band bin and its prominence over the in-band median [dB].
 
     The median excludes two bins either side of the peak so a sharp tone is
-    judged against the surrounding floor rather than its own skirt.
+    judged against the surrounding floor rather than its own skirt. Stacked
+    spectra give one (peak, prominence) array pair over the leading axis.
     """
     f_lo, f_hi = band
     in_band = np.flatnonzero((spectrum.freqs >= f_lo) & (spectrum.freqs <= f_hi))
     if in_band.size == 0:
         raise SignalError(f"band [{f_lo}, {f_hi}] Hz contains no bins")
-    band_power = spectrum.power[in_band]
-    peak_pos = int(np.argmax(band_power))
-    peak_freq = float(spectrum.freqs[in_band[peak_pos]])
+    band_power = spectrum.power[..., in_band]
+    peak_pos = np.argmax(band_power, axis=-1)[..., None]
+    peak_power = np.take_along_axis(band_power, peak_pos, -1)[..., 0]
+    # Median of the kept bins per row: the excluded ones sort to the top,
+    # and the mean of the two middle kept values is what np.median returns.
     keep = np.abs(np.arange(in_band.size) - peak_pos) > 2
-    floor = np.median(band_power[keep]) if np.any(keep) else 0.0
-    if floor <= 0.0:
-        prominence = np.inf if band_power[peak_pos] > 0 else 0.0
-    else:
-        prominence = 10.0 * np.log10(band_power[peak_pos] / floor)
-    return peak_freq, float(max(prominence, 0.0))
+    n_keep = keep.sum(axis=-1, keepdims=True)
+    ranked = np.sort(np.where(keep, band_power, np.inf), axis=-1)
+    middle = (np.take_along_axis(ranked, (n_keep - 1) // 2, -1)
+              + np.take_along_axis(ranked, n_keep // 2, -1))[..., 0] / 2.0
+    floor = np.where(n_keep[..., 0] > 0, middle, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(floor > 0.0, peak_power / floor,
+                         np.where(peak_power > 0, np.inf, 1.0))
+    prominence = np.maximum(10.0 * np.log10(ratio), 0.0)
+    peak_freq = spectrum.freqs[in_band[peak_pos[..., 0]]]
+    if band_power.ndim == 1:
+        return float(peak_freq), float(prominence)
+    return peak_freq, prominence
 
 
 def root_music_doa(snapshots: np.ndarray, n_sources: int,

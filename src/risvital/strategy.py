@@ -13,10 +13,14 @@ import numpy as np
 
 from .beamform import split_precoder
 from .scenario import (RunResult, Scenario, child_seeds, extract_vital_signs,
-                       simulate_acquisition, transmit_steering)
-from .sigproc import VitalSignEstimate, root_music_doa
+                       simulate_acquisition)
+from .sigproc import SlowTimeRecord, VitalSignEstimate, root_music_doa
 
 STRATEGY_KINDS = ("temporal", "spatial", "opportunistic")
+# Seeds per batched pass in gamma_sweep. The pass stacks every per-seed
+# array, so the chunk bounds its memory; 8 already amortizes the per-call
+# overhead that batching removes.
+SEED_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -132,26 +136,32 @@ def evaluate_and_update(state: LoopState, est_direct: VitalSignEstimate,
     return state  # temporal: fixed slot pattern
 
 
-def run_once(scn: Scenario, strategy: StrategyConfig, seed) -> RunResult:
-    """One acquisition window under a strategy, extracted on both paths."""
-    a_rx_direct, a_rx_ris = scn.steering_pair()
-    a_tx_direct, a_tx_ris = transmit_steering(scn)
-    length = scn.slow_time_samples
-    schedule, slots_direct, slots_ris = plan_transmissions(
-        strategy, length, a_tx_direct, a_tx_ris, scn.radar.total_power)
-    record, ch = simulate_acquisition(scn, schedule, seed)
-    w_rx_direct = split_precoder(a_rx_direct.entries, a_rx_ris.entries, 1.0,
-                                 scn.radar.total_power).weights
-    w_rx_ris = split_precoder(a_rx_direct.entries, a_rx_ris.entries, 0.0,
-                              scn.radar.total_power).weights
-    estimates = extract_vital_signs(scn, record, w_rx_direct, w_rx_ris,
+def _plan(scn: Scenario, strategy: StrategyConfig):
+    return plan_transmissions(strategy, scn.slow_time_samples,
+                              *scn.static.tx_steering, scn.radar.total_power)
+
+
+def _run_batch(scn: Scenario, strategy: StrategyConfig, seeds: list,
+               plan) -> list[RunResult]:
+    """One window per seed under one transmit plan, as one array pass."""
+    schedule, slots_direct, slots_ris = plan
+    record, channels = simulate_acquisition(scn, schedule, seeds)
+    estimates = extract_vital_signs(scn, record, *scn.static.rx_weights,
                                     slots_direct=slots_direct,
                                     slots_ris=slots_ris)
     gamma = strategy.ris_share if strategy.kind in ("spatial", "temporal") \
         else None
-    return RunResult(record=record, estimates=estimates, channel=ch,
-                     seed=seed if isinstance(seed, int) else -1,
-                     gamma_ris=gamma, slots_ris=slots_ris)
+    return [RunResult(record=SlowTimeRecord(samples, record.slow_rate),
+                      estimates=est, channel=ch,
+                      seed=seed if isinstance(seed, int) else -1,
+                      gamma_ris=gamma, slots_ris=slots_ris)
+            for seed, samples, est, ch in zip(seeds, record.samples,
+                                              estimates, channels)]
+
+
+def run_once(scn: Scenario, strategy: StrategyConfig, seed) -> RunResult:
+    """One acquisition window under a strategy, extracted on both paths."""
+    return _run_batch(scn, strategy, [seed], _plan(scn, strategy))[0]
 
 
 def gamma_sweep(scn: Scenario, kind: str, gamma_grid, seeds) -> list[dict]:
@@ -160,7 +170,9 @@ def gamma_sweep(scn: Scenario, kind: str, gamma_grid, seeds) -> list[dict]:
     Returns one row per (gamma, path, seed) with the dominant in-band peak
     and its prominence. A share of zero for the temporal RIS branch (or one
     for the direct branch) leaves that branch without slots; such rows carry
-    NaN peak and zero prominence.
+    NaN peak and zero prominence. Each share's plan is built once and its
+    seeds run in batches of SEED_CHUNK; every row equals the lone
+    `run_once` at its seed bit for bit.
     """
     if kind not in ("spatial", "temporal"):
         raise ValueError(f"sweep supports spatial or temporal, got {kind!r}")
@@ -169,18 +181,23 @@ def gamma_sweep(scn: Scenario, kind: str, gamma_grid, seeds) -> list[dict]:
         raise ValueError("gamma grid is empty")
     if any(not 0.0 <= g <= 1.0 for g in gamma_grid):
         raise ValueError("gamma grid values must lie in [0, 1]")
+    seeds = list(seeds)
     rows = []
     for gamma in gamma_grid:
         strategy = StrategyConfig(kind=kind, ris_share=float(gamma))
-        for seed in seeds:
-            result = run_once(scn, strategy, seed)
-            for path in ("direct", "ris"):
-                est = result.estimates.get(path)
-                rows.append({"gamma": float(gamma), "path": path,
-                             "seed": int(seed),
-                             "peak_freq_Hz": est.peak_freq if est else np.nan,
-                             "prominence_db":
-                                 est.peak_prominence_db if est else 0.0})
+        plan = _plan(scn, strategy)
+        for start in range(0, len(seeds), SEED_CHUNK):
+            chunk = seeds[start:start + SEED_CHUNK]
+            for seed, result in zip(chunk, _run_batch(scn, strategy, chunk,
+                                                      plan)):
+                for path in ("direct", "ris"):
+                    est = result.estimates.get(path)
+                    rows.append({"gamma": float(gamma), "path": path,
+                                 "seed": int(seed),
+                                 "peak_freq_Hz":
+                                     est.peak_freq if est else np.nan,
+                                 "prominence_db":
+                                     est.peak_prominence_db if est else 0.0})
     return rows
 
 
@@ -221,7 +238,7 @@ def estimate_position(scn: Scenario, seed, n_snapshots: int = 64) -> float:
     if scn.slow_time_samples != n_snapshots:
         duration = n_snapshots / scn.radar.slow_rate
         probe_scn = replace(scn, physio=replace(scn.physio, duration=duration))
-    a_tx_direct, a_tx_ris = transmit_steering(probe_scn)
+    a_tx_direct, a_tx_ris = probe_scn.static.tx_steering
     w = split_precoder(a_tx_direct, a_tx_ris, 0.5,
                        probe_scn.radar.total_power).weights
     schedule = np.tile(w[:, None], (1, n_snapshots))

@@ -1,0 +1,104 @@
+"""A batch of seeds gives each seed the bits of its lone run."""
+
+from dataclasses import replace
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from risvital.scenario import Scenario, extract_vital_signs, \
+    simulate_acquisition
+from risvital.strategy import (SEED_CHUNK, StrategyConfig, gamma_sweep,
+                               plan_transmissions, run_once)
+
+SCN = Scenario()
+
+
+def assert_same_estimates(a: dict, b: dict):
+    assert a.keys() == b.keys()
+    for label in a:
+        if a[label] is None or b[label] is None:
+            assert a[label] is b[label] is None
+            continue
+        npt.assert_array_equal(a[label].displacement.samples,
+                               b[label].displacement.samples)
+        npt.assert_array_equal(a[label].spectrum.power,
+                               b[label].spectrum.power)
+        assert repr((a[label].peak_freq, a[label].peak_prominence_db)) == \
+            repr((b[label].peak_freq, b[label].peak_prominence_db))
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["spatial", "temporal"]),
+       share=st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                       st.floats(0.0, 1.0)),
+       seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1,
+                      max_size=2 * SEED_CHUNK + 1),
+       detrend=st.booleans())
+def test_sweep_rows_equal_lone_runs(kind, share, seeds, detrend):
+    # without the detrend the row means are large, so a reduction that
+    # rounds differently in a batch shows in the spectra
+    scn = replace(SCN, processing=replace(SCN.processing, detrend=detrend))
+    rows = gamma_sweep(scn, kind, [share], seeds)
+    strategy = StrategyConfig(kind=kind, ris_share=share)
+    assert [(r["seed"], r["path"]) for r in rows] == \
+        [(s, p) for s in seeds for p in ("direct", "ris")]
+    for seed, pair in zip(seeds, zip(rows[::2], rows[1::2])):
+        estimates = run_once(scn, strategy, seed).estimates
+        for row in pair:
+            est = estimates[row["path"]]
+            want = (est.peak_freq, est.peak_prominence_db) if est \
+                else (np.nan, 0.0)
+            assert repr((row["peak_freq_Hz"], row["prominence_db"])) == \
+                repr(want)
+
+
+@settings(max_examples=10, deadline=None)
+@given(kind=st.sampled_from(["spatial", "temporal", "opportunistic"]),
+       entropy=st.integers(0, 2 ** 128 - 1),
+       spawn_key=st.lists(st.integers(0, 100), max_size=3))
+def test_run_once_replays_from_one_seed_sequence(kind, entropy, spawn_key):
+    ss = np.random.SeedSequence(entropy, spawn_key=tuple(spawn_key))
+    strategy = StrategyConfig(kind=kind, ris_share=0.5)
+    first, again = run_once(SCN, strategy, ss), run_once(SCN, strategy, ss)
+    assert ss.n_children_spawned == 0
+    npt.assert_array_equal(first.record.samples, again.record.samples)
+    assert_same_estimates(first.estimates, again.estimates)
+
+
+def test_batched_acquisition_stacks_lone_acquisitions():
+    strategy = StrategyConfig(kind="temporal", ris_share=0.4)
+    schedule, slots_direct, slots_ris = plan_transmissions(
+        strategy, SCN.slow_time_samples, *SCN.static.tx_steering,
+        SCN.radar.total_power)
+    seeds = [3, np.random.SeedSequence(5), 3, 11]
+    record, channels = simulate_acquisition(SCN, schedule, seeds)
+    assert record.samples.shape == (4,) + schedule.shape
+    batch = extract_vital_signs(SCN, record, *SCN.static.rx_weights,
+                                slots_direct=slots_direct,
+                                slots_ris=slots_ris)
+    for i, seed in enumerate(seeds):
+        alone, ch = simulate_acquisition(SCN, schedule, seed)
+        npt.assert_array_equal(record.samples[i], alone.samples)
+        for name in ("H_I", "h_T", "h_D", "H_C", "reflection"):
+            npt.assert_array_equal(getattr(channels[i], name),
+                                   getattr(ch, name))
+        assert_same_estimates(batch[i], extract_vital_signs(
+            SCN, alone, *SCN.static.rx_weights, slots_direct=slots_direct,
+            slots_ris=slots_ris))
+
+
+def test_static_scene_built_once_per_scenario():
+    scn = Scenario()
+    assert "static" not in vars(scn)
+    run_once(scn, StrategyConfig(), 0)
+    static = scn.static
+    run_once(scn, StrategyConfig(kind="temporal"), 1)
+    assert scn.static is static
+    # shared by every run, so no caller may write into it
+    for array in (static.tx_steering[0], static.rx_weights[1],
+                  static.trace.samples, static.channel.reflection):
+        with pytest.raises(ValueError):
+            array[0] = 0.0

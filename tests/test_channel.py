@@ -155,7 +155,7 @@ class TestAssembleEndToEnd:
 
     def test_direct_only_is_rank_one(self):
         zero_c = ChannelRealization(self.ch.H_I, self.ch.h_T, self.ch.h_D,
-                                    np.zeros_like(self.ch.H_C), self.ch.Gamma)
+                                    np.zeros_like(self.ch.H_C), self.ch.reflection)
         h = assemble_end_to_end(zero_c, 0.0, 0.3 + 0.1j)
         npt.assert_allclose(h, (0.3 + 0.1j) * np.outer(zero_c.h_D, zero_c.h_D),
                             atol=1e-18)
@@ -164,7 +164,7 @@ class TestAssembleEndToEnd:
 
     def test_ris_only_is_rank_one(self):
         zero_c = ChannelRealization(self.ch.H_I, self.ch.h_T, self.ch.h_D,
-                                    np.zeros_like(self.ch.H_C), self.ch.Gamma)
+                                    np.zeros_like(self.ch.H_C), self.ch.reflection)
         h = assemble_end_to_end(zero_c, 1.0, 0.0)
         s = np.linalg.svd(h, compute_uv=False)
         assert s[1] < 1e-10 * s[0]
@@ -180,7 +180,7 @@ class TestAssembleEndToEnd:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ChannelError):
             ChannelRealization(self.ch.H_I, self.ch.h_T[:-1], self.ch.h_D,
-                               self.ch.H_C, self.ch.Gamma)
+                               self.ch.H_C, self.ch.reflection)
 
 
 class TestClutterDraw:
@@ -224,4 +224,4 @@ class TestRisConfig:
     def test_gamma_modulus_validated(self):
         with pytest.raises(ChannelError):
             ChannelRealization(np.ones((2, 3)), np.ones(3), np.ones(2),
-                               np.zeros((2, 2)), np.diag([1.0, 1.0, 2.0]))
+                               np.zeros((2, 2)), np.array([1.0, 1.0, 2.0]))

@@ -232,6 +232,25 @@ class TestCliConfigOverride:
         assert len(disp) == 121
 
 
+class TestCliFlagErrors:
+    """Bad command-line values are config errors (exit 1), like bad config
+    values, and nothing is written."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["acquire", "--ris-share", "1.5"], "ris_share 1.5 outside [0, 1]"),
+        (["loop", "--ris-share", "-0.1"], "ris_share -0.1 outside [0, 1]"),
+        (["sweep", "--seeds", "-2", "--gammas", "0.5"],
+         "--seeds: expected a whole number >= 0, got -2"),
+        (["loop", "--windows", "-3"],
+         "--windows: expected a whole number >= 0, got -3"),
+    ])
+    def test_rejected(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+
 class TestStrictValues:
     @pytest.mark.parametrize("doc, message", [
         ({"processing": {"detrend": "false"}}, "true or false"),
