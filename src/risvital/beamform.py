@@ -48,10 +48,6 @@ class ConstraintPair:
         for v in (self.a1, self.a2):
             if abs(np.linalg.norm(v) - 1.0) > 1e-9:
                 raise ValueError("steering vectors must be unit norm")
-        if self.gamma1 > 0 and self.gamma2 > 0:
-            if abs(steering_correlation(self.a1, self.a2)) >= COLLINEAR_LIMIT:
-                raise IllConditionedConstraints(
-                    "steering vectors are (near-)collinear with both gains active")
 
 
 @dataclass(frozen=True)
@@ -81,6 +77,13 @@ def _least_norm(a1: np.ndarray, a2: np.ndarray, g: np.ndarray) -> np.ndarray:
     return lam1 * a1 + lam2 * a2
 
 
+def _solve(pair: ConstraintPair, g: np.ndarray) -> Precoder:
+    """The least-norm precoder with responses A^H w = g on `pair`'s vectors."""
+    w = _least_norm(pair.a1, pair.a2, g)
+    return Precoder(weights=w, achieved_power=float(np.real(np.vdot(w, w))),
+                    constraints=pair)
+
+
 def min_norm_precoder(pair: ConstraintPair) -> Precoder:
     """Minimum-power precoder meeting |a1^H w| = gamma1 and |a2^H w| = gamma2.
 
@@ -88,15 +91,9 @@ def min_norm_precoder(pair: ConstraintPair) -> Precoder:
     correlation, which makes the Gram cross term real and negative and so
     minimizes the transmit power over all phase choices.
     """
-    a_c = steering_correlation(pair.a1, pair.a2)
-    if abs(a_c) >= COLLINEAR_LIMIT:
-        raise IllConditionedConstraints(
-            f"|a_c| = {abs(a_c):.12f} >= {COLLINEAR_LIMIT}")
-    dphi = np.angle(a_c)
-    g = np.array([pair.gamma1 * np.exp(1j * dphi), pair.gamma2], dtype=complex)
-    w = _least_norm(pair.a1, pair.a2, g)
-    return Precoder(weights=w, achieved_power=float(np.real(np.vdot(w, w))),
-                    constraints=pair)
+    dphi = np.angle(steering_correlation(pair.a1, pair.a2))
+    return _solve(pair, np.array([pair.gamma1 * np.exp(1j * dphi),
+                                  pair.gamma2], dtype=complex))
 
 
 def min_power_closed_form(gamma1: float, gamma2: float, a_c: complex) -> float:
@@ -130,19 +127,13 @@ def split_precoder(a1, a2, gamma: float, total_power: float) -> Precoder:
     scale chosen so w^H w = total_power for every gamma in [0, 1]; the phase
     on the first entry is the power-minimizing relative phase.
     """
-    a1 = _entries(a1)
-    a2 = _entries(a2)
     a_c = steering_correlation(a1, a2)
-    if abs(a_c) >= COLLINEAR_LIMIT:
-        raise IllConditionedConstraints(
-            f"|a_c| = {abs(a_c):.12f} >= {COLLINEAR_LIMIT}")
     s = split_scale(total_power, gamma, a_c)
+    # g is built from gamma, not from the pair's gains: s * gamma * e^{j phi}
+    # rounds differently from (s * gamma) * e^{j phi}
     g = s * np.array([gamma * np.exp(1j * np.angle(a_c)), 1.0 - gamma],
                      dtype=complex)
-    w = _least_norm(a1, a2, g)
-    pair = ConstraintPair(a1, a2, s * gamma, s * (1.0 - gamma))
-    return Precoder(weights=w, achieved_power=float(np.real(np.vdot(w, w))),
-                    constraints=pair)
+    return _solve(ConstraintPair(a1, a2, s * gamma, s * (1.0 - gamma)), g)
 
 
 def temporal_weights(l: int, slots_direct, slots_ris, a_direct, a_ris,

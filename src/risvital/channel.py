@@ -2,10 +2,11 @@
 
 Builds the radar->RIS matrix, RIS->target and radar->target vectors from
 exact element-to-element free-space propagation, draws Rician fading
-around those line-of-sight components, and assembles the end-to-end
-monostatic matrix with the two rank-1 target terms plus static clutter.
+around those line-of-sight components, and adds static clutter.
 `channel_model` does the geometry once; its `draw` is the per-seed part.
 The RIS reflection Gamma is diagonal, so it is kept as its (N,) diagonal.
+The one end-to-end signal model built from these components, two rank-1
+target terms plus clutter, is `scenario.simulate_acquisition`.
 
 Propagation phase convention is exp(-j*2*pi*d/lambda) with one-way Friis
 amplitude lambda/(4*pi*d) per link leg, so the far-field line-of-sight
@@ -71,11 +72,6 @@ class RisConfig:
     def reflection(self) -> np.ndarray:
         """Unit-modulus reflection coefficient per element, (N,)."""
         return np.exp(1j * self.phases)
-
-    @property
-    def reflection_matrix(self) -> np.ndarray:
-        """Diagonal unit-modulus reflection matrix."""
-        return np.diag(self.reflection)
 
     def with_phases(self, phases: np.ndarray) -> "RisConfig":
         return RisConfig(self.rows, self.cols, self.element_spacing,
@@ -181,19 +177,6 @@ def ris_focus_profile(p: Placement, ris: RisConfig, wavelength: float) -> np.nda
     d1 = np.linalg.norm(ris.element_positions - p.radar_position, axis=1)
     d2 = np.linalg.norm(ris.element_positions - p.target_position, axis=1)
     return np.mod(2.0 * np.pi * (d1 + d2) / wavelength, 2.0 * np.pi)
-
-
-def assemble_end_to_end(ch: ChannelRealization, alpha: complex,
-                        beta: complex) -> np.ndarray:
-    """End-to-end M x M matrix: RIS cascade term + direct term + clutter.
-
-    Both target terms are symmetric rank-1 outer products v * c * v^T of the
-    one-way path vectors, scaled by the complex RCS of that path.
-    """
-    v_ris = ch.ris_cascade
-    return (alpha * np.outer(v_ris, v_ris)
-            + beta * np.outer(ch.h_D, ch.h_D)
-            + ch.H_C)
 
 
 def clutter_draw(strength: float, rng_seed, m: int) -> np.ndarray:

@@ -250,7 +250,10 @@ def parse_config(doc: dict):
 
 
 def load_config(path):
-    """Load and parse a YAML scenario file."""
+    """Load and parse a YAML scenario file.
+
+    A relative `physiology.trace_file` is read from the file's directory.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")
@@ -258,6 +261,10 @@ def load_config(path):
         doc = yaml.safe_load(path.read_text()) or {}
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
+    physio = doc.get("physiology") if isinstance(doc, dict) else None
+    if isinstance(physio, dict) and isinstance(physio.get("trace_file"), str):
+        doc["physiology"] = {**physio, "trace_file":
+                             str(path.parent / physio["trace_file"])}
     return parse_config(doc)
 
 

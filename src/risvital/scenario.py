@@ -10,9 +10,9 @@ energy E, so that output is drawn directly, independently per antenna and
 pulse; the channel and clutter stay fixed for the run.
 
 A run splits into a static scene and per-seed draws. `Scenario.static`
-holds everything that does not depend on the seed (look angles, the RIS
-profile, the normalized LoS channel, steering vectors, receive weights,
-the base trace, the RCS models and the noise scale); it is built on first
+holds everything that does not depend on the seed (look angles, the LoS
+channel with the RIS profile, transmit steering, receive weights, the
+base trace, the RCS models and the noise scale); it is built on first
 use and kept for the scenario's lifetime. The per-seed part draws the
 channel, the two RCS jitters and the noise from the seed's own children.
 `simulate_acquisition` and `extract_vital_signs` take a list of seeds as
@@ -165,10 +165,8 @@ class StaticScene:
     """The seed-independent part of a run, built once per scenario."""
 
     angles: PathAngles
-    ris: RisConfig
-    channel: ChannelModel
-    rx_steering: tuple   # (direct, RIS) SteeringVectors
-    tx_steering: tuple   # conjugated entries, see transmit_steering
+    channel: ChannelModel  # LoS geometry, RIS reflection and clutter level
+    tx_steering: tuple   # (direct, RIS) conjugated, see transmit_steering
     rx_weights: tuple    # (direct, RIS) separation weights
     trace: DisplacementTrace
     rcs_ris: RcsModel
@@ -217,13 +215,6 @@ class Scenario:
             phases = np.round(phases / step) * step
         return panel.with_phases(phases)
 
-    def steering_pair(self):
-        """Receive-side steering vectors toward the target and the RIS."""
-        angles = self.angles
-        cfg = self.radar.array_config
-        return (ula_steering(cfg, angles.theta_direct),
-                ula_steering(cfg, angles.theta_ris))
-
     def base_trace(self) -> DisplacementTrace:
         p = self.physio
         if p.trace_file is not None:
@@ -239,18 +230,17 @@ class Scenario:
         Its arrays are read-only: every run of the scenario shares them.
         """
         radar = self.radar
-        ris = self.ris_config()
-        rx = self.steering_pair()
-        a_direct, a_ris = (a.entries for a in rx)
+        tx = transmit_steering(self)
+        # receive steering a(theta); conjugating twice is exact
+        a_direct, a_ris = (np.conj(a) for a in tx)
         energy = radar.waveform().energy
         scene = StaticScene(
             angles=self.angles,
-            ris=ris,
-            channel=channel_model(self.placement, radar.array_config, ris,
+            channel=channel_model(self.placement, radar.array_config,
+                                  self.ris_config(),
                                   db_to_linear(self.channel.k_rice_db),
                                   self.channel.clutter_strength),
-            rx_steering=rx,
-            tx_steering=transmit_steering(self),
+            tx_steering=tx,
             rx_weights=tuple(
                 split_precoder(a_direct, a_ris, share,
                                radar.total_power).weights
@@ -259,11 +249,10 @@ class Scenario:
             rcs_ris=self.rcs_model(self.physio.reflectivity_ris),
             rcs_direct=self.rcs_model(self.physio.reflectivity_direct),
             noise_sigma=np.sqrt(radar.noise_power / (2.0 * energy)))
-        for array in (ris.element_positions, ris.phases,
-                      scene.channel.reflection,
+        for array in (scene.channel.reflection,
                       *(spec.los_component for spec in scene.channel.specs),
-                      *(a.entries for a in rx), *scene.tx_steering,
-                      *scene.rx_weights, scene.trace.samples):
+                      *scene.tx_steering, *scene.rx_weights,
+                      scene.trace.samples):
             array.flags.writeable = False
         return scene
 
@@ -275,9 +264,7 @@ class RunResult:
     record: SlowTimeRecord
     estimates: dict          # path label -> VitalSignEstimate
     channel: ChannelRealization
-    seed: int
     gamma_ris: float | None = None
-    slots_ris: np.ndarray | None = None
 
 
 def transmit_steering(scn: Scenario):
@@ -287,8 +274,10 @@ def transmit_steering(scn: Scenario):
     toward an angle is a(theta)^T w, so holding |a^H w| on the conjugated
     vectors steers the actual emitted power.
     """
-    a_d, a_r = scn.steering_pair()
-    return np.conj(a_d.entries), np.conj(a_r.entries)
+    angles = scn.angles
+    cfg = scn.radar.array_config
+    return tuple(np.conj(ula_steering(cfg, theta).entries)
+                 for theta in (angles.theta_direct, angles.theta_ris))
 
 
 def child_seeds(seed, n: int) -> list[np.random.SeedSequence]:

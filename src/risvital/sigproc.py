@@ -39,10 +39,6 @@ class Waveform:
         return self.samples.size
 
     @property
-    def pulse_duration(self) -> float:
-        return self.k_fast / self.fs
-
-    @property
     def energy(self) -> float:
         return float(np.sum(np.abs(self.samples) ** 2))
 

@@ -7,7 +7,7 @@ currently trusted path, switching on sustained quality loss). The share
 parameter is always the RIS path's share of the resource.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class LoopState:
     mode: str
     gamma_ris: float = 0.5
     active_path: str | None = None
-    last_prominence: dict = field(default_factory=dict)
     below_threshold_count: int = 0
     theta_direct_estimate: float | None = None
     needs_position_fix: bool = False
@@ -81,10 +80,6 @@ def plan_transmissions(strategy: StrategyConfig, length: int,
     """
     a_direct = np.asarray(a_direct, dtype=complex)
     a_ris = np.asarray(a_ris, dtype=complex)
-    if strategy.kind == "spatial":
-        w = split_precoder(a_direct, a_ris, 1.0 - strategy.ris_share,
-                           total_power).weights
-        return np.tile(w[:, None], (1, length)), None, None
     if strategy.kind == "temporal":
         slots_direct, slots_ris = temporal_slots(length, strategy.ris_share)
         w_direct = split_precoder(a_direct, a_ris, 1.0, total_power).weights
@@ -93,9 +88,9 @@ def plan_transmissions(strategy: StrategyConfig, length: int,
         schedule[:, slots_direct] = w_direct[:, None]
         schedule[:, slots_ris] = w_ris[:, None]
         return schedule, slots_direct, slots_ris
-    # opportunistic: gamma pinned to the active path
-    path = strategy.initial_path or "ris"
-    share = 1.0 if path == "ris" else 0.0
+    # opportunistic: the whole response on the active path
+    share = strategy.ris_share if strategy.kind == "spatial" \
+        else float((strategy.initial_path or "ris") == "ris")
     w = split_precoder(a_direct, a_ris, 1.0 - share, total_power).weights
     return np.tile(w[:, None], (1, length)), None, None
 
@@ -112,7 +107,7 @@ def evaluate_and_update(state: LoopState, est_direct: VitalSignEstimate,
     """
     prom = {"direct": est_direct.peak_prominence_db if est_direct else 0.0,
             "ris": est_ris.peak_prominence_db if est_ris else 0.0}
-    state = replace(state, last_prominence=dict(prom))
+    state = replace(state)  # the caller's state is left as it was
     threshold = strategy.prominence_threshold_db
     state.needs_position_fix = (prom["direct"] < threshold
                                 and prom["ris"] < threshold)
@@ -152,11 +147,8 @@ def _run_batch(scn: Scenario, strategy: StrategyConfig, seeds: list,
     gamma = strategy.ris_share if strategy.kind in ("spatial", "temporal") \
         else None
     return [RunResult(record=SlowTimeRecord(samples, record.slow_rate),
-                      estimates=est, channel=ch,
-                      seed=seed if isinstance(seed, int) else -1,
-                      gamma_ris=gamma, slots_ris=slots_ris)
-            for seed, samples, est, ch in zip(seeds, record.samples,
-                                              estimates, channels)]
+                      estimates=est, channel=ch, gamma_ris=gamma)
+            for samples, est, ch in zip(record.samples, estimates, channels)]
 
 
 def run_once(scn: Scenario, strategy: StrategyConfig, seed) -> RunResult:

@@ -1,13 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from risvital.channel import (ChannelError, ChannelRealization, RicianSpec,
-                              RisConfig, assemble_end_to_end, build_ris_grid,
-                              clutter_draw, los_channel, realize_channel,
+                              build_ris_grid, clutter_draw, los_channel,
                               rician_draw, ris_focus_profile)
 from risvital.geometry import ArrayConfig, ula_steering
-from risvital.scenario import Scenario, db_to_linear
+from risvital.scenario import Scenario, db_to_linear, simulate_acquisition
 
 WAVELENGTH = 299792458.0 / 7.15e9
 
@@ -146,41 +147,58 @@ class TestFocusProfile:
         assert best > max(random_gains)
 
 
+def end_to_end(reflectivity_ris=40.0, reflectivity_direct=3.0,
+               clutter_strength=1e-10):
+    """The simulator's M x M end-to-end matrix and the channel behind it.
+
+    Noiseless, with a still chest and no RCS distortion, each path's
+    reflectivity is its constant real amplitude, so under a schedule whose
+    column l is e_(l mod M) the first M record columns are the matrix.
+    """
+    base = Scenario()
+    scn = replace(
+        base, radar=replace(base.radar, noise_figure_db=-np.inf),
+        physio=replace(base.physio, peak_to_peak=0.0, distortion_strength=0.0,
+                       reflectivity_ris=reflectivity_ris,
+                       reflectivity_direct=reflectivity_direct),
+        channel=replace(base.channel, clutter_strength=clutter_strength))
+    m = scn.radar.element_count
+    schedule = np.eye(m)[:, np.arange(scn.slow_time_samples) % m]
+    record, ch = simulate_acquisition(scn, schedule, 11)
+    return record.samples[:, :m], ch
+
+
 class TestAssembleEndToEnd:
-    def setup_method(self):
-        scn = Scenario()
-        self.ch = realize_channel(scn.placement, scn.radar.array_config,
-                                  scn.ris_config(), k_rice=10.0,
-                                  clutter_strength=1e-10, rng_seed=11)
+    def test_matches_two_path_model(self):
+        h, ch = end_to_end()
+        v = ch.ris_cascade
+        model = 40.0 * np.outer(v, v) + 3.0 * np.outer(ch.h_D, ch.h_D) + ch.H_C
+        npt.assert_allclose(h, model, rtol=0, atol=1e-15 * np.abs(model).max())
 
     def test_direct_only_is_rank_one(self):
-        zero_c = ChannelRealization(self.ch.H_I, self.ch.h_T, self.ch.h_D,
-                                    np.zeros_like(self.ch.H_C), self.ch.reflection)
-        h = assemble_end_to_end(zero_c, 0.0, 0.3 + 0.1j)
-        npt.assert_allclose(h, (0.3 + 0.1j) * np.outer(zero_c.h_D, zero_c.h_D),
-                            atol=1e-18)
+        h, ch = end_to_end(reflectivity_ris=0.0, clutter_strength=0.0)
+        npt.assert_allclose(h, 3.0 * np.outer(ch.h_D, ch.h_D), atol=1e-18)
         s = np.linalg.svd(h, compute_uv=False)
         assert s[1] < 1e-10 * s[0]
 
     def test_ris_only_is_rank_one(self):
-        zero_c = ChannelRealization(self.ch.H_I, self.ch.h_T, self.ch.h_D,
-                                    np.zeros_like(self.ch.H_C), self.ch.reflection)
-        h = assemble_end_to_end(zero_c, 1.0, 0.0)
+        h, _ = end_to_end(reflectivity_direct=0.0, clutter_strength=0.0)
         s = np.linalg.svd(h, compute_uv=False)
         assert s[1] < 1e-10 * s[0]
 
     def test_clutter_passthrough(self):
-        h = assemble_end_to_end(self.ch, 0.0, 0.0)
-        npt.assert_array_equal(h, self.ch.H_C)
+        h, ch = end_to_end(reflectivity_ris=0.0, reflectivity_direct=0.0)
+        npt.assert_array_equal(h, ch.H_C)
 
     def test_monostatic_symmetry(self):
-        h = assemble_end_to_end(self.ch, 0.7 - 0.2j, 0.1 + 0.9j)
+        h, _ = end_to_end()
         npt.assert_allclose(h, h.T, rtol=0, atol=1e-18)
 
     def test_shape_mismatch_rejected(self):
+        _, ch = end_to_end()
         with pytest.raises(ChannelError):
-            ChannelRealization(self.ch.H_I, self.ch.h_T[:-1], self.ch.h_D,
-                               self.ch.H_C, self.ch.reflection)
+            ChannelRealization(ch.H_I, ch.h_T[:-1], ch.h_D, ch.H_C,
+                               ch.reflection)
 
 
 class TestClutterDraw:
@@ -207,13 +225,14 @@ class TestClutterDraw:
 
 
 class TestRisConfig:
-    def test_reflection_matrix_unit_modulus(self):
+    def test_reflection_unit_modulus(self):
         panel = build_ris_grid([0, 2, 0], [0, -1, 0], 3, 4, 0.02,
                                phases=np.linspace(0, 5, 12))
-        gamma = panel.reflection_matrix
-        off_diag = gamma - np.diag(np.diag(gamma))
-        assert np.all(off_diag == 0)
-        npt.assert_allclose(np.abs(np.diag(gamma)), 1.0, atol=1e-15)
+        gamma = panel.reflection
+        assert gamma.shape == (12,)
+        npt.assert_allclose(np.abs(gamma), 1.0, atol=1e-15)
+        npt.assert_allclose(np.angle(gamma), np.angle(np.exp(
+            1j * np.linspace(0, 5, 12))), atol=1e-12)
 
     def test_grid_spacing_and_extent(self):
         panel = build_ris_grid([0, 2, 0], [0, -1, 0], 10, 10, 0.021)

@@ -338,6 +338,24 @@ class TestTraceFile:
         assert len((out / "ris_displacement.csv").read_text()
                    .splitlines()) == 241
 
+    def test_relative_path_follows_config_file(self, tmp_path, monkeypatch):
+        cfg_dir = tmp_path / "cfg"
+        cfg_dir.mkdir()
+        write_trace_csv(cfg_dir / "trace.csv",
+                        [synth_respiration(0.2, 0.02, 60.0, 4.0)])
+        (cfg_dir / "scenario.yaml").write_text(
+            "physiology:\n  trace_file: trace.csv\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["acquire", "--config", "cfg/scenario.yaml",
+                     "--out", "run"]) == 0
+        assert (tmp_path / "run" / "ris_displacement.csv").exists()
+        # a parsed dict has no file to be relative to: the working directory
+        doc = {"physiology": {"trace_file": "trace.csv"}}
+        with pytest.raises(ConfigError, match="trace.csv"):
+            parse_config(doc)
+        monkeypatch.chdir(cfg_dir)
+        assert parse_config(doc)[0].physio.trace_file == "trace.csv"
+
 
 class TestGoldenHash:
     """Any change to the serialized form, or to the defaults, is deliberate."""

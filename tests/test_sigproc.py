@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risvital.geometry import ArrayConfig, ula_steering
 from risvital.physio import DisplacementTrace, RcsModel, angle_gain, \
@@ -76,6 +78,24 @@ class TestClutterFilter:
         for window in (3, 21, 99):
             out = clutter_filter(const, window)
             assert np.max(np.abs(out)) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), length=st.integers(3, 400),
+           batch=st.integers(1, 4), rows=st.integers(1, 5))
+    def test_constant_input_nulled_for_any_odd_window(self, data, length,
+                                                      batch, rows):
+        window = data.draw(st.integers(1, (length - 1) // 2)) * 2 + 1
+        parts = st.floats(-10.0, 10.0)
+        levels = np.array(data.draw(st.lists(
+            st.tuples(parts, parts), min_size=batch * rows,
+            max_size=batch * rows)))
+        const = (levels[:, 0] + 1j * levels[:, 1]).reshape(batch, rows, 1) \
+            * np.ones(length)
+        out = clutter_filter(const, window)
+        # the running-sum residual grows like |level| * length * eps
+        assert np.max(np.abs(out)) < 1e-12
+        for seed_out, seed_in in zip(out, const):
+            npt.assert_array_equal(seed_out, clutter_filter(seed_in, window))
 
     def test_tone_attenuation_matches_dirichlet(self):
         length, rate, window, freq = 400, 4.0, 21, 0.133
