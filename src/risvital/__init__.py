@@ -23,6 +23,6 @@ from .sigproc import (SlowTimeRecord, Spectrum, VitalSignEstimate, Waveform,
                       clutter_filter, make_waveform, matched_filter,
                       peak_quality, phase_demodulate, power_spectrum,
                       root_music_doa, separate_paths)
-from .strategy import (LoopState, StrategyConfig, evaluate_and_update,
-                       gamma_sweep, plan_transmissions, run_closed_loop,
-                       run_once)
+from .strategy import (LoopState, StrategyConfig, estimate_position,
+                       evaluate_and_update, gamma_sweep, plan_transmissions,
+                       run_closed_loop, run_once)

@@ -45,18 +45,14 @@ class ConstraintPair:
         object.__setattr__(self, "a2", _entries(self.a2))
         if self.gamma1 < 0 or self.gamma2 < 0:
             raise ValueError("constraint magnitudes must be >= 0")
-        for v in (self.a1, self.a2):
-            if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-                raise ValueError("steering vectors must be unit norm")
 
 
 @dataclass(frozen=True)
 class Precoder:
-    """Weight vector with its realized power and constraint record."""
+    """Weight vector with its realized power."""
 
     weights: np.ndarray
     achieved_power: float
-    constraints: ConstraintPair
 
 
 def steering_correlation(a1, a2) -> complex:
@@ -77,11 +73,13 @@ def _least_norm(a1: np.ndarray, a2: np.ndarray, g: np.ndarray) -> np.ndarray:
     return lam1 * a1 + lam2 * a2
 
 
-def _solve(pair: ConstraintPair, g: np.ndarray) -> Precoder:
-    """The least-norm precoder with responses A^H w = g on `pair`'s vectors."""
-    w = _least_norm(pair.a1, pair.a2, g)
-    return Precoder(weights=w, achieved_power=float(np.real(np.vdot(w, w))),
-                    constraints=pair)
+def _solve(a1, a2, g: np.ndarray) -> Precoder:
+    """The least-norm precoder with responses A^H w = g for A = [a1, a2]."""
+    a1, a2 = _entries(a1), _entries(a2)
+    if max(abs(np.linalg.norm(v) - 1.0) for v in (a1, a2)) > 1e-9:
+        raise ValueError("steering vectors must be unit norm")
+    w = _least_norm(a1, a2, g)
+    return Precoder(weights=w, achieved_power=float(np.real(np.vdot(w, w))))
 
 
 def min_norm_precoder(pair: ConstraintPair) -> Precoder:
@@ -92,8 +90,8 @@ def min_norm_precoder(pair: ConstraintPair) -> Precoder:
     minimizes the transmit power over all phase choices.
     """
     dphi = np.angle(steering_correlation(pair.a1, pair.a2))
-    return _solve(pair, np.array([pair.gamma1 * np.exp(1j * dphi),
-                                  pair.gamma2], dtype=complex))
+    return _solve(pair.a1, pair.a2, np.array(
+        [pair.gamma1 * np.exp(1j * dphi), pair.gamma2], dtype=complex))
 
 
 def min_power_closed_form(gamma1: float, gamma2: float, a_c: complex) -> float:
@@ -133,7 +131,7 @@ def split_precoder(a1, a2, gamma: float, total_power: float) -> Precoder:
     # rounds differently from (s * gamma) * e^{j phi}
     g = s * np.array([gamma * np.exp(1j * np.angle(a_c)), 1.0 - gamma],
                      dtype=complex)
-    return _solve(ConstraintPair(a1, a2, s * gamma, s * (1.0 - gamma)), g)
+    return _solve(a1, a2, g)
 
 
 def temporal_weights(l: int, slots_direct, slots_ris, a_direct, a_ris,

@@ -47,10 +47,11 @@ def _fmt(value):
 def _load(args):
     """Config file (or defaults) with the command-line overrides applied.
 
-    A bad override is a config error like a bad config value: counts are
-    whole numbers >= 0, and the strategy fields pass StrategyConfig's checks.
+    A bad override is a config error like a bad config value: the seed and
+    the counts are whole numbers >= 0, and the strategy fields pass
+    StrategyConfig's checks.
     """
-    for flag in ("seeds", "windows"):
+    for flag in ("seed", "seeds", "windows"):
         if getattr(args, flag, None) is not None:
             _count(getattr(args, flag), f"--{flag}")
     if args.config is not None:

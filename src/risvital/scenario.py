@@ -308,23 +308,27 @@ def simulate_acquisition(scn: Scenario, schedule: np.ndarray, seed):
     record is then (S, M, L) and a list of channels comes back, and each
     seed draws from its own children in the order a lone run does.
     """
+    schedule = np.asarray(schedule, dtype=complex)
+    window = (scn.radar.element_count, scn.slow_time_samples)
+    if schedule.shape != window:
+        raise ValueError(f"schedule shape {schedule.shape} != {window}")
+    return _simulate(scn, schedule, seed)
+
+
+def _simulate(scn: Scenario, schedule: np.ndarray, seed):
+    """`simulate_acquisition` of the window's first n pulses, schedule (M, n)."""
     batch = isinstance(seed, list)
     seeds = seed if batch else [seed]
-    schedule = np.asarray(schedule, dtype=complex)
-    m = scn.radar.element_count
-    length = scn.slow_time_samples
-    if schedule.shape != (m, length):
-        raise ValueError(f"schedule shape {schedule.shape} != ({m}, {length})")
+    m, length = schedule.shape
     st = scn.static
+    trace = replace(st.trace, samples=st.trace.samples[:length])
     children = [child_seeds(s, 4) for s in seeds]
     channels = [st.channel.draw(ch_seed) for ch_seed, _, _, _ in children]
     lam = scn.radar.wavelength
-    alpha = rcs_series(st.rcs_ris, st.trace, st.angles.chest_incidence_ris,
+    alpha = rcs_series(st.rcs_ris, trace, st.angles.chest_incidence_ris,
                        lam, rng_seed=[c[1] for c in children])
-    beta = rcs_series(st.rcs_direct, st.trace,
-                      st.angles.chest_incidence_direct, lam,
-                      rng_seed=[c[2] for c in children])
-
+    beta = rcs_series(st.rcs_direct, trace, st.angles.chest_incidence_direct,
+                      lam, rng_seed=[c[2] for c in children])
     v_ris = np.stack([ch.ris_cascade for ch in channels])
     h_d = np.stack([ch.h_D for ch in channels])
     h_c = np.stack([ch.H_C for ch in channels])

@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .beamform import split_precoder
-from .scenario import (RunResult, Scenario, child_seeds, extract_vital_signs,
-                       simulate_acquisition)
+from .scenario import (RunResult, Scenario, _simulate, child_seeds,
+                       extract_vital_signs, simulate_acquisition)
 from .sigproc import SlowTimeRecord, VitalSignEstimate, root_music_doa
 
 STRATEGY_KINDS = ("temporal", "spatial", "opportunistic")
@@ -21,6 +21,7 @@ STRATEGY_KINDS = ("temporal", "spatial", "opportunistic")
 # array, so the chunk bounds its memory; 8 already amortizes the per-call
 # overhead that batching removes.
 SEED_CHUNK = 8
+PROBE_PULSES = 64  # a position probe's pulses, from the window's start
 
 
 @dataclass(frozen=True)
@@ -219,26 +220,22 @@ class WindowLog:
         return entry
 
 
-def estimate_position(scn: Scenario, seed, n_snapshots: int = 64) -> float:
-    """Root-MUSIC azimuth of the target from a dedicated probing acquisition.
+def estimate_position(scn: Scenario, seed) -> float:
+    """Root-MUSIC azimuth of the target from a probing acquisition.
 
-    Probes with the equal-split precoder, strips the static component, and
-    resolves two arrivals; the one farther from the known RIS direction is
-    taken as the target.
+    The probe is the window's first PROBE_PULSES pulses (all of a shorter
+    window) on the scenario's own scene, under the equal-split precoder.
+    It strips the static component and resolves two arrivals; the one
+    farther from the known RIS direction is taken as the target.
     """
-    probe_scn = scn
-    if scn.slow_time_samples != n_snapshots:
-        duration = n_snapshots / scn.radar.slow_rate
-        probe_scn = replace(scn, physio=replace(scn.physio, duration=duration))
-    a_tx_direct, a_tx_ris = probe_scn.static.tx_steering
-    w = split_precoder(a_tx_direct, a_tx_ris, 0.5,
-                       probe_scn.radar.total_power).weights
-    schedule = np.tile(w[:, None], (1, n_snapshots))
-    record, _ = simulate_acquisition(probe_scn, schedule, seed)
+    st = scn.static
+    n = min(PROBE_PULSES, scn.slow_time_samples)
+    schedule = plan_transmissions(StrategyConfig(), n, *st.tx_steering,
+                                  scn.radar.total_power)[0]
+    record, _ = _simulate(scn, schedule, seed)
     snapshots = record.samples - record.samples.mean(axis=1, keepdims=True)
-    angles = root_music_doa(snapshots, 2, probe_scn.radar.array_config)
-    theta_ris = probe_scn.angles.theta_ris
-    return float(angles[np.argmax(np.abs(angles - theta_ris))])
+    angles = root_music_doa(snapshots, 2, scn.radar.array_config)
+    return float(angles[np.argmax(np.abs(angles - st.angles.theta_ris))])
 
 
 def _best_path_by_geometry(scn: Scenario) -> str:

@@ -224,6 +224,12 @@ class TestSplitPrecoder:
             p = split_precoder(self.a1, self.a2, float(gamma), 0.01)
             assert p.achieved_power == pytest.approx(0.01, rel=1e-9)
 
+    def test_non_unit_vector_rejected(self):
+        with pytest.raises(ValueError, match="unit norm"):
+            split_precoder(2.0 * self.a1, self.a2, 0.5, 0.01)
+        with pytest.raises(ValueError, match="unit norm"):
+            split_precoder(self.a1, 0.5 * self.a2, 0.5, 0.01)
+
 
 class TestTemporalWeights:
     def setup_method(self):

@@ -243,6 +243,10 @@ class TestCliFlagErrors:
          "--seeds: expected a whole number >= 0, got -2"),
         (["loop", "--windows", "-3"],
          "--windows: expected a whole number >= 0, got -3"),
+        (["acquire", "--seed", "-1"],
+         "--seed: expected a whole number >= 0, got -1"),
+        (["loop", "--seed", "-1"],
+         "--seed: expected a whole number >= 0, got -1"),
     ])
     def test_rejected(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
@@ -337,6 +341,14 @@ class TestTraceFile:
         assert main(["acquire", "--config", str(cfg), "--out", str(out)]) == 0
         assert len((out / "ris_displacement.csv").read_text()
                    .splitlines()) == 241
+
+    def test_matching_length_loop_runs(self, tmp_path):
+        # the position probe covers the first 64 pulses of the loaded trace
+        cfg = self._config(tmp_path, 240)
+        out = tmp_path / "run"
+        assert main(["loop", "--config", str(cfg), "--windows", "2",
+                     "--out", str(out)]) == 0
+        assert len((out / "loop.jsonl").read_text().splitlines()) == 2
 
     def test_relative_path_follows_config_file(self, tmp_path, monkeypatch):
         cfg_dir = tmp_path / "cfg"

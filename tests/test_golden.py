@@ -4,18 +4,22 @@ The digests were computed before the seed-independent scene was cached
 and sweep seeds were batched, and pin that the batched engine changes no
 bit of a sweep row, a closed-loop log or a single-run record. Twenty
 sweep seeds run as chunks of 8, 8 and 4, so chunk boundaries are covered.
+The loop log holds no position estimate, so the root-MUSIC probe has a
+digest of its own (ten seeds on three scenarios), computed while every
+probe still built a 16 s scene of its own.
 The values hold for numpy's float64 kernels on x86-64 (numpy 2.4); a
 different numpy or CPU may round differently and fail them.
 """
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
-from risvital.scenario import Scenario
-from risvital.strategy import (StrategyConfig, gamma_sweep, run_closed_loop,
-                               run_once)
+from risvital.scenario import Scenario, noiseless
+from risvital.strategy import (StrategyConfig, estimate_position, gamma_sweep,
+                               run_closed_loop, run_once)
 
 GRID = [round(0.1 * i, 1) for i in range(11)]
 SEEDS = range(20)
@@ -38,6 +42,26 @@ RUN_DIGESTS = {
     "temporal":
         "15f78b90fa765a04c2ede410220afb89f0ed1b4baf9acfe44194b32816826e64",
 }
+
+PROBE_DIGESTS = {
+    "default":
+        "46d5610a3f8041a58bd2ea911d43889706117f74bb6d3fa9dbcedf902d80f0c5",
+    "noiseless":
+        "edb6fa46bbf47eb86c69295c3ffc6f1afb592d35296fe37493698596aea0891d",
+    "harmonics_table":
+        "81424a3e70ac089ec19bd0bd8e661e1925458fdd066dff0e22e7110878139a3f",
+}
+
+
+def _probe_scenario(name: str) -> Scenario:
+    if name == "noiseless":
+        return noiseless(Scenario())
+    if name == "harmonics_table":
+        scn = Scenario()
+        return replace(scn, physio=replace(
+            scn.physio, harmonics=3,
+            gain_table=((0.0, 1.0), (45.0, 0.6), (90.0, 0.0))))
+    return Scenario()
 
 
 def _sha(blob: bytes) -> str:
@@ -68,6 +92,12 @@ def run_digest(kind: str) -> str:
     return digest.hexdigest()
 
 
+def probe_digest(name: str) -> str:
+    scn = _probe_scenario(name)
+    return _sha("".join(repr(estimate_position(scn, seed)) + "\n"
+                        for seed in range(10)).encode())
+
+
 @pytest.mark.parametrize("kind", sorted(SWEEP_DIGESTS))
 def test_sweep_rows(kind):
     assert sweep_digest(kind) == SWEEP_DIGESTS[kind]
@@ -83,9 +113,15 @@ def test_run_once_record(kind):
     assert run_digest(kind) == RUN_DIGESTS[kind]
 
 
+@pytest.mark.parametrize("name", sorted(PROBE_DIGESTS))
+def test_position_probe(name):
+    assert probe_digest(name) == PROBE_DIGESTS[name]
+
+
 if __name__ == "__main__":
     for name, table, fn in (("SWEEP", SWEEP_DIGESTS, sweep_digest),
                             ("LOOP", LOOP_DIGESTS, loop_digest),
-                            ("RUN", RUN_DIGESTS, run_digest)):
+                            ("RUN", RUN_DIGESTS, run_digest),
+                            ("PROBE", PROBE_DIGESTS, probe_digest)):
         for kind in sorted(table):
             print(name, kind, fn(kind))

@@ -264,6 +264,22 @@ class TestClosedLoop:
         assert len(used["probe"]) == 4
         assert len(set(keys)) == len(keys) == 7
 
+    def test_probes_share_the_scenario_scene(self, monkeypatch):
+        # an unreachable threshold forces a re-fix after every window; every
+        # probe runs on the scenario's own scene, so the RIS is built once
+        built = []
+        real_ris_config = Scenario.ris_config
+
+        def count_ris_config(scn):
+            built.append(scn)
+            return real_ris_config(scn)
+
+        monkeypatch.setattr(Scenario, "ris_config", count_ris_config)
+        logs = run_closed_loop(Scenario(), StrategyConfig(
+            kind="spatial", prominence_threshold_db=1e3), 3, seed=4)
+        assert all(log.state.needs_position_fix for log in logs)
+        assert len(built) == 1
+
     def test_ideal_opportunistic_fixes_best_path(self):
         scn = noiseless(Scenario())
         logs = run_closed_loop(scn, StrategyConfig(kind="opportunistic",
