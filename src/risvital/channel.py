@@ -4,6 +4,11 @@ Builds the radar->RIS matrix, RIS->target and radar->target vectors from
 exact element-to-element free-space propagation, draws Rician fading
 around those line-of-sight components, and adds static clutter.
 `channel_model` does the geometry once; its `draw` is the per-seed part.
+A draw takes one flat standard-normal vector per seed and slices H_I,
+h_T, h_D and the clutter out of it, real then imaginary parts per
+component; the Rician mix, path-loss scale and clutter symmetrization
+then run once over the (S, ...) stack of a list of seeds. Each seed
+gets the bits it gets alone, and a single seed is the stack of one.
 The RIS reflection Gamma is diagonal, so it is kept as its (N,) diagonal.
 The one end-to-end signal model built from these components, two rank-1
 target terms plus clutter, is `scenario.simulate_acquisition`.
@@ -110,7 +115,11 @@ def build_ris_grid(center, normal, rows: int, cols: int, spacing: float,
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One block-fading draw of all channel components."""
+    """One block-fading draw of all channel components.
+
+    A batch of seeds stacks its draws on a leading axis, (S, M, N) and so
+    on; the RIS reflection is shared by every seed.
+    """
 
     H_I: np.ndarray    # (M, N) radar <-> RIS
     h_T: np.ndarray    # (N,)   RIS <-> target
@@ -122,10 +131,13 @@ class ChannelRealization:
         for name in ("H_I", "h_T", "h_D", "H_C", "reflection"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=complex))
-        m, n = self.H_I.shape
-        if self.h_T.shape != (n,) or self.h_D.shape != (m,):
+        if self.H_I.ndim not in (2, 3):
+            raise ChannelError("H_I must be (M, N) or (S, M, N)")
+        *stack, m, n = self.H_I.shape
+        stack = tuple(stack)
+        if self.h_T.shape != stack + (n,) or self.h_D.shape != stack + (m,):
             raise ChannelError("channel component shapes are inconsistent")
-        if self.H_C.shape != (m, m) or self.reflection.shape != (n,):
+        if self.H_C.shape != stack + (m, m) or self.reflection.shape != (n,):
             raise ChannelError("channel component shapes are inconsistent")
         if np.max(np.abs(np.abs(self.reflection) - 1.0)) > 1e-12:
             raise ChannelError("reflection entries must have unit modulus")
@@ -136,23 +148,66 @@ class ChannelRealization:
     @property
     def ris_cascade(self) -> np.ndarray:
         """One-way radar->RIS->target channel vector H_I @ Gamma @ h_T."""
-        return self.H_I @ (self.reflection * self.h_T)
+        return (self.H_I @ (self.reflection * self.h_T)[..., None])[..., 0]
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Circular complex Gaussian, unit variance per entry."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def _seed_list(rng_seed):
+    """(whether `rng_seed` is a batch, the batch's list of seeds)."""
+    batch = isinstance(rng_seed, list)
+    return batch, (rng_seed if batch else [rng_seed])
+
+
+def standard_normals(seeds: list, shape: tuple) -> np.ndarray:
+    """(S,) + shape standard normals, one generator call per seed.
+
+    Row i holds the first normals of seed i's own stream, exactly as one
+    draw of that shape from `default_rng(seed)` gives them.
+    """
+    out = np.empty((len(seeds),) + shape)
+    for row, seed in zip(out, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    return out
+
+
+def _complex_normal(normals: np.ndarray, shape) -> np.ndarray:
+    """Circular complex Gaussian, unit variance per entry, (S,) + shape.
+
+    `normals` is (S, 2n): the first n of a row are the real parts and the
+    next n the imaginary parts.
+    """
+    n = normals.shape[-1] // 2
+    re, im = normals[:, :n], normals[:, n:]
+    return ((re + 1j * im) / np.sqrt(2.0)).reshape(normals.shape[:1] + shape)
+
+
+def _rician(spec: RicianSpec, nlos: np.ndarray) -> np.ndarray:
+    """sqrt(K/(K+1))*LoS + sqrt(1/(K+1))*nLoS over a stack of nLoS draws."""
+    k = spec.k_factor
+    if np.isinf(k):
+        return np.broadcast_to(spec.los_component, nlos.shape).copy()
+    return (np.sqrt(k / (k + 1.0)) * spec.los_component
+            + np.sqrt(1.0 / (k + 1.0)) * nlos)
+
+
+def _clutter(strength: float, normals: np.ndarray, m: int) -> np.ndarray:
+    """Symmetric (S, m, m) clutter with per-entry variance `strength`."""
+    if strength < 0:
+        raise ChannelError("clutter strength must be >= 0")
+    draw = np.sqrt(strength) * _complex_normal(normals, (m, m))
+    upper = np.triu(draw)
+    return upper + np.triu(draw, 1).swapaxes(-1, -2)
 
 
 def rician_draw(spec: RicianSpec, rng_seed) -> np.ndarray:
-    """Draw sqrt(K/(K+1))*LoS + sqrt(1/(K+1))*nLoS, nLoS entries CN(0, 1)."""
-    rng = np.random.default_rng(rng_seed)
-    k = spec.k_factor
-    nlos = _complex_normal(rng, spec.los_component.shape)
-    if np.isinf(k):
-        return spec.los_component.copy()
-    return (np.sqrt(k / (k + 1.0)) * spec.los_component
-            + np.sqrt(1.0 / (k + 1.0)) * nlos)
+    """Draw sqrt(K/(K+1))*LoS + sqrt(1/(K+1))*nLoS, nLoS entries CN(0, 1).
+
+    A list of seeds gives one draw per seed on a leading axis.
+    """
+    batch, seeds = _seed_list(rng_seed)
+    los = spec.los_component
+    draws = _rician(spec, _complex_normal(
+        standard_normals(seeds, (2 * los.size,)), los.shape))
+    return draws if batch else draws[0]
 
 
 def _friis_entry(dist: np.ndarray, wavelength: float) -> np.ndarray:
@@ -180,13 +235,13 @@ def ris_focus_profile(p: Placement, ris: RisConfig, wavelength: float) -> np.nda
 
 
 def clutter_draw(strength: float, rng_seed, m: int) -> np.ndarray:
-    """Static symmetric clutter matrix with per-entry variance `strength`."""
-    if strength < 0:
-        raise ChannelError("clutter strength must be >= 0")
-    rng = np.random.default_rng(rng_seed)
-    draw = np.sqrt(strength) * _complex_normal(rng, (m, m))
-    upper = np.triu(draw)
-    return upper + np.triu(draw, 1).T
+    """Static symmetric clutter matrix with per-entry variance `strength`.
+
+    A list of seeds gives one (m, m) matrix per seed on a leading axis.
+    """
+    batch, seeds = _seed_list(rng_seed)
+    draws = _clutter(strength, standard_normals(seeds, (2 * m * m,)), m)
+    return draws if batch else draws[0]
 
 
 @dataclass(frozen=True)
@@ -204,13 +259,25 @@ class ChannelModel:
     clutter_strength: float
 
     def draw(self, rng_seed) -> ChannelRealization:
-        """One realization: H_I, h_T, h_D, then the clutter, from one stream."""
-        rng = np.random.default_rng(rng_seed)
-        h_i, h_t, h_d = (scale * rician_draw(spec, rng)
-                         for spec, scale in zip(self.specs, self.scales))
-        h_c = clutter_draw(self.clutter_strength, rng, h_d.size)
-        return ChannelRealization(H_I=h_i, h_T=h_t, h_D=h_d, H_C=h_c,
-                                  reflection=self.reflection)
+        """H_I, h_T, h_D, then the clutter, from one normal draw per seed.
+
+        A list of seeds gives one realization stacked over a leading seed
+        axis, validated once; a single seed gives a plain realization.
+        """
+        batch, seeds = _seed_list(rng_seed)
+        m = self.specs[2].los_component.size
+        sizes = [2 * spec.los_component.size for spec in self.specs]
+        bounds = np.cumsum([0] + sizes).tolist()
+        normals = standard_normals(seeds, (bounds[-1] + 2 * m * m,))
+        parts = [scale * _rician(spec, _complex_normal(
+                     normals[:, lo:hi], spec.los_component.shape))
+                 for spec, scale, lo, hi
+                 in zip(self.specs, self.scales, bounds, bounds[1:])]
+        parts.append(_clutter(self.clutter_strength,
+                              normals[:, bounds[-1]:], m))
+        if not batch:
+            parts = [part[0] for part in parts]
+        return ChannelRealization(*parts, reflection=self.reflection)
 
 
 def channel_model(p: Placement, cfg: ArrayConfig, ris: RisConfig,
@@ -231,7 +298,7 @@ def realize_channel(p: Placement, cfg: ArrayConfig, ris: RisConfig,
     The unit-variance nLoS draw of each component is scaled to the RMS
     magnitude of its LoS counterpart so fading perturbs the link without
     erasing its path loss. Runs that share a geometry build the
-    `channel_model` once and call its `draw` per seed.
+    `channel_model` once and pass their seeds to its `draw` as one list.
     """
     return channel_model(p, cfg, ris, k_rice,
                          clutter_strength).draw(rng_seed)

@@ -10,9 +10,9 @@ section, which has no dataclass, keeps its defaults here.
 Every section is a mapping and unknown keys are rejected. Quantities carry
 unit suffixes ("7.15 GHz", "250 ms", "10 mW", "-3 dBm", "2 cm", "10 dB")
 or are finite bare SI numbers; counts are whole numbers; flags are YAML
-true/false; `clutter_window` is an odd count or off; a `trace_file` holds
-exactly duration x slow-rate samples. Any violation, including the
-dataclasses' own checks, raises `ConfigError`.
+true/false; `clutter_window` is an odd count no longer than a window, or
+off; a `trace_file` holds exactly duration x slow-rate samples. Any
+violation, including the dataclasses' own checks, raises `ConfigError`.
 """
 
 import hashlib
@@ -237,6 +237,11 @@ def parse_config(doc: dict):
         for reflectivity in (physio.reflectivity_ris,
                              physio.reflectivity_direct):
             scenario.rcs_model(reflectivity)
+        window = scenario.processing.clutter_window
+        _require(window is None or window <= scenario.slow_time_samples,
+                 window, "processing.clutter_window",
+                 f"at most the {scenario.slow_time_samples} slow-time samples "
+                 "of a window (duration x slow rate)")
         if physio.trace_file is not None:
             have = scenario.base_trace().samples.size
             _require(have == scenario.slow_time_samples, have,

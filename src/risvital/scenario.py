@@ -17,7 +17,10 @@ use and kept for the scenario's lifetime. The per-seed part draws the
 channel, the two RCS jitters and the noise from the seed's own children.
 `simulate_acquisition` and `extract_vital_signs` take a list of seeds as
 a leading batch axis, (S, M, L), and give every seed the same bits it
-gets alone; a single run is the batch of one.
+gets alone; a single run is the batch of one. A batch draws its channel
+as one stacked realization, builds the record in place from the two
+target terms and the clutter, and fills one preallocated noise array
+with one generator call per seed.
 """
 
 from dataclasses import dataclass, field, replace
@@ -28,7 +31,8 @@ import numpy as np
 from . import sigproc
 from .beamform import split_precoder
 from .channel import (ChannelModel, ChannelRealization, RisConfig,
-                      build_ris_grid, channel_model, ris_focus_profile)
+                      build_ris_grid, channel_model, ris_focus_profile,
+                      standard_normals)
 from .geometry import (SPEED_OF_LIGHT, ArrayConfig, PathAngles, Placement,
                        angles_from_placement, ula_steering)
 from .physio import DisplacementTrace, RcsModel, load_trace_csv, rcs_series, \
@@ -305,8 +309,9 @@ def simulate_acquisition(scn: Scenario, schedule: np.ndarray, seed):
     directly. `seed` is not mutated: the same seed replays the same record.
 
     Returns (record, channel). A list of seeds runs them as one batch: the
-    record is then (S, M, L) and a list of channels comes back, and each
-    seed draws from its own children in the order a lone run does.
+    record is then (S, M, L), the channel is one realization stacked over
+    the seeds, and each seed draws from its own children in the order a
+    lone run does.
     """
     schedule = np.asarray(schedule, dtype=complex)
     window = (scn.radar.element_count, scn.slow_time_samples)
@@ -323,28 +328,32 @@ def _simulate(scn: Scenario, schedule: np.ndarray, seed):
     st = scn.static
     trace = replace(st.trace, samples=st.trace.samples[:length])
     children = [child_seeds(s, 4) for s in seeds]
-    channels = [st.channel.draw(ch_seed) for ch_seed, _, _, _ in children]
+    ch_seeds = [c[0] for c in children]
+    channel = st.channel.draw(ch_seeds if batch else ch_seeds[0])
     lam = scn.radar.wavelength
     alpha = rcs_series(st.rcs_ris, trace, st.angles.chest_incidence_ris,
                        lam, rng_seed=[c[1] for c in children])
     beta = rcs_series(st.rcs_direct, trace, st.angles.chest_incidence_direct,
                       lam, rng_seed=[c[2] for c in children])
-    v_ris = np.stack([ch.ris_cascade for ch in channels])
-    h_d = np.stack([ch.h_D for ch in channels])
-    h_c = np.stack([ch.H_C for ch in channels])
+    v_ris, h_d, h_c = channel.ris_cascade, channel.h_D, channel.H_C
+    if not batch:
+        v_ris, h_d, h_c = v_ris[None], h_d[None], h_c[None]
     # (S, 1, M) @ (M, L) keeps each seed's vector product bit-identical to
-    # a lone run; an (S, M) @ (M, L) product rounds differently
-    signal = (v_ris[:, :, None] * (alpha[:, None] * (v_ris[:, None] @ schedule))
-              + h_d[:, :, None] * (beta[:, None] * (h_d[:, None] @ schedule))
-              + h_c @ schedule)
+    # a lone run; an (S, M) @ (M, L) product rounds differently. The sum
+    # is built in place in the order ((RIS + direct) + clutter) + noise.
+    samples = v_ris[:, :, None] * (alpha[:, None] * (v_ris[:, None] @ schedule))
+    samples += h_d[:, :, None] * (beta[:, None] * (h_d[:, None] @ schedule))
+    samples += h_c @ schedule
 
     # real then imaginary parts, one (2, M, L) draw per seed
-    noise = np.stack([np.random.default_rng(c[3]).standard_normal(
-        (2, m, length)) for c in children])
-    samples = signal + st.noise_sigma * (noise[:, 0] + 1j * noise[:, 1])
+    noise = standard_normals([c[3] for c in children], (2, m, length))
+    z = noise[:, 1] * 1j
+    z += noise[:, 0]
+    z *= st.noise_sigma
+    samples += z
     record = SlowTimeRecord(samples=samples if batch else samples[0],
                             slow_rate=scn.radar.slow_rate)
-    return record, (channels if batch else channels[0])
+    return record, channel
 
 
 def extract_vital_signs(scn: Scenario, record: SlowTimeRecord,

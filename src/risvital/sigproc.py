@@ -122,15 +122,18 @@ def clutter_filter(record: np.ndarray, window: int) -> np.ndarray:
         raise SignalError(
             f"window must be odd and within [3, {length}], got {window}")
     half = window // 2
-    # Running mean with truncated edge windows via cumulative sums.
+    # Running mean with truncated edge windows from the cumulative sum:
+    # sample i averages csum[hi] - csum[lo - 1], hi = min(i + half, L - 1)
+    # and lo = max(i - half, 0), with nothing to subtract where lo = 0.
+    # Slices fill the C-ordered means without gather temporaries.
     csum = np.cumsum(record, axis=-1)
-    csum = np.concatenate(
-        [np.zeros(record.shape[:-1] + (1,), dtype=complex), csum], axis=-1)
+    means = np.empty(record.shape, dtype=complex)
+    means[..., :length - half] = csum[..., half:]
+    means[..., length - half:] = csum[..., -1:]
+    means[..., half + 1:] -= csum[..., :length - half - 1]
     idx = np.arange(length)
-    lo = np.maximum(idx - half, 0)
-    hi = np.minimum(idx + half, length - 1)
-    means = (csum[..., hi + 1] - csum[..., lo]) / (hi - lo + 1)
-    return record - means
+    means /= np.minimum(idx + half, length - 1) - np.maximum(idx - half, 0) + 1
+    return np.subtract(record, means, out=means)
 
 
 def moving_average_response(window: int, freq: float, rate: float) -> float:

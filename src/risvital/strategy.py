@@ -14,13 +14,13 @@ import numpy as np
 from .beamform import split_precoder
 from .scenario import (RunResult, Scenario, _simulate, child_seeds,
                        extract_vital_signs, simulate_acquisition)
-from .sigproc import SlowTimeRecord, VitalSignEstimate, root_music_doa
+from .sigproc import VitalSignEstimate, root_music_doa
 
 STRATEGY_KINDS = ("temporal", "spatial", "opportunistic")
 # Seeds per batched pass in gamma_sweep. The pass stacks every per-seed
-# array, so the chunk bounds its memory; 8 already amortizes the per-call
-# overhead that batching removes.
-SEED_CHUNK = 8
+# array, so the chunk bounds its memory; 32 runs a default 20-seed share
+# as one pass.
+SEED_CHUNK = 32
 PROBE_PULSES = 64  # a position probe's pulses, from the window's start
 
 
@@ -137,24 +137,28 @@ def _plan(scn: Scenario, strategy: StrategyConfig):
                               *scn.static.tx_steering, scn.radar.total_power)
 
 
-def _run_batch(scn: Scenario, strategy: StrategyConfig, seeds: list,
-               plan) -> list[RunResult]:
-    """One window per seed under one transmit plan, as one array pass."""
+def _run_batch(scn: Scenario, seeds, plan):
+    """One window per seed under one transmit plan, as one array pass.
+
+    Returns (record, estimates, channel) as `simulate_acquisition` and
+    `extract_vital_signs` give them: stacked over a list of seeds, plain
+    for one seed.
+    """
     schedule, slots_direct, slots_ris = plan
-    record, channels = simulate_acquisition(scn, schedule, seeds)
+    record, channel = simulate_acquisition(scn, schedule, seeds)
     estimates = extract_vital_signs(scn, record, *scn.static.rx_weights,
                                     slots_direct=slots_direct,
                                     slots_ris=slots_ris)
-    gamma = strategy.ris_share if strategy.kind in ("spatial", "temporal") \
-        else None
-    return [RunResult(record=SlowTimeRecord(samples, record.slow_rate),
-                      estimates=est, channel=ch, gamma_ris=gamma)
-            for samples, est, ch in zip(record.samples, estimates, channels)]
+    return record, estimates, channel
 
 
 def run_once(scn: Scenario, strategy: StrategyConfig, seed) -> RunResult:
     """One acquisition window under a strategy, extracted on both paths."""
-    return _run_batch(scn, strategy, [seed], _plan(scn, strategy))[0]
+    record, estimates, channel = _run_batch(scn, seed, _plan(scn, strategy))
+    gamma = strategy.ris_share if strategy.kind in ("spatial", "temporal") \
+        else None
+    return RunResult(record=record, estimates=estimates, channel=channel,
+                     gamma_ris=gamma)
 
 
 def gamma_sweep(scn: Scenario, kind: str, gamma_grid, seeds) -> list[dict]:
@@ -164,7 +168,7 @@ def gamma_sweep(scn: Scenario, kind: str, gamma_grid, seeds) -> list[dict]:
     and its prominence. A share of zero for the temporal RIS branch (or one
     for the direct branch) leaves that branch without slots; such rows carry
     NaN peak and zero prominence. Each share's plan is built once and its
-    seeds run in batches of SEED_CHUNK; every row equals the lone
+    seeds run in passes of up to SEED_CHUNK; every row equals the lone
     `run_once` at its seed bit for bit.
     """
     if kind not in ("spatial", "temporal"):
@@ -177,14 +181,13 @@ def gamma_sweep(scn: Scenario, kind: str, gamma_grid, seeds) -> list[dict]:
     seeds = list(seeds)
     rows = []
     for gamma in gamma_grid:
-        strategy = StrategyConfig(kind=kind, ris_share=float(gamma))
-        plan = _plan(scn, strategy)
+        plan = _plan(scn, StrategyConfig(kind=kind, ris_share=float(gamma)))
         for start in range(0, len(seeds), SEED_CHUNK):
             chunk = seeds[start:start + SEED_CHUNK]
-            for seed, result in zip(chunk, _run_batch(scn, strategy, chunk,
-                                                      plan)):
+            _, estimates, _ = _run_batch(scn, chunk, plan)
+            for seed, by_path in zip(chunk, estimates):
                 for path in ("direct", "ris"):
-                    est = result.estimates.get(path)
+                    est = by_path[path]
                     rows.append({"gamma": float(gamma), "path": path,
                                  "seed": int(seed),
                                  "peak_freq_Hz":

@@ -3,10 +3,12 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risvital.channel import (ChannelError, ChannelRealization, RicianSpec,
-                              build_ris_grid, clutter_draw, los_channel,
-                              rician_draw, ris_focus_profile)
+                              build_ris_grid, channel_model, clutter_draw,
+                              los_channel, rician_draw, ris_focus_profile)
 from risvital.geometry import ArrayConfig, ula_steering
 from risvital.scenario import Scenario, db_to_linear, simulate_acquisition
 
@@ -24,8 +26,7 @@ class TestRicianDraw:
 
     def test_k_zero_unit_variance(self):
         los = np.ones((2,), dtype=complex)
-        draws = np.array([rician_draw(RicianSpec(0.0, los), seed)
-                          for seed in range(100_000)])
+        draws = rician_draw(RicianSpec(0.0, los), list(range(100_000)))
         var = np.var(draws, axis=0)  # nLoS only: per-entry variance 1
         npt.assert_allclose(var, 1.0, rtol=0.03)
 
@@ -38,8 +39,7 @@ class TestRicianDraw:
         k = 2.0
         los = np.array([1.5 - 0.5j, -1.0 + 0.25j])
         n = 100_000
-        draws = np.array([rician_draw(RicianSpec(k, los), seed)
-                          for seed in range(n)])
+        draws = rician_draw(RicianSpec(k, los), list(range(n)))
         mean = draws.mean(axis=0)
         sem = np.sqrt(1.0 / (k + 1.0) / n)  # std error per complex entry
         err = np.abs(mean - np.sqrt(k / (k + 1.0)) * los)
@@ -207,8 +207,7 @@ class TestClutterDraw:
 
     def test_per_entry_variance(self):
         strength = 0.5
-        draws = np.array([clutter_draw(strength, seed, 2)
-                          for seed in range(100_000)])
+        draws = clutter_draw(strength, list(range(100_000)), 2)
         var = np.var(draws, axis=0)
         npt.assert_allclose(var, strength, rtol=0.03)
 
@@ -244,3 +243,78 @@ class TestRisConfig:
         with pytest.raises(ChannelError):
             ChannelRealization(np.ones((2, 3)), np.ones(3), np.ones(2),
                                np.zeros((2, 2)), np.array([1.0, 1.0, 2.0]))
+
+
+def _oracle_draw(model, seed):
+    """A channel draw as eight consecutive generator calls make it: the
+    real then imaginary normals of H_I, h_T, h_D and the clutter."""
+    rng = np.random.default_rng(seed)
+
+    def complex_normal(shape):
+        return (rng.standard_normal(shape)
+                + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+    parts = []
+    for spec, scale in zip(model.specs, model.scales):
+        los, k = spec.los_component, spec.k_factor
+        nlos = complex_normal(los.shape)
+        mix = los.copy() if np.isinf(k) else (
+            np.sqrt(k / (k + 1.0)) * los + np.sqrt(1.0 / (k + 1.0)) * nlos)
+        parts.append(scale * mix)
+    m = parts[2].size
+    draw = np.sqrt(model.clutter_strength) * complex_normal((m, m))
+    return (*parts, np.triu(draw) + np.triu(draw, 1).T)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and a.tobytes() == b.tobytes()
+
+
+SEED_LISTS = st.tuples(
+    st.lists(st.integers(0, 2 ** 63 - 1), max_size=11),
+    st.integers(0, 2 ** 128 - 1), st.integers(0, 11)).map(
+        lambda t: t[0][:t[2]] + [np.random.SeedSequence(t[1])] + t[0][t[2]:])
+COMPONENTS = ("H_I", "h_T", "h_D", "H_C")
+
+
+class TestDrawEngine:
+    """One normal draw per seed, stacked over seeds, changes no bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seeds=SEED_LISTS,
+           k_db=st.sampled_from([-np.inf, 10.0, np.inf]),
+           clutter=st.sampled_from([0.0, 1e-10]))
+    def test_stacked_rows_equal_lone_draws_and_oracle(self, seeds, k_db,
+                                                      clutter):
+        scn = Scenario()
+        model = channel_model(scn.placement, scn.radar.array_config,
+                              scn.ris_config(), db_to_linear(k_db), clutter)
+        stacked = model.draw(seeds)
+        assert stacked.H_I.shape == (len(seeds), 5, 100)
+        for i, seed in enumerate(seeds):
+            lone = model.draw(seed)
+            for name, want in zip(COMPONENTS, _oracle_draw(model, seed)):
+                assert _same_bits(getattr(lone, name), want), name
+                assert _same_bits(getattr(stacked, name)[i], want), name
+            assert _same_bits(stacked.ris_cascade[i], lone.ris_cascade)
+        spec = model.specs[1]
+        rows = rician_draw(spec, seeds)
+        walls = clutter_draw(clutter, seeds, 3)
+        for i, seed in enumerate(seeds):
+            assert _same_bits(rows[i], rician_draw(spec, seed))
+            assert _same_bits(walls[i], clutter_draw(clutter, seed, 3))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seeds=SEED_LISTS, name=st.sampled_from(COMPONENTS),
+           position=st.floats(0.0, 1.0, exclude_max=True),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.inf)]))
+    def test_stacked_realization_rejects_one_non_finite_entry(
+            self, seeds, name, position, bad):
+        stacked = Scenario().static.channel.draw(seeds)
+        parts = {n: getattr(stacked, n).copy() for n in COMPONENTS}
+        flat = parts[name].reshape(-1)
+        flat[int(position * flat.size)] = bad
+        with pytest.raises(ChannelError, match=f"{name} contains non-finite"):
+            ChannelRealization(**parts, reflection=stacked.reflection)

@@ -255,6 +255,31 @@ class TestCliFlagErrors:
         assert not out.exists()
 
 
+class TestWindowShorterThanClutterFilter:
+    """A window shorter than the clutter filter is a config error (exit 1)
+    before anything is written, not a runtime error of the filter."""
+
+    @pytest.mark.parametrize("command, duration, samples", [
+        ("acquire", 2.0, 8),
+        ("loop", 5.0, 20),
+    ])
+    def test_rejected(self, tmp_path, capsys, command, duration, samples):
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text(f"physiology:\n  duration: {duration}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: processing.clutter_window: expected at most the "
+            f"{samples} slow-time samples of a window (duration x slow rate), "
+            "got 21\n")
+        assert not out.exists()
+
+    def test_window_of_full_length_accepted(self):
+        scenario, _, _ = parse_config({"physiology": {"duration": 5.25},
+                                       "processing": {"clutter_window": 21}})
+        assert scenario.slow_time_samples == 21
+
+
 class TestStrictValues:
     @pytest.mark.parametrize("doc, message", [
         ({"processing": {"detrend": "false"}}, "true or false"),
@@ -388,7 +413,9 @@ class TestGoldenHash:
 # Every drawn value is valid for its field: numbers lie in (0, 1], which
 # holds ris_share and gain_exponent; the array has at least one element;
 # each position has its own z range, so no two points coincide, and none
-# meets a default point (all at z = 1 m). trace_file names a file and is
+# meets a default point (all at z = 1 m). A duration of at least 61 s
+# holds at least 61 pulses at any drawn interval (at most 1 s), so every
+# drawn clutter window fits the window. trace_file names a file and is
 # covered by TestTraceFile instead.
 _UNIT = {"frequency": "Hz", "time": "ms", "length": "cm", "power": "dBm",
          "db": "dB"}
@@ -412,6 +439,8 @@ _BY_KEY = {
     "element_count": st.integers(1, 64),
     "kind": st.sampled_from(STRATEGY_KINDS),
     "initial_path": st.sampled_from(["direct", "ris"]),
+    "duration": st.one_of(st.floats(61.0, 120.0),
+                          st.floats(61.0, 120.0).map(lambda v: f"{v!r} s")),
     "radar": _point(1.5), "ris_center": _point(2.5), "target": _point(3.5),
     "ris_normal": _UNIT_NORMALS,
     "chest_normal": st.one_of(st.just("auto"), _UNIT_NORMALS),

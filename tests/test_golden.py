@@ -3,7 +3,8 @@
 The digests were computed before the seed-independent scene was cached
 and sweep seeds were batched, and pin that the batched engine changes no
 bit of a sweep row, a closed-loop log or a single-run record. Twenty
-sweep seeds run as chunks of 8, 8 and 4, so chunk boundaries are covered.
+sweep seeds run as one pass of `SEED_CHUNK` = 32; chunk boundaries are
+covered by `test_batch.py`, which draws up to 2 * SEED_CHUNK + 1 seeds.
 The loop log holds no position estimate, so the root-MUSIC probe has a
 digest of its own (ten seeds on three scenarios), computed while every
 probe still built a 16 s scene of its own.
