@@ -151,7 +151,7 @@ class ChannelRealization:
         return (self.H_I @ (self.reflection * self.h_T)[..., None])[..., 0]
 
 
-def _seed_list(rng_seed):
+def seed_list(rng_seed):
     """(whether `rng_seed` is a batch, the batch's list of seeds)."""
     batch = isinstance(rng_seed, list)
     return batch, (rng_seed if batch else [rng_seed])
@@ -203,7 +203,7 @@ def rician_draw(spec: RicianSpec, rng_seed) -> np.ndarray:
 
     A list of seeds gives one draw per seed on a leading axis.
     """
-    batch, seeds = _seed_list(rng_seed)
+    batch, seeds = seed_list(rng_seed)
     los = spec.los_component
     draws = _rician(spec, _complex_normal(
         standard_normals(seeds, (2 * los.size,)), los.shape))
@@ -239,7 +239,7 @@ def clutter_draw(strength: float, rng_seed, m: int) -> np.ndarray:
 
     A list of seeds gives one (m, m) matrix per seed on a leading axis.
     """
-    batch, seeds = _seed_list(rng_seed)
+    batch, seeds = seed_list(rng_seed)
     draws = _clutter(strength, standard_normals(seeds, (2 * m * m,)), m)
     return draws if batch else draws[0]
 
@@ -264,7 +264,7 @@ class ChannelModel:
         A list of seeds gives one realization stacked over a leading seed
         axis, validated once; a single seed gives a plain realization.
         """
-        batch, seeds = _seed_list(rng_seed)
+        batch, seeds = seed_list(rng_seed)
         m = self.specs[2].los_component.size
         sizes = [2 * spec.los_component.size for spec in self.specs]
         bounds = np.cumsum([0] + sizes).tolist()

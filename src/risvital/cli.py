@@ -15,7 +15,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, _count, config_hash, load_config, parse_config
+from .config import (ConfigError, _count, _shares, config_hash, load_config,
+                     parse_config)
 from .strategy import gamma_sweep, run_closed_loop, run_once
 
 EXIT_OK = 0
@@ -76,15 +77,16 @@ def _meta(scenario, strategy, sweep, seed, command) -> dict:
 
 def cmd_acquire(args) -> int:
     scenario, strategy, sweep = _load(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     result = run_once(scenario, strategy, args.seed)
-    meta = _meta(scenario, strategy, sweep, args.seed, "acquire")
     for label, est in sorted(result.estimates.items()):
         if est is None:
             raise RuntimeError(
                 f"{label} branch received too few slow-time slots to extract; "
                 f"adjust ris_share or the duration")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    meta = _meta(scenario, strategy, sweep, args.seed, "acquire")
+    for label, est in sorted(result.estimates.items()):
         disp = est.displacement
         _write_csv(out / f"{label}_displacement.csv",
                    ["time_s", "displacement_m"],
@@ -99,22 +101,14 @@ def cmd_acquire(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario, strategy, sweep = _load(args)
-    gammas = sweep["gammas"]
-    if args.gammas is not None:
-        try:
-            gammas = [float(g) for g in args.gammas.split(",") if g != ""]
-        except ValueError:
-            raise ConfigError(f"bad --gammas list: {args.gammas!r}") from None
+    gammas = sweep["gammas"] if args.gammas is None else _shares(
+        [g for g in args.gammas.split(",") if g != ""], "--gammas")
     n_seeds = args.seeds if args.seeds is not None else sweep["seeds"]
-    if not gammas:
-        raise ConfigError("sweep gamma grid is empty")
-    if any(not 0.0 <= g <= 1.0 for g in gammas):
-        raise ConfigError("sweep gammas must lie in [0, 1]")
     kind = strategy.kind if strategy.kind in ("spatial", "temporal") \
         else "spatial"
+    rows = gamma_sweep(scenario, kind, gammas, range(n_seeds))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = gamma_sweep(scenario, kind, gammas, range(n_seeds))
     _write_csv(out / "sweep.csv",
                ["gamma", "path", "seed", "peak_freq_Hz", "prominence_db"],
                ([r["gamma"], r["path"], r["seed"], r["peak_freq_Hz"],
@@ -126,9 +120,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_loop(args) -> int:
     scenario, strategy, sweep = _load(args)
+    logs = run_closed_loop(scenario, strategy, args.windows, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    logs = run_closed_loop(scenario, strategy, args.windows, seed=args.seed)
     path = out / "loop.jsonl"
     with path.open("w") as fh:
         for entry in logs:

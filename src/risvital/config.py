@@ -11,7 +11,8 @@ Every section is a mapping and unknown keys are rejected. Quantities carry
 unit suffixes ("7.15 GHz", "250 ms", "10 mW", "-3 dBm", "2 cm", "10 dB")
 or are finite bare SI numbers; counts are whole numbers; flags are YAML
 true/false; `clutter_window` is an odd count no longer than a window, or
-off; a `trace_file` holds exactly duration x slow-rate samples. Any
+off; a `trace_file` holds exactly duration x slow-rate samples; the sweep's
+`gammas` are a non-empty list of shares in [0, 1]. Any
 violation, including the dataclasses' own checks, raises `ConfigError`.
 """
 
@@ -101,6 +102,13 @@ def _window(value, key: str):
                     "an odd count >= 3 or off")
 
 
+def _shares(value, key: str) -> list:
+    what = "a non-empty list of shares in [0, 1]"
+    shares = [_number(x, key) for x in _list(value, key, what)]
+    return _require(shares and all(0.0 <= g <= 1.0 for g in shares),
+                    shares, key, what)
+
+
 def _band(value, key: str) -> tuple:
     low, high = (parse_quantity(v, "frequency", key)
                  for v in _list(value, key, "[low, high]", 2))
@@ -123,8 +131,7 @@ _KINDS = {
     "table": lambda v, key: tuple(
         tuple(_number(x, key) for x in _list(row, key, "[angle_deg, gain]", 2))
         for row in _list(v, key, "a list of [angle_deg, gain] pairs")),
-    "numbers": lambda v, key: [_number(x, key) for x in
-                               _list(v, key, "a list of numbers")],
+    "shares": _shares,
 }
 
 # YAML section -> (Scenario attribute, default factory, rows of
@@ -188,7 +195,7 @@ SCHEMA = {
         ("ideal", "ideal", "flag"),
     )),
 }
-SWEEP_ROWS = (("gammas", "gammas", "numbers"), ("seeds", "seeds", "count"))
+SWEEP_ROWS = (("gammas", "gammas", "shares"), ("seeds", "seeds", "count"))
 
 
 def _reject_unknown(section: dict, name: str) -> None:

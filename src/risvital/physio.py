@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .channel import seed_list, standard_normals
+
 # Default attenuation exponent: cos^p law pinned to a gain of 0.1 at the
 # default scenario's oblique incidence of 78.75 degrees.
 _REFERENCE_ANGLE = np.radians(78.75)
@@ -190,13 +192,11 @@ def observed_displacement(model: RcsModel, trace: DisplacementTrace,
     of seeds gives one observation per seed on a leading axis, each drawn
     exactly as that seed alone would draw it.
     """
-    batch = isinstance(rng_seed, list)
-    seeds = rng_seed if batch else [rng_seed]
+    batch, seeds = seed_list(rng_seed)
     gain = angle_gain(model, incidence)
     d = np.broadcast_to(gain * trace.samples, (len(seeds), len(trace)))
     if model.distortion_strength > 0.0 and gain < 1.0:
-        white = np.stack([np.random.default_rng(seed).standard_normal(len(trace))
-                          for seed in seeds])
+        white = standard_normals(seeds, (len(trace),))
         amp = np.max(np.abs(trace.samples)) if trace.samples.size else 0.0
         level = model.distortion_strength * (1.0 - gain) * amp
         d = d + level * _bandlimited_noise(white, trace.slow_rate,

@@ -15,11 +15,12 @@ channel with the RIS profile, transmit steering, receive weights, the
 base trace, the RCS models and the noise scale); it is built on first
 use and kept for the scenario's lifetime. The per-seed part draws the
 channel, the two RCS jitters and the noise from the seed's own children.
-`simulate_acquisition` and `extract_vital_signs` take a list of seeds as
-a leading batch axis, (S, M, L), and give every seed the same bits it
-gets alone; a single run is the batch of one. A batch draws its channel
-as one stacked realization, builds the record in place from the two
-target terms and the clutter, and fills one preallocated noise array
+`simulate_acquisition` takes a list of seeds as a leading batch axis and
+gives an (S, M, L) record; `extract_vital_signs` grades one record or
+such a stack with the same code, one estimate per path with the seed
+axis leading. Every seed gets the bits it gets alone. A batch draws its
+channel as one stacked realization, builds the record in place from the
+two target terms and the clutter, and fills one preallocated noise array
 with one generator call per seed.
 """
 
@@ -32,12 +33,12 @@ from . import sigproc
 from .beamform import split_precoder
 from .channel import (ChannelModel, ChannelRealization, RisConfig,
                       build_ris_grid, channel_model, ris_focus_profile,
-                      standard_normals)
+                      seed_list, standard_normals)
 from .geometry import (SPEED_OF_LIGHT, ArrayConfig, PathAngles, Placement,
                        angles_from_placement, ula_steering)
 from .physio import DisplacementTrace, RcsModel, load_trace_csv, rcs_series, \
     synth_respiration
-from .sigproc import (SlowTimeRecord, Spectrum, VitalSignEstimate, Waveform,
+from .sigproc import (SlowTimeRecord, VitalSignEstimate, Waveform,
                       clutter_filter, make_waveform, peak_quality,
                       phase_demodulate, power_spectrum, separate_paths)
 
@@ -322,31 +323,31 @@ def simulate_acquisition(scn: Scenario, schedule: np.ndarray, seed):
 
 def _simulate(scn: Scenario, schedule: np.ndarray, seed):
     """`simulate_acquisition` of the window's first n pulses, schedule (M, n)."""
-    batch = isinstance(seed, list)
-    seeds = seed if batch else [seed]
+    batch, seeds = seed_list(seed)
     m, length = schedule.shape
     st = scn.static
     trace = replace(st.trace, samples=st.trace.samples[:length])
-    children = [child_seeds(s, 4) for s in seeds]
-    ch_seeds = [c[0] for c in children]
+    # each seed's four children, regrouped as one list per stream
+    ch_seeds, ris_seeds, direct_seeds, noise_seeds = (
+        list(stream) for stream in zip(*(child_seeds(s, 4) for s in seeds)))
     channel = st.channel.draw(ch_seeds if batch else ch_seeds[0])
     lam = scn.radar.wavelength
     alpha = rcs_series(st.rcs_ris, trace, st.angles.chest_incidence_ris,
-                       lam, rng_seed=[c[1] for c in children])
+                       lam, rng_seed=ris_seeds)
     beta = rcs_series(st.rcs_direct, trace, st.angles.chest_incidence_direct,
-                      lam, rng_seed=[c[2] for c in children])
-    v_ris, h_d, h_c = channel.ris_cascade, channel.h_D, channel.H_C
-    if not batch:
-        v_ris, h_d, h_c = v_ris[None], h_d[None], h_c[None]
-    # (S, 1, M) @ (M, L) keeps each seed's vector product bit-identical to
-    # a lone run; an (S, M) @ (M, L) product rounds differently. The sum
+                      lam, rng_seed=direct_seeds)
+    v_ris, h_d = channel.ris_cascade, channel.h_D
+    # (..., 1, M) @ (M, L) keeps each seed's vector product bit-identical
+    # to a lone run; an (S, M) @ (M, L) product rounds differently. The sum
     # is built in place in the order ((RIS + direct) + clutter) + noise.
-    samples = v_ris[:, :, None] * (alpha[:, None] * (v_ris[:, None] @ schedule))
-    samples += h_d[:, :, None] * (beta[:, None] * (h_d[:, None] @ schedule))
-    samples += h_c @ schedule
+    samples = v_ris[..., :, None] * (alpha[:, None]
+                                     * (v_ris[..., None, :] @ schedule))
+    samples += h_d[..., :, None] * (beta[:, None]
+                                    * (h_d[..., None, :] @ schedule))
+    samples += channel.H_C @ schedule
 
     # real then imaginary parts, one (2, M, L) draw per seed
-    noise = standard_normals([c[3] for c in children], (2, m, length))
+    noise = standard_normals(noise_seeds, (2, m, length))
     z = noise[:, 1] * 1j
     z += noise[:, 0]
     z *= st.noise_sigma
@@ -363,28 +364,25 @@ def extract_vital_signs(scn: Scenario, record: SlowTimeRecord,
 
     With temporal slot sets, each branch is demodulated over its own slots
     only; otherwise over the full record. Returns a dict of path label to
-    estimate (None for a branch too short to grade), or one such dict per
-    seed for an (S, M, L) record.
+    estimate (None for a branch too short to grade). An (S, M, L) record
+    gives one estimate per path whose traces, spectra, peaks and
+    prominences carry the leading seed axis.
     """
     proc = scn.processing
     samples = record.samples
-    batch = samples.ndim == 3
     if proc.clutter_window is not None:
         samples = clutter_filter(samples, proc.clutter_window)
-    r_direct, r_ris = separate_paths(samples, w_direct, w_ris)
-    if not batch:
-        r_direct, r_ris = r_direct[None], r_ris[None]
     # a branch must observe at least one full period of the slowest
     # analysed frequency before its spectrum means anything
     min_len = max(8, int(np.ceil(scn.radar.slow_rate / proc.band[0])))
-    out = [{} for _ in r_direct]
-    for label, series, slots in (("direct", r_direct, slots_direct),
-                                 ("ris", r_ris, slots_ris)):
+    estimates = {}
+    for label, series, slots in zip(("direct", "ris"),
+                                    separate_paths(samples, w_direct, w_ris),
+                                    (slots_direct, slots_ris)):
         if slots is not None:
             series = np.take(series, sorted(slots), axis=-1)
         if series.shape[-1] < min_len:
-            for est in out:
-                est[label] = None
+            estimates[label] = None
             continue
         displacement = phase_demodulate(series, scn.radar.wavelength,
                                         scn.radar.slow_rate,
@@ -393,15 +391,10 @@ def extract_vital_signs(scn: Scenario, record: SlowTimeRecord,
         # the full acquisition length so peak locations stay comparable
         spectrum = power_spectrum(displacement, proc.zero_pad_factor,
                                   n_fft=proc.zero_pad_factor * samples.shape[-1])
-        peaks, proms = peak_quality(spectrum, proc.band)
-        for i, est in enumerate(out):
-            est[label] = VitalSignEstimate(
-                displacement=DisplacementTrace(displacement.samples[i],
-                                               displacement.slow_rate, label),
-                spectrum=Spectrum(spectrum.freqs, spectrum.power[i]),
-                peak_freq=float(peaks[i]),
-                peak_prominence_db=float(proms[i]), path_label=label)
-    return out if batch else out[0]
+        estimates[label] = VitalSignEstimate(
+            displacement, spectrum, *peak_quality(spectrum, proc.band),
+            path_label=label)
+    return estimates
 
 
 def noiseless(scn: Scenario) -> Scenario:

@@ -79,12 +79,17 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class VitalSignEstimate:
-    """Per-path extraction product: trace, spectrum, peak, and quality."""
+    """Per-path extraction product: trace, spectrum, peak, and quality.
+
+    A stacked record gives one estimate per path with a leading seed axis:
+    (S, n) displacement samples, (S, F) spectrum power, and (S,) peak and
+    prominence arrays where one record gives Python floats.
+    """
 
     displacement: DisplacementTrace
     spectrum: Spectrum
-    peak_freq: float
-    peak_prominence_db: float
+    peak_freq: float | np.ndarray
+    peak_prominence_db: float | np.ndarray
     path_label: str
 
 

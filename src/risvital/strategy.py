@@ -141,8 +141,8 @@ def _run_batch(scn: Scenario, seeds, plan):
     """One window per seed under one transmit plan, as one array pass.
 
     Returns (record, estimates, channel) as `simulate_acquisition` and
-    `extract_vital_signs` give them: stacked over a list of seeds, plain
-    for one seed.
+    `extract_vital_signs` give them: with a leading seed axis for a list
+    of seeds, plain for one seed.
     """
     schedule, slots_direct, slots_ris = plan
     record, channel = simulate_acquisition(scn, schedule, seeds)
@@ -185,15 +185,15 @@ def gamma_sweep(scn: Scenario, kind: str, gamma_grid, seeds) -> list[dict]:
         for start in range(0, len(seeds), SEED_CHUNK):
             chunk = seeds[start:start + SEED_CHUNK]
             _, estimates, _ = _run_batch(scn, chunk, plan)
-            for seed, by_path in zip(chunk, estimates):
+            for i, seed in enumerate(chunk):
                 for path in ("direct", "ris"):
-                    est = by_path[path]
+                    est = estimates[path]
+                    peak, prom = ((float(est.peak_freq[i]),
+                                   float(est.peak_prominence_db[i]))
+                                  if est else (np.nan, 0.0))
                     rows.append({"gamma": float(gamma), "path": path,
-                                 "seed": int(seed),
-                                 "peak_freq_Hz":
-                                     est.peak_freq if est else np.nan,
-                                 "prominence_db":
-                                     est.peak_prominence_db if est else 0.0})
+                                 "seed": int(seed), "peak_freq_Hz": peak,
+                                 "prominence_db": prom})
     return rows
 
 

@@ -1,5 +1,6 @@
 """A batch of seeds gives each seed the bits of its lone run."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risvital.physio import DisplacementTrace
 from risvital.scenario import Scenario, extract_vital_signs, \
     simulate_acquisition
+from risvital.sigproc import Spectrum, VitalSignEstimate
 from risvital.strategy import (SEED_CHUNK, StrategyConfig, gamma_sweep,
                                plan_transmissions, run_once)
 
@@ -28,6 +31,16 @@ def assert_same_estimates(a: dict, b: dict):
                                b[label].spectrum.power)
         assert repr((a[label].peak_freq, a[label].peak_prominence_db)) == \
             repr((b[label].peak_freq, b[label].peak_prominence_db))
+
+
+def seed_row(estimates: dict, i: int) -> dict:
+    """Row i of every stacked field, in the shape a lone extraction has."""
+    return {label: est and VitalSignEstimate(
+                replace(est.displacement, samples=est.displacement.samples[i]),
+                replace(est.spectrum, power=est.spectrum.power[i]),
+                float(est.peak_freq[i]), float(est.peak_prominence_db[i]),
+                est.path_label)
+            for label, est in estimates.items()}
 
 
 @settings(max_examples=25, deadline=None)
@@ -79,6 +92,11 @@ def test_batched_acquisition_stacks_lone_acquisitions():
     batch = extract_vital_signs(SCN, record, *SCN.static.rx_weights,
                                 slots_direct=slots_direct,
                                 slots_ris=slots_ris)
+    for est in batch.values():  # one estimate per path, seeds stacked
+        assert est.displacement.samples.shape[0] == len(seeds)
+        assert est.spectrum.power.shape[0] == len(seeds)
+        assert est.peak_freq.shape == est.peak_prominence_db.shape \
+            == (len(seeds),)
     for i, seed in enumerate(seeds):
         alone, ch = simulate_acquisition(SCN, schedule, seed)
         npt.assert_array_equal(record.samples[i], alone.samples)
@@ -86,9 +104,30 @@ def test_batched_acquisition_stacks_lone_acquisitions():
             npt.assert_array_equal(getattr(channel, name)[i],
                                    getattr(ch, name))
         npt.assert_array_equal(channel.reflection, ch.reflection)
-        assert_same_estimates(batch[i], extract_vital_signs(
+        assert_same_estimates(seed_row(batch, i), extract_vital_signs(
             SCN, alone, *SCN.static.rx_weights, slots_direct=slots_direct,
             slots_ris=slots_ris))
+
+
+@pytest.mark.parametrize("kind", ["spatial", "temporal"])
+def test_sweep_pass_builds_one_estimate_per_path(kind, monkeypatch):
+    counts = Counter()
+    for cls in (DisplacementTrace, Spectrum, VitalSignEstimate):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__,
+                    **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    SCN.static  # the scene's base trace is built once, before counting
+
+    def built(n_seeds):
+        counts.clear()
+        gamma_sweep(SCN, kind, [0.5], range(n_seeds))
+        return dict(counts)
+
+    one = built(1)
+    assert one["VitalSignEstimate"] == one["Spectrum"] == 2
+    assert built(20) == one
 
 
 def test_static_scene_built_once_per_scenario():

@@ -247,12 +247,58 @@ class TestCliFlagErrors:
          "--seed: expected a whole number >= 0, got -1"),
         (["loop", "--seed", "-1"],
          "--seed: expected a whole number >= 0, got -1"),
+        (["sweep", "--gammas", "0.5,1.5"],
+         "--gammas: expected a non-empty list of shares in [0, 1], "
+         "got [0.5, 1.5]"),
+        (["sweep", "--gammas", "0.5,x"],
+         "--gammas: expected a finite number, got 'x'"),
     ])
     def test_rejected(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
+
+
+class TestCliRuntimeErrors:
+    """A run that fails is a runtime error (exit 2) that writes nothing."""
+
+    @pytest.mark.parametrize("share, branch", [(0.0, "ris"), (1.0, "direct")])
+    def test_temporal_branch_without_slots(self, tmp_path, capsys, share,
+                                           branch):
+        out = tmp_path / "out"
+        assert main(["acquire", "--strategy", "temporal", "--ris-share",
+                     str(share), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {branch} branch received too few slow-time slots")
+        assert not out.exists()
+
+
+class TestSweepGrid:
+    """The sweep's share grid is parsed strictly wherever it comes from."""
+
+    @pytest.mark.parametrize("gammas, message", [
+        ("[1.5]", "got [1.5]"),
+        ("[-0.1, 0.5]", "got [-0.1, 0.5]"),
+        ("[]", "got []"),
+        ("0.5", "got 0.5"),
+        ("[0.5, .nan]", "expected a finite number"),
+        ("[0.5, abc]", "expected a finite number, got 'abc'"),
+    ])
+    def test_rejected(self, tmp_path, capsys, gammas, message):
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text(f"sweep:\n  gammas: {gammas}\n")
+        with pytest.raises(ConfigError, match="^sweep.gammas: ") as exc:
+            load_config(cfg)
+        assert message in str(exc.value)
+        out = tmp_path / "out"
+        assert main(["acquire", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {exc.value}\n"
+        assert not out.exists()
+
+    def test_bounds_accepted(self):
+        _, _, sweep = load_config_text("sweep: {gammas: [0, 1, '0.5']}\n")
+        assert sweep["gammas"] == [0.0, 1.0, 0.5]
 
 
 class TestWindowShorterThanClutterFilter:
@@ -411,7 +457,8 @@ class TestGoldenHash:
 
 
 # Every drawn value is valid for its field: numbers lie in (0, 1], which
-# holds ris_share and gain_exponent; the array has at least one element;
+# holds ris_share and gain_exponent; a sweep grid holds one to five
+# shares in [0, 1]; the array has at least one element;
 # each position has its own z range, so no two points coincide, and none
 # meets a default point (all at z = 1 m). A duration of at least 61 s
 # holds at least 61 pulses at any drawn interval (at most 1 s), so every
@@ -456,7 +503,7 @@ _BY_KIND = {
     "band": st.lists(_NUMBER, min_size=2, max_size=2, unique=True).map(sorted),
     "table": st.lists(st.tuples(st.floats(0, 90), _NUMBER),
                       max_size=4).map(_table),
-    "numbers": st.lists(_NUMBER, max_size=5),
+    "shares": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
 }
 
 
