@@ -7,9 +7,8 @@ from .beamform import (ConstraintPair, IllConditionedConstraints, Precoder,
                        split_precoder, split_scale, steering_correlation,
                        temporal_weights)
 from .channel import (ChannelModel, ChannelRealization, RicianSpec,
-                      RisConfig, build_ris_grid, channel_model, clutter_draw,
-                      los_channel, realize_channel, rician_draw,
-                      ris_focus_profile)
+                      RisConfig, build_ris_grid, channel_model, los_channel,
+                      realize_channel, ris_focus_profile)
 from .geometry import (ArrayConfig, GeometryError, PathAngles, Placement,
                        SteeringVector, angles_from_placement, ula_steering)
 from .physio import (DisplacementTrace, RcsModel, angle_gain, load_trace_csv,

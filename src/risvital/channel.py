@@ -70,10 +70,6 @@ class RisConfig:
             raise ChannelError(f"expected {n} phases, got {self.phases.shape}")
 
     @property
-    def element_count(self) -> int:
-        return self.rows * self.cols
-
-    @property
     def reflection(self) -> np.ndarray:
         """Unit-modulus reflection coefficient per element, (N,)."""
         return np.exp(1j * self.phases)
@@ -83,12 +79,12 @@ class RisConfig:
                          self.element_positions, phases)
 
 
-def build_ris_grid(center, normal, rows: int, cols: int, spacing: float,
-                   phases=None) -> RisConfig:
+def build_ris_grid(center, normal, rows: int, cols: int,
+                   spacing: float) -> RisConfig:
     """Lay out a rows x cols panel centred at `center` in the plane normal to `normal`.
 
     Columns run along the horizontal in-plane axis, rows along the in-plane
-    axis closest to vertical.
+    axis closest to vertical; every phase starts at zero.
     """
     center = np.asarray(center, dtype=float)
     normal = np.asarray(normal, dtype=float)
@@ -108,9 +104,7 @@ def build_ris_grid(center, normal, rows: int, cols: int, spacing: float,
     positions = (center
                  + rr.reshape(-1, 1) * spacing * row_axis
                  + cc.reshape(-1, 1) * spacing * col_axis)
-    if phases is None:
-        phases = np.zeros(rows * cols)
-    return RisConfig(rows, cols, spacing, positions, phases)
+    return RisConfig(rows, cols, spacing, positions, np.zeros(rows * cols))
 
 
 @dataclass(frozen=True)
@@ -198,18 +192,6 @@ def _clutter(strength: float, normals: np.ndarray, m: int) -> np.ndarray:
     return upper + np.triu(draw, 1).swapaxes(-1, -2)
 
 
-def rician_draw(spec: RicianSpec, rng_seed) -> np.ndarray:
-    """Draw sqrt(K/(K+1))*LoS + sqrt(1/(K+1))*nLoS, nLoS entries CN(0, 1).
-
-    A list of seeds gives one draw per seed on a leading axis.
-    """
-    batch, seeds = seed_list(rng_seed)
-    los = spec.los_component
-    draws = _rician(spec, _complex_normal(
-        standard_normals(seeds, (2 * los.size,)), los.shape))
-    return draws if batch else draws[0]
-
-
 def _friis_entry(dist: np.ndarray, wavelength: float) -> np.ndarray:
     if np.any(dist == 0):
         raise ChannelError("zero propagation distance")
@@ -232,16 +214,6 @@ def ris_focus_profile(p: Placement, ris: RisConfig, wavelength: float) -> np.nda
     d1 = np.linalg.norm(ris.element_positions - p.radar_position, axis=1)
     d2 = np.linalg.norm(ris.element_positions - p.target_position, axis=1)
     return np.mod(2.0 * np.pi * (d1 + d2) / wavelength, 2.0 * np.pi)
-
-
-def clutter_draw(strength: float, rng_seed, m: int) -> np.ndarray:
-    """Static symmetric clutter matrix with per-entry variance `strength`.
-
-    A list of seeds gives one (m, m) matrix per seed on a leading axis.
-    """
-    batch, seeds = seed_list(rng_seed)
-    draws = _clutter(strength, standard_normals(seeds, (2 * m * m,)), m)
-    return draws if batch else draws[0]
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,13 @@ section, which has no dataclass, keeps its defaults here.
 
 Every section is a mapping and unknown keys are rejected. Quantities carry
 unit suffixes ("7.15 GHz", "250 ms", "10 mW", "-3 dBm", "2 cm", "10 dB")
-or are finite bare SI numbers; counts are whole numbers; flags are YAML
-true/false; `clutter_window` is an odd count no longer than a window, or
-off; a `trace_file` holds exactly duration x slow-rate samples; the sweep's
-`gammas` are a non-empty list of shares in [0, 1]. Any
-violation, including the dataclasses' own checks, raises `ConfigError`.
+or are finite bare SI numbers; counts are whole numbers, and sizes (RIS
+rows and cols, fast-time samples, zero-pad factor) whole numbers >= 1; the
+radar has at least 2 elements; flags are YAML true/false; `clutter_window`
+is an odd count no longer than a window, or off; a `trace_file` holds
+exactly duration x slow-rate samples; the sweep's `gammas` are a non-empty
+list of shares in [0, 1]. Any violation, including the dataclasses' own
+checks, raises `ConfigError`.
 """
 
 import hashlib
@@ -77,11 +79,11 @@ def parse_quantity(value, kind: str, key: str = "") -> float:
     return magnitude * table[unit]
 
 
-def _count(value, key: str) -> int:
+def _count(value, key: str, least: int = 0) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    return _require(type(value) is int and value >= 0, value, key,
-                    "a whole number >= 0")
+    return _require(type(value) is int and value >= least, value, key,
+                    f"a whole number >= {least}")
 
 
 def _list(value, key: str, what: str, length=None):
@@ -120,6 +122,7 @@ _KINDS = {
        for kind in _UNIT_TABLES},
     "number": _number,
     "count": _count,
+    "size": lambda v, key: _count(v, key, 1),
     "flag": lambda v, key: _require(isinstance(v, bool), v, key,
                                     "true or false"),
     "text": lambda v, key: _require(isinstance(v, str), v, key, "a string"),
@@ -142,7 +145,7 @@ SCHEMA = {
         ("element_count", "element_count", "count"),
         ("carrier_frequency", "carrier_frequency", "frequency"),
         ("bandwidth", "bandwidth", "frequency"),
-        ("fast_time_samples", "fast_time_samples", "count"),
+        ("fast_time_samples", "fast_time_samples", "size"),
         ("pulse_repetition_interval", "pulse_repetition_interval", "time"),
         ("total_power", "total_power", "power"),
         ("noise_figure", "noise_figure_db", "db"),
@@ -150,8 +153,8 @@ SCHEMA = {
         ("element_spacing", "element_spacing", "length"),
     )),
     "ris": ("ris", RisPanel, (
-        ("rows", "rows", "count"),
-        ("cols", "cols", "count"),
+        ("rows", "rows", "size"),
+        ("cols", "cols", "size"),
         ("element_spacing", "element_spacing", "length"),
         ("phase_bits", "phase_bits", "count"),
     )),
@@ -181,7 +184,7 @@ SCHEMA = {
     )),
     "processing": ("processing", ProcessingConfig, (
         ("clutter_window", "clutter_window", "window"),
-        ("zero_pad_factor", "zero_pad_factor", "count"),
+        ("zero_pad_factor", "zero_pad_factor", "size"),
         ("band", "band", "band"),
         ("detrend", "detrend", "flag"),
     )),
@@ -239,7 +242,10 @@ def parse_config(doc: dict):
         scenario = Scenario(**built)
         # Build the derived models here so that their checks report as
         # config errors rather than at run time.
-        scenario.radar.array_config
+        radar = scenario.radar
+        radar.array_config
+        _require(radar.element_count >= 2, radar.element_count,
+                 "radar.element_count", "at least 2 elements to steer two paths")
         physio = scenario.physio
         for reflectivity in (physio.reflectivity_ris,
                              physio.reflectivity_direct):

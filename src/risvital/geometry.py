@@ -77,8 +77,7 @@ class Placement:
                    for name in self._FIELDS)
 
     def __post_init__(self):
-        for name in ("radar_position", "ris_center", "ris_normal",
-                     "target_position", "chest_normal"):
+        for name in self._FIELDS:
             object.__setattr__(self, name, _as_point(getattr(self, name)))
         for name in ("ris_normal", "chest_normal"):
             norm = np.linalg.norm(getattr(self, name))
@@ -98,7 +97,6 @@ class SteeringVector:
     """Unit-norm ULA response toward an azimuth."""
 
     entries: np.ndarray
-    angle: float
 
     def __post_init__(self):
         object.__setattr__(self, "entries",
@@ -123,7 +121,7 @@ def ula_steering(cfg: ArrayConfig, theta: float) -> SteeringVector:
     m = np.arange(cfg.element_count)
     phase = 2.0 * np.pi * m * cfg.spacing * np.sin(theta) / cfg.carrier_wavelength
     entries = np.exp(1j * phase) / np.sqrt(cfg.element_count)
-    return SteeringVector(entries=entries, angle=float(theta))
+    return SteeringVector(entries=entries)
 
 
 def _azimuth_from_broadside(origin: np.ndarray, point: np.ndarray) -> float:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import seed_list, standard_normals
+from .channel import standard_normals
 
 # Default attenuation exponent: cos^p law pinned to a gain of 0.1 at the
 # default scenario's oblique incidence of 78.75 degrees.
@@ -22,6 +22,7 @@ DEFAULT_GAIN_EXPONENT = float(np.log(0.1) / np.log(np.cos(_REFERENCE_ANGLE)))
 
 TRACE_HEADER = ["index", "front_radar_VS", "side_radar_VS"]
 _CM_PER_M = 100.0
+DISTORTION_BAND = (0.05, 0.7)  # Hz, where the RCS jitter lives
 
 
 class TraceError(ValueError):
@@ -38,7 +39,6 @@ class DisplacementTrace:
 
     samples: np.ndarray
     slow_rate: float
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "samples",
@@ -62,44 +62,37 @@ class DisplacementTrace:
 class RcsModel:
     """Chest reflectivity magnitude plus the incidence-angle response.
 
-    `angle_gain_model` is "parametric" (cos^exponent law) or "measured"
-    (linear interpolation of an (angle_deg, gain) table). The optional
-    distortion mode adds band-limited jitter whose level grows as the
-    angle gain falls, mimicking the loss of a usable breathing waveform
-    at oblique views; it is off unless `distortion_strength` > 0.
+    The table picks the law: a non-empty (angle_deg, gain) table is
+    interpolated linearly, and without one the gain is cos^exponent. The
+    optional distortion adds jitter in DISTORTION_BAND whose level grows
+    as the angle gain falls, mimicking the loss of a usable breathing
+    waveform at oblique views; it is off unless `distortion_strength` > 0.
     """
 
     reflectivity: float
-    angle_gain_model: str = "parametric"
     exponent: float = DEFAULT_GAIN_EXPONENT
     table: tuple = ()
     distortion_strength: float = 0.0
-    distortion_band: tuple = (0.05, 0.7)
 
     def __post_init__(self):
         if self.reflectivity < 0:
             raise ValueError("reflectivity must be >= 0")
-        if self.angle_gain_model not in ("parametric", "measured"):
-            raise ValueError(f"unknown angle gain model {self.angle_gain_model!r}")
-        if self.angle_gain_model == "measured":
+        if self.table:
             table = tuple((float(a), float(g)) for a, g in self.table)
             object.__setattr__(self, "table", table)
-            if not table:
-                raise ValueError("measured mode requires an (angle_deg, gain) table")
             angles = [a for a, _ in table]
             gains = [g for _, g in table]
             if angles != sorted(angles):
                 raise ValueError("table angles must be ascending")
             if any(g2 > g1 for g1, g2 in zip(gains, gains[1:])):
                 raise ValueError("table gains must be non-increasing")
-        else:
-            if self.exponent <= 0:
-                raise ValueError("exponent must be positive")
+        elif self.exponent <= 0:
+            raise ValueError("exponent must be positive")
 
 
 def synth_respiration(breath_rate: float, peak_to_peak: float, duration: float,
                       slow_rate: float, harmonics: int = 0, drift: float = 0.0,
-                      rng_seed=0, label: str = "synthetic") -> DisplacementTrace:
+                      rng_seed=0) -> DisplacementTrace:
     """Sinusoidal breathing trace with optional small harmonics and drift.
 
     Harmonic amplitudes and phases are drawn per seed, each at most 10% of
@@ -120,7 +113,7 @@ def synth_respiration(breath_rate: float, peak_to_peak: float, duration: float,
         d += h_amp * np.sin(2.0 * np.pi * k * breath_rate * t + h_phase)
     if drift:
         d += drift * t / duration
-    return DisplacementTrace(samples=d, slow_rate=slow_rate, label=label)
+    return DisplacementTrace(samples=d, slow_rate=slow_rate)
 
 
 def load_trace_csv(path, slow_rate: float = 4.0) -> list[DisplacementTrace]:
@@ -151,8 +144,7 @@ def load_trace_csv(path, slow_rate: float = 4.0) -> list[DisplacementTrace]:
     if not columns[0]:
         raise TraceError(f"{path}: no samples")
     return [DisplacementTrace(samples=np.asarray(col) / _CM_PER_M,
-                              slow_rate=slow_rate, label=name)
-            for name, col in zip(header[1:], columns)]
+                              slow_rate=slow_rate) for col in columns]
 
 
 def write_trace_csv(path, traces) -> None:
@@ -176,7 +168,7 @@ def angle_gain(model: RcsModel, incidence: float) -> float:
     """Displacement gain in [0, 1] for an incidence angle in [0, pi/2]."""
     if not 0.0 <= incidence <= np.pi / 2.0 + 1e-12:
         raise ValueError(f"incidence angle {incidence} rad outside [0, pi/2]")
-    if model.angle_gain_model == "measured":
+    if model.table:
         angles = np.array([a for a, _ in model.table])
         gains = np.array([g for _, g in model.table])
         return float(np.interp(np.degrees(incidence), angles, gains))
@@ -184,46 +176,43 @@ def angle_gain(model: RcsModel, incidence: float) -> float:
 
 
 def observed_displacement(model: RcsModel, trace: DisplacementTrace,
-                          incidence: float, rng_seed=0) -> DisplacementTrace:
+                          incidence: float, seeds: list) -> DisplacementTrace:
     """Displacement actually seen from an angle: attenuated, optionally distorted.
 
-    The jitter is white noise confined to the distortion band, scaled by the
-    lost fraction of the angle gain, so a frontal view stays clean. A list
-    of seeds gives one observation per seed on a leading axis, each drawn
-    exactly as that seed alone would draw it.
+    The jitter is white noise confined to DISTORTION_BAND, scaled by the
+    lost fraction of the angle gain, so a frontal view stays clean. Each
+    seed gives one observation on a leading (S, L) axis.
     """
-    batch, seeds = seed_list(rng_seed)
     gain = angle_gain(model, incidence)
     d = np.broadcast_to(gain * trace.samples, (len(seeds), len(trace)))
     if model.distortion_strength > 0.0 and gain < 1.0:
         white = standard_normals(seeds, (len(trace),))
         amp = np.max(np.abs(trace.samples)) if trace.samples.size else 0.0
         level = model.distortion_strength * (1.0 - gain) * amp
-        d = d + level * _bandlimited_noise(white, trace.slow_rate,
-                                           model.distortion_band)
-    return DisplacementTrace(samples=d if batch else d[0],
-                             slow_rate=trace.slow_rate, label=trace.label)
+        d = d + level * _bandlimited_noise(white, trace.slow_rate)
+    return DisplacementTrace(samples=d, slow_rate=trace.slow_rate)
 
 
-def _bandlimited_noise(white: np.ndarray, rate: float, band) -> np.ndarray:
-    """White rows restricted to [band[0], band[1]] Hz and scaled to unit RMS."""
+def _bandlimited_noise(white: np.ndarray, rate: float) -> np.ndarray:
+    """White rows restricted to DISTORTION_BAND and scaled to unit RMS."""
+    low, high = DISTORTION_BAND
     n = white.shape[-1]
     spectrum = np.fft.rfft(white)
     freqs = np.fft.rfftfreq(n, d=1.0 / rate)
-    spectrum[..., (freqs < band[0]) | (freqs > band[1])] = 0.0
+    spectrum[..., (freqs < low) | (freqs > high)] = 0.0
     noise = np.fft.irfft(spectrum, n)
     rms = np.sqrt(np.mean(noise ** 2, axis=-1, keepdims=True))
     return noise / np.where(rms > 0, rms, 1.0)
 
 
 def rcs_series(model: RcsModel, trace: DisplacementTrace, incidence: float,
-               wavelength: float, rng_seed=0) -> np.ndarray:
+               wavelength: float, seeds: list) -> np.ndarray:
     """Complex reflectivity per slow-time sample, Doppler-phase modulated.
 
     The displacement enters the phase at 4*pi/lambda: the echo travels the
-    chest offset twice, matching the 1/2 that the demodulator applies. A
-    list of seeds gives an (S, L) array, one row per seed.
+    chest offset twice, matching the 1/2 that the demodulator applies.
+    Each seed gives one row of the (S, L) result.
     """
-    observed = observed_displacement(model, trace, incidence, rng_seed)
+    observed = observed_displacement(model, trace, incidence, seeds)
     return model.reflectivity * np.exp(
         1j * 4.0 * np.pi * observed.samples / wavelength)

@@ -31,9 +31,9 @@ import numpy as np
 
 from . import sigproc
 from .beamform import split_precoder
-from .channel import (ChannelModel, ChannelRealization, RisConfig,
-                      build_ris_grid, channel_model, ris_focus_profile,
-                      seed_list, standard_normals)
+from .channel import (ChannelModel, RisConfig, build_ris_grid,
+                      channel_model, ris_focus_profile, seed_list,
+                      standard_normals)
 from .geometry import (SPEED_OF_LIGHT, ArrayConfig, PathAngles, Placement,
                        angles_from_placement, ula_steering)
 from .physio import DisplacementTrace, RcsModel, load_trace_csv, rcs_series, \
@@ -49,16 +49,8 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    return 10.0 * np.log10(x)
-
-
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) * 1e-3
-
-
-def watts_to_dbm(watts: float) -> float:
-    return 10.0 * np.log10(watts * 1e3)
 
 
 @dataclass(frozen=True)
@@ -198,15 +190,10 @@ class Scenario:
 
     def rcs_model(self, reflectivity: float) -> RcsModel:
         p = self.physio
-        if p.gain_table:
-            return RcsModel(reflectivity, angle_gain_model="measured",
-                            table=p.gain_table,
-                            distortion_strength=p.distortion_strength)
-        kwargs = {}
-        if p.gain_exponent is not None:
-            kwargs["exponent"] = p.gain_exponent
-        return RcsModel(reflectivity, distortion_strength=p.distortion_strength,
-                        **kwargs)
+        kwargs = {} if p.gain_exponent is None \
+            else {"exponent": p.gain_exponent}
+        return RcsModel(reflectivity, table=p.gain_table,
+                        distortion_strength=p.distortion_strength, **kwargs)
 
     def ris_config(self) -> RisConfig:
         spacing = (self.ris.element_spacing if self.ris.element_spacing
@@ -268,7 +255,6 @@ class RunResult:
 
     record: SlowTimeRecord
     estimates: dict          # path label -> VitalSignEstimate
-    channel: ChannelRealization
     gamma_ris: float | None = None
 
 
@@ -333,9 +319,9 @@ def _simulate(scn: Scenario, schedule: np.ndarray, seed):
     channel = st.channel.draw(ch_seeds if batch else ch_seeds[0])
     lam = scn.radar.wavelength
     alpha = rcs_series(st.rcs_ris, trace, st.angles.chest_incidence_ris,
-                       lam, rng_seed=ris_seeds)
+                       lam, ris_seeds)
     beta = rcs_series(st.rcs_direct, trace, st.angles.chest_incidence_direct,
-                      lam, rng_seed=direct_seeds)
+                      lam, direct_seeds)
     v_ris, h_d = channel.ris_cascade, channel.h_D
     # (..., 1, M) @ (M, L) keeps each seed's vector product bit-identical
     # to a lone run; an (S, M) @ (M, L) product rounds differently. The sum
@@ -386,14 +372,13 @@ def extract_vital_signs(scn: Scenario, record: SlowTimeRecord,
             continue
         displacement = phase_demodulate(series, scn.radar.wavelength,
                                         scn.radar.slow_rate,
-                                        detrend=proc.detrend, label=label)
+                                        detrend=proc.detrend)
         # common frequency grid across branches: slot subsets are padded to
         # the full acquisition length so peak locations stay comparable
         spectrum = power_spectrum(displacement, proc.zero_pad_factor,
                                   n_fft=proc.zero_pad_factor * samples.shape[-1])
         estimates[label] = VitalSignEstimate(
-            displacement, spectrum, *peak_quality(spectrum, proc.band),
-            path_label=label)
+            displacement, spectrum, *peak_quality(spectrum, proc.band))
     return estimates
 
 

@@ -35,10 +35,6 @@ class Waveform:
                            np.asarray(self.samples, dtype=complex))
 
     @property
-    def k_fast(self) -> int:
-        return self.samples.size
-
-    @property
     def energy(self) -> float:
         return float(np.sum(np.abs(self.samples) ** 2))
 
@@ -90,14 +86,13 @@ class VitalSignEstimate:
     spectrum: Spectrum
     peak_freq: float | np.ndarray
     peak_prominence_db: float | np.ndarray
-    path_label: str
 
 
-def make_waveform(f0: float, fs: float, k_fast: int) -> Waveform:
+def make_waveform(f0: float, fs: float, n_samples: int) -> Waveform:
     """Unit-power pulsed sinusoid sqrt(2)*cos(2*pi*f0*k/fs), k = 0..K-1."""
     if not 0 < f0 < fs / 2.0:
         raise SignalError(f"tone frequency {f0} Hz aliases at fs = {fs} Hz")
-    k = np.arange(k_fast)
+    k = np.arange(n_samples)
     return Waveform(f0=f0, fs=fs,
                     samples=np.sqrt(2.0) * np.cos(2.0 * np.pi * f0 * k / fs))
 
@@ -162,7 +157,7 @@ def separate_paths(record: np.ndarray, w_direct: np.ndarray,
 
 
 def phase_demodulate(r: np.ndarray, wavelength: float, slow_rate: float,
-                     detrend: bool = True, label: str = "") -> DisplacementTrace:
+                     detrend: bool = True) -> DisplacementTrace:
     """Unwrapped slow-time phase converted to displacement d = (lambda/(4*pi)) * phi.
 
     The half compensates the round trip. `detrend` removes the least-squares
@@ -182,7 +177,7 @@ def phase_demodulate(r: np.ndarray, wavelength: float, slow_rate: float,
                 for row in phi.reshape(-1, l_idx.size)]
         phi = phi - np.reshape(fits, phi.shape)
     return DisplacementTrace(samples=0.5 * wavelength / (2.0 * np.pi) * phi,
-                             slow_rate=slow_rate, label=label)
+                             slow_rate=slow_rate)
 
 
 def power_spectrum(trace: DisplacementTrace, zero_pad_factor: int = 4,

@@ -55,7 +55,6 @@ class StrategyConfig:
 class LoopState:
     """Mutable state carried across acquisition windows."""
 
-    mode: str
     gamma_ris: float = 0.5
     active_path: str | None = None
     below_threshold_count: int = 0
@@ -112,11 +111,11 @@ def evaluate_and_update(state: LoopState, est_direct: VitalSignEstimate,
     threshold = strategy.prominence_threshold_db
     state.needs_position_fix = (prom["direct"] < threshold
                                 and prom["ris"] < threshold)
-    if state.mode == "spatial":
+    if strategy.kind == "spatial":
         step = strategy.adaptation_step * np.sign(prom["ris"] - prom["direct"])
         state.gamma_ris = float(np.clip(state.gamma_ris + step, 0.05, 0.95))
         return state
-    if state.mode == "opportunistic":
+    if strategy.kind == "opportunistic":
         if state.active_path is None:
             state.active_path = max(prom, key=prom.get)
             state.below_threshold_count = 0
@@ -140,25 +139,24 @@ def _plan(scn: Scenario, strategy: StrategyConfig):
 def _run_batch(scn: Scenario, seeds, plan):
     """One window per seed under one transmit plan, as one array pass.
 
-    Returns (record, estimates, channel) as `simulate_acquisition` and
+    Returns (record, estimates) as `simulate_acquisition` and
     `extract_vital_signs` give them: with a leading seed axis for a list
     of seeds, plain for one seed.
     """
     schedule, slots_direct, slots_ris = plan
-    record, channel = simulate_acquisition(scn, schedule, seeds)
+    record, _ = simulate_acquisition(scn, schedule, seeds)
     estimates = extract_vital_signs(scn, record, *scn.static.rx_weights,
                                     slots_direct=slots_direct,
                                     slots_ris=slots_ris)
-    return record, estimates, channel
+    return record, estimates
 
 
 def run_once(scn: Scenario, strategy: StrategyConfig, seed) -> RunResult:
     """One acquisition window under a strategy, extracted on both paths."""
-    record, estimates, channel = _run_batch(scn, seed, _plan(scn, strategy))
+    record, estimates = _run_batch(scn, seed, _plan(scn, strategy))
     gamma = strategy.ris_share if strategy.kind in ("spatial", "temporal") \
         else None
-    return RunResult(record=record, estimates=estimates, channel=channel,
-                     gamma_ris=gamma)
+    return RunResult(record=record, estimates=estimates, gamma_ris=gamma)
 
 
 def gamma_sweep(scn: Scenario, kind: str, gamma_grid, seeds) -> list[dict]:
@@ -184,7 +182,7 @@ def gamma_sweep(scn: Scenario, kind: str, gamma_grid, seeds) -> list[dict]:
         plan = _plan(scn, StrategyConfig(kind=kind, ris_share=float(gamma)))
         for start in range(0, len(seeds), SEED_CHUNK):
             chunk = seeds[start:start + SEED_CHUNK]
-            _, estimates, _ = _run_batch(scn, chunk, plan)
+            _, estimates = _run_batch(scn, chunk, plan)
             for i, seed in enumerate(chunk):
                 for path in ("direct", "ris"):
                     est = estimates[path]
@@ -204,7 +202,6 @@ class WindowLog:
     window: int
     strategy: str
     gamma_ris: float | None
-    active_path: str | None
     estimates: dict
     state: LoopState
 
@@ -212,8 +209,8 @@ class WindowLog:
         entry = {"window": self.window, "strategy": self.strategy}
         if self.gamma_ris is not None:
             entry["gamma_ris"] = round(self.gamma_ris, 6)
-        if self.active_path is not None:
-            entry["active_path"] = self.active_path
+        if self.state.active_path is not None:
+            entry["active_path"] = self.state.active_path
         for label, est in sorted(self.estimates.items()):
             if est is None:
                 continue
@@ -256,7 +253,7 @@ def run_closed_loop(scn: Scenario, strategy: StrategyConfig, n_windows: int,
     unless `ideal` fixes the known-best path), and each window's quality
     scores update the allocation for the next one.
     """
-    state = LoopState(mode=strategy.kind, gamma_ris=strategy.ris_share)
+    state = LoopState(gamma_ris=strategy.ris_share)
     if strategy.kind == "opportunistic":
         init = strategy.initial_path
         if strategy.ideal:
@@ -279,7 +276,6 @@ def run_closed_loop(scn: Scenario, strategy: StrategyConfig, n_windows: int,
             state.theta_direct_estimate = estimate_position(scn, fix_seed)
         logs.append(WindowLog(window=idx, strategy=strategy.kind,
                               gamma_ris=result.gamma_ris,
-                              active_path=state.active_path,
                               estimates=result.estimates,
                               state=replace(state)))
     return logs

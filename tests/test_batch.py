@@ -38,8 +38,7 @@ def seed_row(estimates: dict, i: int) -> dict:
     return {label: est and VitalSignEstimate(
                 replace(est.displacement, samples=est.displacement.samples[i]),
                 replace(est.spectrum, power=est.spectrum.power[i]),
-                float(est.peak_freq[i]), float(est.peak_prominence_db[i]),
-                est.path_label)
+                float(est.peak_freq[i]), float(est.peak_prominence_db[i]))
             for label, est in estimates.items()}
 
 

@@ -6,27 +6,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risvital.channel import (ChannelError, ChannelRealization, RicianSpec,
-                              build_ris_grid, channel_model, clutter_draw,
-                              los_channel, rician_draw, ris_focus_profile)
+from risvital.channel import (ChannelError, ChannelModel, ChannelRealization,
+                              RicianSpec, build_ris_grid, channel_model,
+                              los_channel, ris_focus_profile)
 from risvital.geometry import ArrayConfig, ula_steering
 from risvital.scenario import Scenario, db_to_linear, simulate_acquisition
 
 WAVELENGTH = 299792458.0 / 7.15e9
 
 
+def unit_model(k_factor, h_i, clutter_strength=0.0):
+    """A ChannelModel with unit scales around the (M, N) LoS matrix `h_i`."""
+    m, n = h_i.shape
+    specs = (RicianSpec(k_factor, h_i), RicianSpec(k_factor, np.ones(n)),
+             RicianSpec(k_factor, np.ones(m)))
+    return ChannelModel(specs, (1.0, 1.0, 1.0), np.ones(n, dtype=complex),
+                        clutter_strength)
+
+
 class TestRicianDraw:
     def test_huge_k_returns_los(self):
         los = np.array([[1 + 2j, -0.5j], [0.25, 1.0]])
-        out = rician_draw(RicianSpec(1e12, los), rng_seed=0)
+        out = unit_model(1e12, los).draw(0).H_I
         # nLoS weight sqrt(1/(K+1)) = 1e-6; allow a few sigma of that scale
         npt.assert_allclose(out, los, rtol=1e-6, atol=5e-6)
-        out_inf = rician_draw(RicianSpec(np.inf, los), rng_seed=0)
+        out_inf = unit_model(np.inf, los).draw(0).H_I
         npt.assert_array_equal(out_inf, los)
 
     def test_k_zero_unit_variance(self):
-        los = np.ones((2,), dtype=complex)
-        draws = rician_draw(RicianSpec(0.0, los), list(range(100_000)))
+        los = np.ones((1, 2), dtype=complex)
+        draws = unit_model(0.0, los).draw(list(range(100_000))).H_I[:, 0]
         var = np.var(draws, axis=0)  # nLoS only: per-entry variance 1
         npt.assert_allclose(var, 1.0, rtol=0.03)
 
@@ -39,15 +48,15 @@ class TestRicianDraw:
         k = 2.0
         los = np.array([1.5 - 0.5j, -1.0 + 0.25j])
         n = 100_000
-        draws = rician_draw(RicianSpec(k, los), list(range(n)))
+        draws = unit_model(k, los[None, :]).draw(list(range(n))).H_I[:, 0]
         mean = draws.mean(axis=0)
         sem = np.sqrt(1.0 / (k + 1.0) / n)  # std error per complex entry
         err = np.abs(mean - np.sqrt(k / (k + 1.0)) * los)
         assert np.all(err < 3.0 * sem * np.sqrt(2))
 
     def test_deterministic_per_seed(self):
-        spec = RicianSpec(3.0, np.ones((3, 4), dtype=complex))
-        npt.assert_array_equal(rician_draw(spec, 42), rician_draw(spec, 42))
+        model = unit_model(3.0, np.ones((3, 4), dtype=complex))
+        npt.assert_array_equal(model.draw(42).H_I, model.draw(42).H_I)
 
     def test_negative_k_rejected(self):
         with pytest.raises(ChannelError):
@@ -201,32 +210,38 @@ class TestAssembleEndToEnd:
                                ch.reflection)
 
 
+def drawn_clutter(strength, rng_seed, m):
+    """The (m, m) clutter of a draw, or its stack for a list of seeds."""
+    return unit_model(0.0, np.ones((m, 1)), strength).draw(rng_seed).H_C
+
+
 class TestClutterDraw:
     def test_zero_strength(self):
-        npt.assert_array_equal(clutter_draw(0.0, 0, 4), np.zeros((4, 4)))
+        npt.assert_array_equal(drawn_clutter(0.0, 0, 4), np.zeros((4, 4)))
 
     def test_per_entry_variance(self):
         strength = 0.5
-        draws = clutter_draw(strength, list(range(100_000)), 2)
+        draws = drawn_clutter(strength, list(range(100_000)), 2)
         var = np.var(draws, axis=0)
         npt.assert_allclose(var, strength, rtol=0.03)
 
     def test_same_seed_identical(self):
-        npt.assert_array_equal(clutter_draw(1.0, 9, 5), clutter_draw(1.0, 9, 5))
+        npt.assert_array_equal(drawn_clutter(1.0, 9, 5),
+                               drawn_clutter(1.0, 9, 5))
 
     def test_symmetric(self):
-        h_c = clutter_draw(1.0, 3, 6)
+        h_c = drawn_clutter(1.0, 3, 6)
         npt.assert_array_equal(h_c, h_c.T)
 
     def test_negative_strength_rejected(self):
         with pytest.raises(ChannelError):
-            clutter_draw(-0.1, 0, 3)
+            drawn_clutter(-0.1, 0, 3)
 
 
 class TestRisConfig:
     def test_reflection_unit_modulus(self):
-        panel = build_ris_grid([0, 2, 0], [0, -1, 0], 3, 4, 0.02,
-                               phases=np.linspace(0, 5, 12))
+        panel = build_ris_grid([0, 2, 0], [0, -1, 0], 3, 4, 0.02).with_phases(
+            np.linspace(0, 5, 12))
         gamma = panel.reflection
         assert gamma.shape == (12,)
         npt.assert_allclose(np.abs(gamma), 1.0, atol=1e-15)
@@ -299,12 +314,6 @@ class TestDrawEngine:
                 assert _same_bits(getattr(lone, name), want), name
                 assert _same_bits(getattr(stacked, name)[i], want), name
             assert _same_bits(stacked.ris_cascade[i], lone.ris_cascade)
-        spec = model.specs[1]
-        rows = rician_draw(spec, seeds)
-        walls = clutter_draw(clutter, seeds, 3)
-        for i, seed in enumerate(seeds):
-            assert _same_bits(rows[i], rician_draw(spec, seed))
-            assert _same_bits(walls[i], clutter_draw(clutter, seed, 3))
 
     @settings(max_examples=30, deadline=None)
     @given(seeds=SEED_LISTS, name=st.sampled_from(COMPONENTS),

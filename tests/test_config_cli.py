@@ -135,10 +135,10 @@ class TestCliAcquire:
         assert code == 0
         names = sorted(p.name for p in out.iterdir())
         expected = []
-        for path_label in ("direct", "ris"):
+        for path in ("direct", "ris"):
             for domain in ("displacement", "spectrum"):
-                expected += [f"{path_label}_{domain}.csv",
-                             f"{path_label}_{domain}.csv.meta.json"]
+                expected += [f"{path}_{domain}.csv",
+                             f"{path}_{domain}.csv.meta.json"]
         assert names == sorted(expected)
         disp = (out / "ris_displacement.csv").read_text().splitlines()
         assert disp[0] == "time_s,displacement_m"
@@ -352,12 +352,18 @@ class TestStrictValues:
         ({"processing": {"band": ["0.7 Hz", "0.05 Hz"]}}, "low < high"),
         ({"radar": {1: 2}}, "unknown keys"),
         ({"radar": {"element_count": 0}}, "element_count must be >= 1"),
+        ({"radar": {"element_count": 1}}, "at least 2 elements"),
+        ({"ris": {"rows": 0}}, "rows: expected a whole number >= 1"),
+        ({"ris": {"cols": 0}}, "cols: expected a whole number >= 1"),
+        ({"radar": {"fast_time_samples": 0}}, "whole number >= 1"),
+        ({"processing": {"zero_pad_factor": 0}}, "whole number >= 1"),
     ])
     def test_rejected(self, doc, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(doc)
 
-    @pytest.mark.parametrize("text", ["radar:\n", "strategy:\n  kind: bogus\n"])
+    @pytest.mark.parametrize("text", ["radar:\n", "strategy:\n  kind: bogus\n",
+                                      "ris: {rows: 0}\n"])
     def test_rejected_through_cli(self, tmp_path, capsys, text):
         cfg = tmp_path / "scenario.yaml"
         cfg.write_text(text)
@@ -458,7 +464,8 @@ class TestGoldenHash:
 
 # Every drawn value is valid for its field: numbers lie in (0, 1], which
 # holds ris_share and gain_exponent; a sweep grid holds one to five
-# shares in [0, 1]; the array has at least one element;
+# shares in [0, 1]; the array has at least two elements and every size
+# is at least one;
 # each position has its own z range, so no two points coincide, and none
 # meets a default point (all at z = 1 m). A duration of at least 61 s
 # holds at least 61 pulses at any drawn interval (at most 1 s), so every
@@ -483,7 +490,7 @@ def _table(rows):
 
 
 _BY_KEY = {
-    "element_count": st.integers(1, 64),
+    "element_count": st.integers(2, 64),
     "kind": st.sampled_from(STRATEGY_KINDS),
     "initial_path": st.sampled_from(["direct", "ris"]),
     "duration": st.one_of(st.floats(61.0, 120.0),
@@ -497,6 +504,7 @@ _BY_KIND = {
        for kind, unit in _UNIT.items()},
     "number": _NUMBER,
     "count": st.integers(0, 64),
+    "size": st.integers(1, 64),
     "flag": st.booleans(),
     "window": st.one_of(st.sampled_from([None, "off", False]),
                         st.integers(1, 30).map(lambda n: 2 * n + 1)),

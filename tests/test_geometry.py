@@ -66,7 +66,7 @@ class TestConfigValidation:
 
     def test_steering_vector_norm_checked(self):
         with pytest.raises(GeometryError):
-            SteeringVector(entries=np.array([1.0, 1.0]), angle=0.0)
+            SteeringVector(entries=np.array([1.0, 1.0]))
 
     def test_element_positions_centred(self):
         cfg = ArrayConfig(5, 0.02, 0.04)

@@ -45,8 +45,8 @@ class TestSynthRespiration:
 class TestTraceCsv:
     def test_two_column_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
-        front = DisplacementTrace(rng.normal(0, 0.01, 100), 4.0, "front_radar_VS")
-        side = DisplacementTrace(rng.normal(0, 0.01, 100), 4.0, "side_radar_VS")
+        front = DisplacementTrace(rng.normal(0, 0.01, 100), 4.0)
+        side = DisplacementTrace(rng.normal(0, 0.01, 100), 4.0)
         path = tmp_path / "traces.csv"
         write_trace_csv(path, [front, side])
         loaded = load_trace_csv(path, slow_rate=4.0)
@@ -114,29 +114,27 @@ class TestAngleGain:
             angle_gain(self.model, -0.1)
 
     def test_measured_table_interpolation(self):
-        model = RcsModel(1.0, angle_gain_model="measured",
-                         table=((0.0, 1.0), (45.0, 0.5), (90.0, 0.0)))
+        model = RcsModel(1.0, table=((0.0, 1.0), (45.0, 0.5), (90.0, 0.0)))
         assert angle_gain(model, np.radians(22.5)) == pytest.approx(0.75)
         assert angle_gain(model, 0.0) == 1.0
 
     def test_measured_table_must_be_monotone(self):
         with pytest.raises(ValueError):
-            RcsModel(1.0, angle_gain_model="measured",
-                     table=((0.0, 0.5), (45.0, 0.9)))
+            RcsModel(1.0, table=((0.0, 0.5), (45.0, 0.9)))
 
 
 class TestRcsSeries:
     def test_static_chest_constant_reflectivity(self):
         model = RcsModel(reflectivity=0.37)
         trace = DisplacementTrace(np.zeros(50), 4.0)
-        series = rcs_series(model, trace, 0.0, WAVELENGTH)
+        series = rcs_series(model, trace, 0.0, WAVELENGTH, [0])[0]
         npt.assert_allclose(series, 0.37, atol=1e-15)
 
     def test_quarter_wavelength_round_trip_phase(self):
         # the echo travels the displacement twice: lambda/4 offset -> pi
         model = RcsModel(reflectivity=1.0)
         trace = DisplacementTrace(np.array([0.0, WAVELENGTH / 4]), 4.0)
-        series = rcs_series(model, trace, 0.0, WAVELENGTH)
+        series = rcs_series(model, trace, 0.0, WAVELENGTH, [0])[0]
         assert np.angle(series[1]) == pytest.approx(np.pi, abs=1e-9) or \
             np.angle(series[1]) == pytest.approx(-np.pi, abs=1e-9)
         assert np.angle(series[0]) == pytest.approx(0.0, abs=1e-12)
@@ -144,14 +142,14 @@ class TestRcsSeries:
     def test_constant_magnitude(self):
         model = RcsModel(reflectivity=2.5)
         trace = synth_respiration(0.133, 0.02, 30.0, 4.0)
-        series = rcs_series(model, trace, np.radians(30), WAVELENGTH)
+        series = rcs_series(model, trace, np.radians(30), WAVELENGTH, [0])[0]
         npt.assert_allclose(np.abs(series), 2.5, atol=1e-12)
 
     def test_excursion_ratio_tracks_gain_ratio(self):
         model = RcsModel(reflectivity=1.0)
         trace = synth_respiration(0.133, 0.004, 30.0, 4.0)  # small: no wrap
         def excursion(theta):
-            series = rcs_series(model, trace, theta, WAVELENGTH)
+            series = rcs_series(model, trace, theta, WAVELENGTH, [0])[0]
             phase = np.unwrap(np.angle(series))
             return phase.max() - phase.min()
         ratio = excursion(np.radians(78.75)) / excursion(np.radians(11.25))
@@ -164,24 +162,24 @@ class TestObservedDisplacement:
     def test_no_distortion_is_pure_scaling(self):
         model = RcsModel(reflectivity=1.0)
         trace = synth_respiration(0.2, 0.02, 30.0, 4.0)
-        seen = observed_displacement(model, trace, np.radians(60.0))
+        seen = observed_displacement(model, trace, np.radians(60.0), [0])
         gain = angle_gain(model, np.radians(60.0))
-        npt.assert_allclose(seen.samples, gain * trace.samples, atol=1e-15)
+        npt.assert_allclose(seen.samples[0], gain * trace.samples, atol=1e-15)
 
     def test_frontal_view_immune_to_distortion(self):
         model = RcsModel(reflectivity=1.0, distortion_strength=1.0)
         trace = synth_respiration(0.2, 0.02, 30.0, 4.0)
-        seen = observed_displacement(model, trace, 0.0, rng_seed=3)
-        npt.assert_allclose(seen.samples, trace.samples, atol=1e-15)
+        seen = observed_displacement(model, trace, 0.0, [3])
+        npt.assert_allclose(seen.samples[0], trace.samples, atol=1e-15)
 
     def test_oblique_view_distorted_and_deterministic(self):
         model = RcsModel(reflectivity=1.0, distortion_strength=0.5)
         trace = synth_respiration(0.2, 0.02, 30.0, 4.0)
-        a = observed_displacement(model, trace, np.radians(78.75), rng_seed=3)
-        b = observed_displacement(model, trace, np.radians(78.75), rng_seed=3)
+        a = observed_displacement(model, trace, np.radians(78.75), [3])
+        b = observed_displacement(model, trace, np.radians(78.75), [3])
         npt.assert_array_equal(a.samples, b.samples)
         gain = angle_gain(model, np.radians(78.75))
-        jitter = a.samples - gain * trace.samples
+        jitter = a.samples[0] - gain * trace.samples
         level = 0.5 * (1 - gain) * np.max(np.abs(trace.samples))
         assert np.sqrt(np.mean(jitter ** 2)) == pytest.approx(level, rel=1e-9)
 

@@ -322,7 +322,7 @@ class TestEndToEndIdentity:
         model = RcsModel(reflectivity=1.0)
         trace = synth_respiration(0.133, 0.02, 60.0, 4.0)
         theta = np.radians(40.0)
-        series = rcs_series(model, trace, theta, WAVELENGTH)
+        series = rcs_series(model, trace, theta, WAVELENGTH, [0])[0]
         wf = make_waveform(8e6, 32e6, 64)
         slow = np.array([matched_filter(s * wf.samples, wf) for s in series])
         out = phase_demodulate(slow, WAVELENGTH, 4.0, detrend=False)

@@ -13,11 +13,11 @@ from risvital.strategy import (LoopState, StrategyConfig, evaluate_and_update,
                                run_closed_loop, run_once, temporal_slots)
 
 
-def fake_estimate(prominence_db, peak=0.133, label="ris"):
+def fake_estimate(prominence_db, peak=0.133):
     return VitalSignEstimate(
-        displacement=DisplacementTrace(np.zeros(16) + 1e-6, 4.0, label),
+        displacement=DisplacementTrace(np.zeros(16) + 1e-6, 4.0),
         spectrum=Spectrum(np.linspace(0, 2, 9), np.ones(9)),
-        peak_freq=peak, peak_prominence_db=prominence_db, path_label=label)
+        peak_freq=peak, peak_prominence_db=prominence_db)
 
 
 class TestPlanTransmissions:
@@ -104,74 +104,74 @@ class TestTemporalSlots:
 
 class TestEvaluateAndUpdate:
     def test_spatial_share_moves_toward_better_path(self):
-        state = LoopState(mode="spatial", gamma_ris=0.5)
+        state = LoopState(gamma_ris=0.5)
         cfg = StrategyConfig(kind="spatial")
-        out = evaluate_and_update(state, fake_estimate(2.0, label="direct"),
+        out = evaluate_and_update(state, fake_estimate(2.0),
                                   fake_estimate(13.0), cfg)
         assert out.gamma_ris == pytest.approx(0.6)
 
     def test_equal_prominence_keeps_state(self):
-        state = LoopState(mode="spatial", gamma_ris=0.5)
+        state = LoopState(gamma_ris=0.5)
         cfg = StrategyConfig(kind="spatial")
-        out = evaluate_and_update(state, fake_estimate(8.0, label="direct"),
+        out = evaluate_and_update(state, fake_estimate(8.0),
                                   fake_estimate(8.0), cfg)
         assert out.gamma_ris == pytest.approx(0.5)
 
     def test_share_clipped_to_band(self):
         cfg = StrategyConfig(kind="spatial")
-        state = LoopState(mode="spatial", gamma_ris=0.9)
+        state = LoopState(gamma_ris=0.9)
         for _ in range(5):
             state = evaluate_and_update(
-                state, fake_estimate(2.0, label="direct"),
+                state, fake_estimate(2.0),
                 fake_estimate(13.0), cfg)
         assert state.gamma_ris == pytest.approx(0.95)
         for _ in range(20):
             state = evaluate_and_update(
-                state, fake_estimate(13.0, label="direct"),
+                state, fake_estimate(13.0),
                 fake_estimate(2.0), cfg)
         assert state.gamma_ris == pytest.approx(0.05)
 
     def test_both_paths_weak_flags_position_fix(self):
-        state = LoopState(mode="spatial", gamma_ris=0.5)
+        state = LoopState(gamma_ris=0.5)
         cfg = StrategyConfig(kind="spatial")
-        out = evaluate_and_update(state, fake_estimate(1.0, label="direct"),
+        out = evaluate_and_update(state, fake_estimate(1.0),
                                   fake_estimate(1.0), cfg)
         assert out.needs_position_fix
 
     def test_opportunistic_hysteresis(self):
         cfg = StrategyConfig(kind="opportunistic", prominence_threshold_db=6.0,
                              hysteresis_windows=2)
-        state = LoopState(mode="opportunistic", active_path="ris")
+        state = LoopState(active_path="ris")
         # one bad window: no switch yet
-        state = evaluate_and_update(state, fake_estimate(20.0, label="direct"),
+        state = evaluate_and_update(state, fake_estimate(20.0),
                                     fake_estimate(3.0), cfg)
         assert state.active_path == "ris"
         # second consecutive bad window: switch and reset the counter
-        state = evaluate_and_update(state, fake_estimate(20.0, label="direct"),
+        state = evaluate_and_update(state, fake_estimate(20.0),
                                     fake_estimate(3.0), cfg)
         assert state.active_path == "direct"
         assert state.below_threshold_count == 0
 
     def test_recovery_resets_counter(self):
         cfg = StrategyConfig(kind="opportunistic")
-        state = LoopState(mode="opportunistic", active_path="ris")
-        state = evaluate_and_update(state, fake_estimate(5.0, label="direct"),
+        state = LoopState(active_path="ris")
+        state = evaluate_and_update(state, fake_estimate(5.0),
                                     fake_estimate(3.0), cfg)
-        state = evaluate_and_update(state, fake_estimate(5.0, label="direct"),
+        state = evaluate_and_update(state, fake_estimate(5.0),
                                     fake_estimate(20.0), cfg)
-        state = evaluate_and_update(state, fake_estimate(5.0, label="direct"),
+        state = evaluate_and_update(state, fake_estimate(5.0),
                                     fake_estimate(3.0), cfg)
         assert state.active_path == "ris"  # never two consecutive lows
 
     def test_no_chattering(self):
         # switches must be separated by at least the hysteresis depth
         cfg = StrategyConfig(kind="opportunistic", hysteresis_windows=2)
-        state = LoopState(mode="opportunistic", active_path="ris")
+        state = LoopState(active_path="ris")
         switches = []
         for window in range(8):
             before = state.active_path
             state = evaluate_and_update(
-                state, fake_estimate(1.0, label="direct"), fake_estimate(1.0),
+                state, fake_estimate(1.0), fake_estimate(1.0),
                 cfg)
             if state.active_path != before:
                 switches.append(window)
@@ -284,7 +284,7 @@ class TestClosedLoop:
         scn = noiseless(Scenario())
         logs = run_closed_loop(scn, StrategyConfig(kind="opportunistic",
                                                    ideal=True), 2, seed=1)
-        assert logs[0].active_path == "ris"
+        assert logs[0].state.active_path == "ris"
         assert logs[0].gamma_ris is None
 
 
