@@ -15,9 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cli
-from .beamform import (ConstraintPair, min_norm_precoder,
-                       min_power_closed_form, split_precoder,
-                       steering_correlation)
+from .beamform import (min_norm_precoder, min_power_closed_form,
+                       split_precoder, steering_correlation)
 from .geometry import ArrayConfig, ula_steering
 from .scenario import ProcessingConfig, Scenario, noiseless
 from .sigproc import (Spectrum, clutter_filter, moving_average_response,
@@ -34,15 +33,15 @@ class CriterionResult:
     runtime_s: float
 
 
-def _steering_entries(m: int, theta: float) -> np.ndarray:
-    return ula_steering(ArrayConfig.half_wavelength(m, 1.0), theta).entries
+def _steering(m: int, theta: float) -> np.ndarray:
+    return ula_steering(ArrayConfig.half_wavelength(m, 1.0), theta)
 
 
 def _random_pair(rng: np.random.Generator, m: int = 5, max_corr: float = 0.99):
     """Random steering pair with |a_c| below the requested ceiling."""
     while True:
         t1, t2 = rng.uniform(-np.pi / 2, np.pi / 2, size=2)
-        a1, a2 = _steering_entries(m, t1), _steering_entries(m, t2)
+        a1, a2 = _steering(m, t1), _steering(m, t2)
         if abs(steering_correlation(a1, a2)) <= max_corr:
             return a1, a2
 
@@ -55,7 +54,7 @@ def criterion_1_constraints() -> CriterionResult:
     for _ in range(1000):
         a1, a2 = _random_pair(rng)
         g1, g2 = rng.uniform(0.05, 2.0, size=2)
-        w = min_norm_precoder(ConstraintPair(a1, a2, g1, g2)).weights
+        w = min_norm_precoder(a1, a2, g1, g2).weights
         worst = max(worst,
                     abs(abs(np.vdot(a1, w)) - g1) / g1,
                     abs(abs(np.vdot(a2, w)) - g2) / g2)
@@ -99,7 +98,7 @@ def criterion_2_optimality() -> CriterionResult:
     for _ in range(100):
         a1, a2 = _random_pair(rng)
         g1, g2 = rng.uniform(0.05, 2.0, size=2)
-        power = min_norm_precoder(ConstraintPair(a1, a2, g1, g2)).achieved_power
+        power = min_norm_precoder(a1, a2, g1, g2).achieved_power
         closed = min_power_closed_form(g1, g2, steering_correlation(a1, a2))
         oracle = _grid_oracle_power(a1, a2, g1, g2)
         worst_closed = max(worst_closed, abs(power - closed) / closed)
@@ -309,7 +308,7 @@ def criterion_10_root_music() -> CriterionResult:
     errors = []
     for _ in range(100):
         theta = rng.uniform(np.radians(-60), np.radians(60))
-        a = ula_steering(cfg, theta).entries
+        a = ula_steering(cfg, theta)
         amp = np.sqrt(10.0 ** (20.0 / 10.0))
         sig = amp * (rng.standard_normal(200)
                      + 1j * rng.standard_normal(200)) / np.sqrt(2)

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SteeringVector
-
 # Above this correlation magnitude the two constraints are treated as
 # collinear and the closed form is refused rather than regularized.
 COLLINEAR_LIMIT = 1.0 - 1e-9
@@ -23,28 +21,6 @@ COLLINEAR_LIMIT = 1.0 - 1e-9
 
 class IllConditionedConstraints(ValueError):
     """Steering directions too correlated for the dual-constraint form."""
-
-
-def _entries(a) -> np.ndarray:
-    if isinstance(a, SteeringVector):
-        return a.entries
-    return np.asarray(a, dtype=complex)
-
-
-@dataclass(frozen=True)
-class ConstraintPair:
-    """Two unit-norm steering vectors with requested response magnitudes."""
-
-    a1: np.ndarray
-    a2: np.ndarray
-    gamma1: float
-    gamma2: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a1", _entries(self.a1))
-        object.__setattr__(self, "a2", _entries(self.a2))
-        if self.gamma1 < 0 or self.gamma2 < 0:
-            raise ValueError("constraint magnitudes must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -57,7 +33,7 @@ class Precoder:
 
 def steering_correlation(a1, a2) -> complex:
     """Inner product a1^H a2 of two unit-norm steering vectors."""
-    return complex(np.vdot(_entries(a1), _entries(a2)))
+    return complex(np.vdot(a1, a2))
 
 
 def _least_norm(a1: np.ndarray, a2: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -75,23 +51,24 @@ def _least_norm(a1: np.ndarray, a2: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _solve(a1, a2, g: np.ndarray) -> Precoder:
     """The least-norm precoder with responses A^H w = g for A = [a1, a2]."""
-    a1, a2 = _entries(a1), _entries(a2)
     if max(abs(np.linalg.norm(v) - 1.0) for v in (a1, a2)) > 1e-9:
         raise ValueError("steering vectors must be unit norm")
     w = _least_norm(a1, a2, g)
     return Precoder(weights=w, achieved_power=float(np.real(np.vdot(w, w))))
 
 
-def min_norm_precoder(pair: ConstraintPair) -> Precoder:
+def min_norm_precoder(a1, a2, gamma1: float, gamma2: float) -> Precoder:
     """Minimum-power precoder meeting |a1^H w| = gamma1 and |a2^H w| = gamma2.
 
     The relative constraint phase equals the phase of the steering
     correlation, which makes the Gram cross term real and negative and so
     minimizes the transmit power over all phase choices.
     """
-    dphi = np.angle(steering_correlation(pair.a1, pair.a2))
-    return _solve(pair.a1, pair.a2, np.array(
-        [pair.gamma1 * np.exp(1j * dphi), pair.gamma2], dtype=complex))
+    if gamma1 < 0 or gamma2 < 0:
+        raise ValueError("constraint magnitudes must be >= 0")
+    dphi = np.angle(steering_correlation(a1, a2))
+    return _solve(a1, a2, np.array([gamma1 * np.exp(1j * dphi), gamma2],
+                                   dtype=complex))
 
 
 def min_power_closed_form(gamma1: float, gamma2: float, a_c: complex) -> float:

@@ -30,28 +30,9 @@ class ChannelError(ValueError):
 
 
 @dataclass(frozen=True)
-class RicianSpec:
-    """Rician mixture: linear K factor and the line-of-sight component."""
-
-    k_factor: float
-    los_component: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "los_component",
-                           np.asarray(self.los_component, dtype=complex))
-        if self.k_factor < 0:
-            raise ChannelError("k_factor must be >= 0")
-        if not np.all(np.isfinite(self.los_component)):
-            raise ChannelError("los_component must be finite")
-
-
-@dataclass(frozen=True)
 class RisConfig:
-    """RIS panel: grid shape, element spacing [m], positions, phases [rad]."""
+    """RIS panel: element positions [m] and reflection phases [rad]."""
 
-    rows: int
-    cols: int
-    element_spacing: float
     element_positions: np.ndarray  # (N, 3)
     phases: np.ndarray             # (N,), in [0, 2*pi)
 
@@ -60,23 +41,16 @@ class RisConfig:
                            np.asarray(self.element_positions, dtype=float))
         object.__setattr__(self, "phases",
                            np.mod(np.asarray(self.phases, dtype=float), 2 * np.pi))
-        if self.rows < 1 or self.cols < 1:
-            raise ChannelError("RIS grid dimensions must be positive")
-        n = self.rows * self.cols
-        if self.element_positions.shape != (n, 3):
+        n = len(self.element_positions)
+        if self.element_positions.shape != (n, 3) or self.phases.shape != (n,):
             raise ChannelError(
-                f"expected {n} element positions, got {self.element_positions.shape}")
-        if self.phases.shape != (n,):
-            raise ChannelError(f"expected {n} phases, got {self.phases.shape}")
+                f"expected (N, 3) element positions and N phases, got "
+                f"{self.element_positions.shape} and {self.phases.shape}")
 
     @property
     def reflection(self) -> np.ndarray:
         """Unit-modulus reflection coefficient per element, (N,)."""
         return np.exp(1j * self.phases)
-
-    def with_phases(self, phases: np.ndarray) -> "RisConfig":
-        return RisConfig(self.rows, self.cols, self.element_spacing,
-                         self.element_positions, phases)
 
 
 def build_ris_grid(center, normal, rows: int, cols: int,
@@ -86,6 +60,8 @@ def build_ris_grid(center, normal, rows: int, cols: int,
     Columns run along the horizontal in-plane axis, rows along the in-plane
     axis closest to vertical; every phase starts at zero.
     """
+    if rows < 1 or cols < 1:
+        raise ChannelError("RIS grid dimensions must be positive")
     center = np.asarray(center, dtype=float)
     normal = np.asarray(normal, dtype=float)
     norm = np.linalg.norm(normal)
@@ -104,7 +80,7 @@ def build_ris_grid(center, normal, rows: int, cols: int,
     positions = (center
                  + rr.reshape(-1, 1) * spacing * row_axis
                  + cc.reshape(-1, 1) * spacing * col_axis)
-    return RisConfig(rows, cols, spacing, positions, np.zeros(rows * cols))
+    return RisConfig(positions, np.zeros(rows * cols))
 
 
 @dataclass(frozen=True)
@@ -174,13 +150,11 @@ def _complex_normal(normals: np.ndarray, shape) -> np.ndarray:
     return ((re + 1j * im) / np.sqrt(2.0)).reshape(normals.shape[:1] + shape)
 
 
-def _rician(spec: RicianSpec, nlos: np.ndarray) -> np.ndarray:
+def _rician(k: float, los: np.ndarray, nlos: np.ndarray) -> np.ndarray:
     """sqrt(K/(K+1))*LoS + sqrt(1/(K+1))*nLoS over a stack of nLoS draws."""
-    k = spec.k_factor
     if np.isinf(k):
-        return np.broadcast_to(spec.los_component, nlos.shape).copy()
-    return (np.sqrt(k / (k + 1.0)) * spec.los_component
-            + np.sqrt(1.0 / (k + 1.0)) * nlos)
+        return np.broadcast_to(los, nlos.shape).copy()
+    return np.sqrt(k / (k + 1.0)) * los + np.sqrt(1.0 / (k + 1.0)) * nlos
 
 
 def _clutter(strength: float, normals: np.ndarray, m: int) -> np.ndarray:
@@ -220,15 +194,23 @@ def ris_focus_profile(p: Placement, ris: RisConfig, wavelength: float) -> np.nda
 class ChannelModel:
     """The seed-independent half of a block-fading channel draw.
 
-    `specs` holds the unit-RMS Rician specs of (H_I, h_T, h_D) and `scales`
-    the RMS magnitude of each line-of-sight part, so a draw rescales its
-    fading to the path loss; `reflection` is the RIS phase vector.
+    `los` holds the unit-RMS line-of-sight parts of (H_I, h_T, h_D), all
+    mixed with their fading at the linear Rician factor `k_factor`, and
+    `scales` the RMS magnitude of each, so a draw rescales its fading to
+    the path loss; `reflection` is the RIS phase vector.
     """
 
-    specs: tuple
+    los: tuple
+    k_factor: float
     scales: tuple
     reflection: np.ndarray
     clutter_strength: float
+
+    def __post_init__(self):
+        if self.k_factor < 0:
+            raise ChannelError("k_factor must be >= 0")
+        if not all(np.all(np.isfinite(part)) for part in self.los):
+            raise ChannelError("line-of-sight components must be finite")
 
     def draw(self, rng_seed) -> ChannelRealization:
         """H_I, h_T, h_D, then the clutter, from one normal draw per seed.
@@ -237,14 +219,13 @@ class ChannelModel:
         axis, validated once; a single seed gives a plain realization.
         """
         batch, seeds = seed_list(rng_seed)
-        m = self.specs[2].los_component.size
-        sizes = [2 * spec.los_component.size for spec in self.specs]
-        bounds = np.cumsum([0] + sizes).tolist()
+        m = self.los[2].size
+        bounds = np.cumsum([0] + [2 * part.size for part in self.los]).tolist()
         normals = standard_normals(seeds, (bounds[-1] + 2 * m * m,))
-        parts = [scale * _rician(spec, _complex_normal(
-                     normals[:, lo:hi], spec.los_component.shape))
-                 for spec, scale, lo, hi
-                 in zip(self.specs, self.scales, bounds, bounds[1:])]
+        parts = [scale * _rician(self.k_factor, los, _complex_normal(
+                     normals[:, lo:hi], los.shape))
+                 for los, scale, lo, hi
+                 in zip(self.los, self.scales, bounds, bounds[1:])]
         parts.append(_clutter(self.clutter_strength,
                               normals[:, bounds[-1]:], m))
         if not batch:
@@ -254,12 +235,11 @@ class ChannelModel:
 
 def channel_model(p: Placement, cfg: ArrayConfig, ris: RisConfig,
                   k_rice: float, clutter_strength: float) -> ChannelModel:
-    """The exact LoS geometry normalized into Rician specs, for many draws."""
+    """The exact LoS geometry normalized to unit RMS, for many draws."""
     los = los_channel(p, cfg, ris)
     scales = tuple(np.sqrt(np.mean(np.abs(part) ** 2)) for part in los)
-    specs = tuple(RicianSpec(k_factor=k_rice, los_component=part / scale)
-                  for part, scale in zip(los, scales))
-    return ChannelModel(specs, scales, ris.reflection, clutter_strength)
+    return ChannelModel(tuple(part / scale for part, scale in zip(los, scales)),
+                        k_rice, scales, ris.reflection, clutter_strength)
 
 
 def realize_channel(p: Placement, cfg: ArrayConfig, ris: RisConfig,

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .config import (ConfigError, _count, _shares, config_hash, load_config,
                      parse_config)
-from .strategy import gamma_sweep, run_closed_loop, run_once
+from .strategy import branch_slots, gamma_sweep, run_closed_loop, run_once
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -40,9 +40,7 @@ def _write_csv(path: Path, header, rows, meta: dict) -> None:
 
 
 def _fmt(value):
-    if isinstance(value, float):
-        return repr(float(value))
-    return value
+    return repr(float(value)) if isinstance(value, float) else value
 
 
 def _load(args):
@@ -77,16 +75,20 @@ def _meta(scenario, strategy, sweep, seed, command) -> dict:
 
 def cmd_acquire(args) -> int:
     scenario, strategy, sweep = _load(args)
+    length, least = scenario.slow_time_samples, scenario.min_branch_slots
+    for label, slots in zip(("direct", "ris"),
+                            branch_slots(strategy, length)):
+        have = length if slots is None else len(slots)
+        if have < least:
+            raise ConfigError(f"the {label} branch gets {have} slow-time "
+                              f"slots, fewer than the {least} it needs to "
+                              "extract; adjust ris_share or the duration")
     result = run_once(scenario, strategy, args.seed)
-    for label, est in sorted(result.estimates.items()):
-        if est is None:
-            raise RuntimeError(
-                f"{label} branch received too few slow-time slots to extract; "
-                f"adjust ris_share or the duration")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     meta = _meta(scenario, strategy, sweep, args.seed, "acquire")
-    for label, est in sorted(result.estimates.items()):
+    # a path that cannot see the chest has no estimate and writes nothing
+    for label, est in sorted((k, e) for k, e in result.estimates.items() if e):
         disp = est.displacement
         _write_csv(out / f"{label}_displacement.csv",
                    ["time_s", "displacement_m"],

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .physio import check_breath_rate
 from .scenario import (ChannelConfig, PhysioConfig, ProcessingConfig,
                        RadarConfig, RisPanel, Scenario, dbm_to_watts,
                        default_placement)
@@ -250,12 +251,15 @@ def parse_config(doc: dict):
         for reflectivity in (physio.reflectivity_ris,
                              physio.reflectivity_direct):
             scenario.rcs_model(reflectivity)
+        radar.waveform()
         window = scenario.processing.clutter_window
         _require(window is None or window <= scenario.slow_time_samples,
                  window, "processing.clutter_window",
                  f"at most the {scenario.slow_time_samples} slow-time samples "
                  "of a window (duration x slow rate)")
-        if physio.trace_file is not None:
+        if physio.trace_file is None:
+            check_breath_rate(physio.breath_rate, radar.slow_rate)
+        else:
             have = scenario.base_trace().samples.size
             _require(have == scenario.slow_time_samples, have,
                      f"samples in trace_file {physio.trace_file!r}",

@@ -93,20 +93,6 @@ class Placement:
 
 
 @dataclass(frozen=True)
-class SteeringVector:
-    """Unit-norm ULA response toward an azimuth."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries",
-                           np.asarray(self.entries, dtype=complex))
-        norm = np.linalg.norm(self.entries)
-        if abs(norm - 1.0) > 1e-12:
-            raise GeometryError(f"steering vector norm {norm} != 1")
-
-
-@dataclass(frozen=True)
 class PathAngles:
     """Look angles for the two sensing paths [rad]."""
 
@@ -116,12 +102,11 @@ class PathAngles:
     chest_incidence_ris: float
 
 
-def ula_steering(cfg: ArrayConfig, theta: float) -> SteeringVector:
-    """Steering vector with entry m = exp(j*2*pi*m*spacing*sin(theta)/lambda)/sqrt(M)."""
+def ula_steering(cfg: ArrayConfig, theta: float) -> np.ndarray:
+    """Unit-norm (M,) response, entry m = exp(j*2*pi*m*spacing*sin(theta)/lambda)/sqrt(M)."""
     m = np.arange(cfg.element_count)
     phase = 2.0 * np.pi * m * cfg.spacing * np.sin(theta) / cfg.carrier_wavelength
-    entries = np.exp(1j * phase) / np.sqrt(cfg.element_count)
-    return SteeringVector(entries=entries)
+    return np.exp(1j * phase) / np.sqrt(cfg.element_count)
 
 
 def _azimuth_from_broadside(origin: np.ndarray, point: np.ndarray) -> float:

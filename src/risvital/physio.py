@@ -63,7 +63,8 @@ class RcsModel:
     """Chest reflectivity magnitude plus the incidence-angle response.
 
     The table picks the law: a non-empty (angle_deg, gain) table is
-    interpolated linearly, and without one the gain is cos^exponent. The
+    interpolated linearly, and without one the gain is cos^exponent. Either
+    way a path that views the chest from behind, past pi/2, gets 0. The
     optional distortion adds jitter in DISTORTION_BAND whose level grows
     as the angle gain falls, mimicking the loss of a usable breathing
     waveform at oblique views; it is off unless `distortion_strength` > 0.
@@ -90,6 +91,13 @@ class RcsModel:
             raise ValueError("exponent must be positive")
 
 
+def check_breath_rate(breath_rate: float, slow_rate: float) -> None:
+    """Reject a breathing rate outside (0, slow_rate / 2)."""
+    if not 0 < breath_rate < slow_rate / 2.0:
+        raise TraceError(
+            f"breathing rate {breath_rate} Hz violates Nyquist at {slow_rate} Hz")
+
+
 def synth_respiration(breath_rate: float, peak_to_peak: float, duration: float,
                       slow_rate: float, harmonics: int = 0, drift: float = 0.0,
                       rng_seed=0) -> DisplacementTrace:
@@ -99,9 +107,7 @@ def synth_respiration(breath_rate: float, peak_to_peak: float, duration: float,
     the fundamental; `drift` is a total linear excursion in metres over the
     full duration.
     """
-    if not 0 < breath_rate < slow_rate / 2.0:
-        raise TraceError(
-            f"breathing rate {breath_rate} Hz violates Nyquist at {slow_rate} Hz")
+    check_breath_rate(breath_rate, slow_rate)
     rng = np.random.default_rng(rng_seed)
     n = int(round(duration * slow_rate))
     t = np.arange(n) / slow_rate
@@ -165,9 +171,14 @@ def write_trace_csv(path, traces) -> None:
 
 
 def angle_gain(model: RcsModel, incidence: float) -> float:
-    """Displacement gain in [0, 1] for an incidence angle in [0, pi/2]."""
-    if not 0.0 <= incidence <= np.pi / 2.0 + 1e-12:
-        raise ValueError(f"incidence angle {incidence} rad outside [0, pi/2]")
+    """Displacement gain in [0, 1] for an incidence angle >= 0.
+
+    Past pi/2 the path sees the back of the chest, which gives 0.
+    """
+    if incidence < 0.0:
+        raise ValueError(f"incidence angle {incidence} rad is negative")
+    if incidence > np.pi / 2.0 + 1e-12:
+        return 0.0
     if model.table:
         angles = np.array([a for a, _ in model.table])
         gains = np.array([g for _, g in model.table])

@@ -36,11 +36,11 @@ from .channel import (ChannelModel, RisConfig, build_ris_grid,
                       standard_normals)
 from .geometry import (SPEED_OF_LIGHT, ArrayConfig, PathAngles, Placement,
                        angles_from_placement, ula_steering)
-from .physio import DisplacementTrace, RcsModel, load_trace_csv, rcs_series, \
-    synth_respiration
-from .sigproc import (SlowTimeRecord, VitalSignEstimate, Waveform,
-                      clutter_filter, make_waveform, peak_quality,
-                      phase_demodulate, power_spectrum, separate_paths)
+from .physio import DisplacementTrace, RcsModel, angle_gain, load_trace_csv, \
+    rcs_series, synth_respiration
+from .sigproc import (SignalError, VitalSignEstimate, clutter_filter,
+                      make_waveform, peak_quality, phase_demodulate,
+                      power_spectrum, separate_paths)
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
@@ -99,7 +99,7 @@ class RadarConfig:
     def array_config(self) -> ArrayConfig:
         return ArrayConfig(self.element_count, self.spacing, self.wavelength)
 
-    def waveform(self) -> Waveform:
+    def waveform(self) -> np.ndarray:
         f0 = self.tone_frequency if self.tone_frequency is not None \
             else self.fast_rate / 4.0
         return make_waveform(f0, self.fast_rate, self.fast_time_samples)
@@ -188,6 +188,13 @@ class Scenario:
     def angles(self) -> PathAngles:
         return angles_from_placement(self.placement)
 
+    @property
+    def min_branch_slots(self) -> int:
+        """Slots a path branch needs before its spectrum means anything:
+        one full period of the slowest analysed frequency, and at least 8."""
+        return max(8, int(np.ceil(self.radar.slow_rate
+                                  / self.processing.band[0])))
+
     def rcs_model(self, reflectivity: float) -> RcsModel:
         p = self.physio
         kwargs = {} if p.gain_exponent is None \
@@ -205,7 +212,7 @@ class Scenario:
         if self.ris.phase_bits is not None:
             step = 2.0 * np.pi / (2 ** self.ris.phase_bits)
             phases = np.round(phases / step) * step
-        return panel.with_phases(phases)
+        return replace(panel, phases=phases)
 
     def base_trace(self) -> DisplacementTrace:
         p = self.physio
@@ -225,7 +232,7 @@ class Scenario:
         tx = transmit_steering(self)
         # receive steering a(theta); conjugating twice is exact
         a_direct, a_ris = (np.conj(a) for a in tx)
-        energy = radar.waveform().energy
+        energy = np.sum(radar.waveform() ** 2)
         scene = StaticScene(
             angles=self.angles,
             channel=channel_model(self.placement, radar.array_config,
@@ -242,7 +249,7 @@ class Scenario:
             rcs_direct=self.rcs_model(self.physio.reflectivity_direct),
             noise_sigma=np.sqrt(radar.noise_power / (2.0 * energy)))
         for array in (scene.channel.reflection,
-                      *(spec.los_component for spec in scene.channel.specs),
+                      *scene.channel.los,
                       *scene.tx_steering, *scene.rx_weights,
                       scene.trace.samples):
             array.flags.writeable = False
@@ -253,7 +260,7 @@ class Scenario:
 class RunResult:
     """One acquisition with its extraction products."""
 
-    record: SlowTimeRecord
+    record: np.ndarray       # matched-filtered antennas x pulses
     estimates: dict          # path label -> VitalSignEstimate
     gamma_ris: float | None = None
 
@@ -267,7 +274,7 @@ def transmit_steering(scn: Scenario):
     """
     angles = scn.angles
     cfg = scn.radar.array_config
-    return tuple(np.conj(ula_steering(cfg, theta).entries)
+    return tuple(np.conj(ula_steering(cfg, theta))
                  for theta in (angles.theta_direct, angles.theta_ris))
 
 
@@ -338,36 +345,37 @@ def _simulate(scn: Scenario, schedule: np.ndarray, seed):
     z += noise[:, 0]
     z *= st.noise_sigma
     samples += z
-    record = SlowTimeRecord(samples=samples if batch else samples[0],
-                            slow_rate=scn.radar.slow_rate)
-    return record, channel
+    if not np.all(np.isfinite(samples)):
+        raise SignalError("slow-time record contains non-finite entries")
+    return (samples if batch else samples[0]), channel
 
 
-def extract_vital_signs(scn: Scenario, record: SlowTimeRecord,
+def extract_vital_signs(scn: Scenario, record: np.ndarray,
                         w_direct: np.ndarray, w_ris: np.ndarray,
                         slots_direct=None, slots_ris=None):
     """Clutter-filter, separate, demodulate, and grade both path branches.
 
     With temporal slot sets, each branch is demodulated over its own slots
     only; otherwise over the full record. Returns a dict of path label to
-    estimate (None for a branch too short to grade). An (S, M, L) record
+    estimate (None for a branch too short to grade, or for a path with an
+    angle gain of 0, which cannot see the chest). An (S, M, L) record
     gives one estimate per path whose traces, spectra, peaks and
     prominences carry the leading seed axis.
     """
     proc = scn.processing
-    samples = record.samples
+    samples = np.asarray(record, dtype=complex)
     if proc.clutter_window is not None:
         samples = clutter_filter(samples, proc.clutter_window)
-    # a branch must observe at least one full period of the slowest
-    # analysed frequency before its spectrum means anything
-    min_len = max(8, int(np.ceil(scn.radar.slow_rate / proc.band[0])))
+    st = scn.static
+    gains = (angle_gain(st.rcs_direct, st.angles.chest_incidence_direct),
+             angle_gain(st.rcs_ris, st.angles.chest_incidence_ris))
     estimates = {}
-    for label, series, slots in zip(("direct", "ris"),
-                                    separate_paths(samples, w_direct, w_ris),
-                                    (slots_direct, slots_ris)):
+    for label, series, slots, gain in zip(
+            ("direct", "ris"), separate_paths(samples, w_direct, w_ris),
+            (slots_direct, slots_ris), gains):
         if slots is not None:
             series = np.take(series, sorted(slots), axis=-1)
-        if series.shape[-1] < min_len:
+        if gain == 0.0 or series.shape[-1] < scn.min_branch_slots:
             estimates[label] = None
             continue
         displacement = phase_demodulate(series, scn.radar.wavelength,

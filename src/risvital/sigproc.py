@@ -23,42 +23,6 @@ class SignalError(ValueError):
 
 
 @dataclass(frozen=True)
-class Waveform:
-    """Pulsed sinusoid: tone frequency, sample rate, fast-time samples."""
-
-    f0: float
-    fs: float
-    samples: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples",
-                           np.asarray(self.samples, dtype=complex))
-
-    @property
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.samples) ** 2))
-
-
-@dataclass(frozen=True)
-class SlowTimeRecord:
-    """Matched-filtered samples, one row per antenna, one column per pulse.
-
-    A batch of seeds stacks its records on a leading axis, (S, M, L).
-    """
-
-    samples: np.ndarray  # (M, L) or (S, M, L) complex
-    slow_rate: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples",
-                           np.asarray(self.samples, dtype=complex))
-        if self.samples.ndim not in (2, 3):
-            raise SignalError("slow-time record must be a matrix")
-        if not np.all(np.isfinite(self.samples)):
-            raise SignalError("slow-time record contains non-finite entries")
-
-
-@dataclass(frozen=True)
 class Spectrum:
     """One-sided power spectrum as (frequency [Hz], power) pairs.
 
@@ -88,26 +52,25 @@ class VitalSignEstimate:
     peak_prominence_db: float | np.ndarray
 
 
-def make_waveform(f0: float, fs: float, n_samples: int) -> Waveform:
+def make_waveform(f0: float, fs: float, n_samples: int) -> np.ndarray:
     """Unit-power pulsed sinusoid sqrt(2)*cos(2*pi*f0*k/fs), k = 0..K-1."""
     if not 0 < f0 < fs / 2.0:
         raise SignalError(f"tone frequency {f0} Hz aliases at fs = {fs} Hz")
     k = np.arange(n_samples)
-    return Waveform(f0=f0, fs=fs,
-                    samples=np.sqrt(2.0) * np.cos(2.0 * np.pi * f0 * k / fs))
+    return np.sqrt(2.0) * np.cos(2.0 * np.pi * f0 * k / fs)
 
 
-def matched_filter(y_fast: np.ndarray, waveform: Waveform) -> complex:
+def matched_filter(y_fast: np.ndarray, waveform: np.ndarray) -> complex:
     """Correlate one fast-time row with the waveform, normalized by its energy.
 
     A channel that returns c * s yields exactly c, so the output scale is
     independent of the pulse length.
     """
     y_fast = np.asarray(y_fast, dtype=complex)
-    if y_fast.shape != waveform.samples.shape:
+    if y_fast.shape != waveform.shape:
         raise SignalError(
-            f"fast-time length {y_fast.shape} != waveform {waveform.samples.shape}")
-    return complex(np.vdot(waveform.samples, y_fast) / waveform.energy)
+            f"fast-time length {y_fast.shape} != waveform {waveform.shape}")
+    return complex(np.vdot(waveform, y_fast) / np.vdot(waveform, waveform))
 
 
 def clutter_filter(record: np.ndarray, window: int) -> np.ndarray:

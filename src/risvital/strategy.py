@@ -62,10 +62,12 @@ class LoopState:
     needs_position_fix: bool = False
 
 
-def temporal_slots(length: int, ris_share: float):
-    """Contiguous slot split: leading direct block, trailing RIS block."""
-    n_ris = int(round(ris_share * length))
-    boundary = length - n_ris
+def branch_slots(strategy: StrategyConfig, length: int):
+    """The direct and RIS slot sets: under temporal separation a leading
+    direct block and a trailing RIS block, else None (every slot)."""
+    if strategy.kind != "temporal":
+        return None, None
+    boundary = length - int(round(strategy.ris_share * length))
     return np.arange(boundary), np.arange(boundary, length)
 
 
@@ -78,10 +80,9 @@ def plan_transmissions(strategy: StrategyConfig, length: int,
     alternates the two full-power beams over the slot pattern;
     opportunistic transmits full power on the selected path throughout.
     """
-    a_direct = np.asarray(a_direct, dtype=complex)
-    a_ris = np.asarray(a_ris, dtype=complex)
-    if strategy.kind == "temporal":
-        slots_direct, slots_ris = temporal_slots(length, strategy.ris_share)
+    a_direct, a_ris = (np.asarray(a, dtype=complex) for a in (a_direct, a_ris))
+    slots_direct, slots_ris = branch_slots(strategy, length)
+    if slots_direct is not None:
         w_direct = split_precoder(a_direct, a_ris, 1.0, total_power).weights
         w_ris = split_precoder(a_direct, a_ris, 0.0, total_power).weights
         schedule = np.empty((a_direct.size, length), dtype=complex)
@@ -116,8 +117,9 @@ def evaluate_and_update(state: LoopState, est_direct: VitalSignEstimate,
         state.gamma_ris = float(np.clip(state.gamma_ris + step, 0.05, 0.95))
         return state
     if strategy.kind == "opportunistic":
-        if state.active_path is None:
-            state.active_path = max(prom, key=prom.get)
+        if state.active_path is None:  # probing: a graded path, if any
+            graded = [p for p, e in zip(prom, (est_direct, est_ris)) if e]
+            state.active_path = max(graded, key=prom.get, default=None)
             state.below_threshold_count = 0
             return state
         if prom[state.active_path] < threshold:
@@ -233,7 +235,7 @@ def estimate_position(scn: Scenario, seed) -> float:
     schedule = plan_transmissions(StrategyConfig(), n, *st.tx_steering,
                                   scn.radar.total_power)[0]
     record, _ = _simulate(scn, schedule, seed)
-    snapshots = record.samples - record.samples.mean(axis=1, keepdims=True)
+    snapshots = record - record.mean(axis=1, keepdims=True)
     angles = root_music_doa(snapshots, 2, scn.radar.array_config)
     return float(angles[np.argmax(np.abs(angles - st.angles.theta_ris))])
 
@@ -269,9 +271,8 @@ def run_closed_loop(scn: Scenario, strategy: StrategyConfig, n_windows: int,
     for idx, (wseed, fix_seed) in enumerate(zip(window_seeds, fix_seeds)):
         window_strategy = _window_strategy(strategy, state)
         result = run_once(scn, window_strategy, wseed)
-        est_direct = result.estimates["direct"]
-        est_ris = result.estimates["ris"]
-        state = evaluate_and_update(state, est_direct, est_ris, strategy)
+        state = evaluate_and_update(state, result.estimates["direct"],
+                                    result.estimates["ris"], strategy)
         if state.needs_position_fix:
             state.theta_direct_estimate = estimate_position(scn, fix_seed)
         logs.append(WindowLog(window=idx, strategy=strategy.kind,

@@ -76,7 +76,7 @@ def test_run_once_replays_from_one_seed_sequence(kind, entropy, spawn_key):
     strategy = StrategyConfig(kind=kind, ris_share=0.5)
     first, again = run_once(SCN, strategy, ss), run_once(SCN, strategy, ss)
     assert ss.n_children_spawned == 0
-    npt.assert_array_equal(first.record.samples, again.record.samples)
+    npt.assert_array_equal(first.record, again.record)
     assert_same_estimates(first.estimates, again.estimates)
 
 
@@ -87,7 +87,7 @@ def test_batched_acquisition_stacks_lone_acquisitions():
         SCN.radar.total_power)
     seeds = [3, np.random.SeedSequence(5), 3, 11]
     record, channel = simulate_acquisition(SCN, schedule, seeds)
-    assert record.samples.shape == (4,) + schedule.shape
+    assert record.shape == (4,) + schedule.shape
     batch = extract_vital_signs(SCN, record, *SCN.static.rx_weights,
                                 slots_direct=slots_direct,
                                 slots_ris=slots_ris)
@@ -98,7 +98,7 @@ def test_batched_acquisition_stacks_lone_acquisitions():
             == (len(seeds),)
     for i, seed in enumerate(seeds):
         alone, ch = simulate_acquisition(SCN, schedule, seed)
-        npt.assert_array_equal(record.samples[i], alone.samples)
+        npt.assert_array_equal(record[i], alone)
         for name in ("H_I", "h_T", "h_D", "H_C"):
             npt.assert_array_equal(getattr(channel, name)[i],
                                    getattr(ch, name))

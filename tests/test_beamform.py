@@ -4,16 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risvital.beamform import (ConstraintPair, IllConditionedConstraints,
-                               min_norm_precoder, min_power_closed_form,
-                               split_precoder, split_scale,
-                               steering_correlation, temporal_weights)
+from risvital.beamform import (IllConditionedConstraints, min_norm_precoder,
+                               min_power_closed_form, split_precoder,
+                               split_scale, steering_correlation,
+                               temporal_weights)
 from risvital.geometry import ArrayConfig, ula_steering
 
 
 def steer(m, theta, wavelength=1.0):
-    return ula_steering(ArrayConfig.half_wavelength(m, wavelength),
-                        theta).entries
+    return ula_steering(ArrayConfig.half_wavelength(m, wavelength), theta)
 
 
 def grid_oracle(a1, a2, g1, g2, n_grid=4096):
@@ -51,21 +50,21 @@ class TestMinNormPrecoder:
     def test_orthogonal_steering(self):
         a1, a2 = steer(2, np.pi / 2), steer(2, 0.0)
         g1, g2 = 1.2, 0.4
-        p = min_norm_precoder(ConstraintPair(a1, a2, g1, g2))
+        p = min_norm_precoder(a1, a2, g1, g2)
         assert p.achieved_power == pytest.approx(g1 ** 2 + g2 ** 2, rel=1e-12)
         assert abs(np.vdot(a1, p.weights)) == pytest.approx(g1, rel=1e-12)
         assert abs(np.vdot(a2, p.weights)) == pytest.approx(g2, rel=1e-12)
 
     def test_null_steering_with_zero_gain(self):
         a1, a2 = steer(5, 0.2), steer(5, 1.0)
-        p = min_norm_precoder(ConstraintPair(a1, a2, 0.8, 0.0))
+        p = min_norm_precoder(a1, a2, 0.8, 0.0)
         assert abs(np.vdot(a2, p.weights)) < 1e-12
         assert abs(np.vdot(a1, p.weights)) == pytest.approx(0.8, rel=1e-9)
 
     def test_matches_grid_oracle_on_default_geometry(self):
         a1 = steer(5, np.radians(78.75))
         a2 = steer(5, np.radians(25.99))
-        p = min_norm_precoder(ConstraintPair(a1, a2, 1.0, 1.0))
+        p = min_norm_precoder(a1, a2, 1.0, 1.0)
         oracle = grid_oracle(a1, a2, 1.0, 1.0)
         assert p.achieved_power <= oracle * (1 + 1e-12)
         assert p.achieved_power == pytest.approx(oracle, rel=1e-6)
@@ -80,7 +79,7 @@ class TestMinNormPrecoder:
                 continue
             count += 1
             g1, g2 = rng.uniform(0.1, 2.0, 2)
-            p = min_norm_precoder(ConstraintPair(a1, a2, g1, g2))
+            p = min_norm_precoder(a1, a2, g1, g2)
             oracle = grid_oracle(a1, a2, g1, g2, n_grid=1024)
             assert p.achieved_power <= oracle * (1 + 1e-12)
 
@@ -88,7 +87,7 @@ class TestMinNormPrecoder:
         a1, a2 = steer(5, 0.3), steer(5, 0.9)
         a_c = steering_correlation(a1, a2)
         g1, g2 = 1.0, 0.7
-        base = min_norm_precoder(ConstraintPair(a1, a2, g1, g2)).achieved_power
+        base = min_norm_precoder(a1, a2, g1, g2).achieved_power
         a_mat = np.stack([a1, a2], axis=1)
         gram_inv = np.linalg.inv(a_mat.conj().T @ a_mat)
         for delta in (-0.1, 0.1):
@@ -99,11 +98,20 @@ class TestMinNormPrecoder:
     def test_collinear_rejected(self):
         a = steer(5, 0.4)
         with pytest.raises(IllConditionedConstraints):
-            min_norm_precoder(ConstraintPair(a, a.copy(), 1.0, 1.0))
+            min_norm_precoder(a, a.copy(), 1.0, 1.0)
 
     def test_negative_gain_rejected(self):
-        with pytest.raises(ValueError):
-            ConstraintPair(steer(3, 0.1), steer(3, 0.6), -1.0, 0.5)
+        with pytest.raises(ValueError, match="magnitudes"):
+            min_norm_precoder(steer(3, 0.1), steer(3, 0.6), -1.0, 0.5)
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_non_unit_steering_rejected(self, scale):
+        # split_precoder's twin check is TestSplitPrecoder's
+        a1, a2 = steer(3, 0.1), steer(3, 0.6)
+        with pytest.raises(ValueError, match="unit norm"):
+            min_norm_precoder(scale * a1, a2, 1.0, 0.5)
+        with pytest.raises(ValueError, match="unit norm"):
+            min_norm_precoder(a1, scale * a2, 1.0, 0.5)
 
 
 class TestMinPowerClosedForm:
@@ -125,7 +133,7 @@ class TestMinPowerClosedForm:
             if abs(a_c) > 0.99:
                 continue
             g1, g2 = rng.uniform(0.1, 2.0, 2)
-            p = min_norm_precoder(ConstraintPair(a1, a2, g1, g2))
+            p = min_norm_precoder(a1, a2, g1, g2)
             assert p.achieved_power == pytest.approx(
                 min_power_closed_form(g1, g2, a_c), rel=1e-9)
 
@@ -272,7 +280,7 @@ class TestConstraintSatisfactionProperty:
                 continue
             checked += 1
             g1, g2 = rng.uniform(0.05, 2.0, 2)
-            p = min_norm_precoder(ConstraintPair(a1, a2, g1, g2))
+            p = min_norm_precoder(a1, a2, g1, g2)
             assert abs(np.vdot(a1, p.weights)) == pytest.approx(g1, rel=1e-9)
             assert abs(np.vdot(a2, p.weights)) == pytest.approx(g2, rel=1e-9)
             npt.assert_allclose(p.achieved_power,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risvital.channel import (ChannelError, ChannelModel, ChannelRealization,
-                              RicianSpec, build_ris_grid, channel_model,
+                              RisConfig, build_ris_grid, channel_model,
                               los_channel, ris_focus_profile)
 from risvital.geometry import ArrayConfig, ula_steering
 from risvital.scenario import Scenario, db_to_linear, simulate_acquisition
@@ -18,10 +18,10 @@ WAVELENGTH = 299792458.0 / 7.15e9
 def unit_model(k_factor, h_i, clutter_strength=0.0):
     """A ChannelModel with unit scales around the (M, N) LoS matrix `h_i`."""
     m, n = h_i.shape
-    specs = (RicianSpec(k_factor, h_i), RicianSpec(k_factor, np.ones(n)),
-             RicianSpec(k_factor, np.ones(m)))
-    return ChannelModel(specs, (1.0, 1.0, 1.0), np.ones(n, dtype=complex),
-                        clutter_strength)
+    los = (np.asarray(h_i, dtype=complex), np.ones(n, dtype=complex),
+           np.ones(m, dtype=complex))
+    return ChannelModel(los, k_factor, (1.0, 1.0, 1.0),
+                        np.ones(n, dtype=complex), clutter_strength)
 
 
 class TestRicianDraw:
@@ -59,8 +59,10 @@ class TestRicianDraw:
         npt.assert_array_equal(model.draw(42).H_I, model.draw(42).H_I)
 
     def test_negative_k_rejected(self):
-        with pytest.raises(ChannelError):
-            RicianSpec(-1.0, np.ones(2))
+        scn = Scenario()
+        with pytest.raises(ChannelError, match="k_factor"):
+            channel_model(scn.placement, scn.radar.array_config,
+                          scn.ris_config(), -1.0, 0.0)
 
 
 def single_element_placement(distance):
@@ -141,8 +143,7 @@ class TestFocusProfile:
                                scn.placement.ris_normal, 10, 10,
                                WAVELENGTH / 2)
         h_i, h_t, _ = los_channel(scn.placement, scn.radar.array_config, panel)
-        a_ris = ula_steering(scn.radar.array_config,
-                             scn.angles.theta_ris).entries
+        a_ris = ula_steering(scn.radar.array_config, scn.angles.theta_ris)
         focused = ris_focus_profile(scn.placement, panel, WAVELENGTH)
 
         def cascade_gain(phases):
@@ -174,7 +175,7 @@ def end_to_end(reflectivity_ris=40.0, reflectivity_direct=3.0,
     m = scn.radar.element_count
     schedule = np.eye(m)[:, np.arange(scn.slow_time_samples) % m]
     record, ch = simulate_acquisition(scn, schedule, 11)
-    return record.samples[:, :m], ch
+    return record[:, :m], ch
 
 
 class TestAssembleEndToEnd:
@@ -240,8 +241,8 @@ class TestClutterDraw:
 
 class TestRisConfig:
     def test_reflection_unit_modulus(self):
-        panel = build_ris_grid([0, 2, 0], [0, -1, 0], 3, 4, 0.02).with_phases(
-            np.linspace(0, 5, 12))
+        panel = replace(build_ris_grid([0, 2, 0], [0, -1, 0], 3, 4, 0.02),
+                        phases=np.linspace(0, 5, 12))
         gamma = panel.reflection
         assert gamma.shape == (12,)
         npt.assert_allclose(np.abs(gamma), 1.0, atol=1e-15)
@@ -253,6 +254,18 @@ class TestRisConfig:
         extent = panel.element_positions.max(axis=0) \
             - panel.element_positions.min(axis=0)
         assert extent.max() == pytest.approx(9 * 0.021, rel=1e-12)
+
+    def test_positions_and_phases_must_match(self):
+        positions = build_ris_grid([0, 2, 0], [0, -1, 0], 3, 4,
+                                   0.02).element_positions
+        with pytest.raises(ChannelError):
+            RisConfig(positions, np.zeros(11))
+        with pytest.raises(ChannelError):
+            RisConfig(positions[:, :2], np.zeros(12))
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ChannelError):
+            build_ris_grid([0, 2, 0], [0, -1, 0], 0, 4, 0.02)
 
     def test_gamma_modulus_validated(self):
         with pytest.raises(ChannelError):
@@ -270,8 +283,8 @@ def _oracle_draw(model, seed):
                 + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
     parts = []
-    for spec, scale in zip(model.specs, model.scales):
-        los, k = spec.los_component, spec.k_factor
+    k = model.k_factor
+    for los, scale in zip(model.los, model.scales):
         nlos = complex_normal(los.shape)
         mix = los.copy() if np.isinf(k) else (
             np.sqrt(k / (k + 1.0)) * los + np.sqrt(1.0 / (k + 1.0)) * nlos)

@@ -12,6 +12,7 @@ from risvital.config import (SCHEMA, SWEEP_ROWS, ConfigError, config_hash,
                              load_config, parse_config, parse_quantity,
                              serialize_config)
 from risvital.physio import synth_respiration, write_trace_csv
+from risvital.scenario import RadarConfig
 from risvital.strategy import STRATEGY_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -200,6 +201,41 @@ class TestCliSweep:
             meta["prominence_db"])
 
 
+class TestBackTurnedChest:
+    """A path that views the chest from behind (incidence past 90 degrees)
+    has an angle gain of 0: it is never graded, so neither acquire nor the
+    loop can take its RCS jitter for breathing. [1, 0, 0] turns the chest
+    away from both paths (180 and 101 degrees); [0.6, 0.8, 0] only from
+    the direct path (127 degrees; the RIS sees it at 48)."""
+
+    @staticmethod
+    def _run(tmp_path, command, normal, *flags):
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text(f"placement: {{chest_normal: {normal}}}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     *flags]) == 0
+        return out
+
+    @pytest.mark.parametrize("normal, written", [
+        ([1.0, 0.0, 0.0], []),
+        ([0.6, 0.8, 0.0], ["ris_displacement.csv", "ris_spectrum.csv"])])
+    def test_acquire_writes_only_paths_that_see(self, tmp_path, normal,
+                                                written):
+        out = self._run(tmp_path, "acquire", normal)
+        assert sorted(p.name for p in out.glob("*.csv")) == written
+
+    @pytest.mark.parametrize("normal", [[1.0, 0.0, 0.0], [0.6, 0.8, 0.0]])
+    def test_loop_never_activates_blind_direct(self, tmp_path, normal):
+        out = self._run(tmp_path, "loop", normal,
+                        "--strategy", "opportunistic")
+        entries = [json.loads(line) for line in
+                   (out / "loop.jsonl").read_text().splitlines()]
+        assert len(entries) == 5
+        assert all(e.get("active_path") != "direct"
+                   and "direct_prominence_db" not in e for e in entries)
+
+
 class TestCliLoop:
     def test_jsonl_log(self, tmp_path):
         out = tmp_path / "loop"
@@ -261,16 +297,30 @@ class TestCliFlagErrors:
 
 
 class TestCliRuntimeErrors:
-    """A run that fails is a runtime error (exit 2) that writes nothing."""
+    """A branch too short to extract follows from the config alone, so
+    acquire rejects it as a config error (exit 1) before it simulates, and
+    writes nothing."""
 
-    @pytest.mark.parametrize("share, branch", [(0.0, "ris"), (1.0, "direct")])
-    def test_temporal_branch_without_slots(self, tmp_path, capsys, share,
-                                           branch):
+    @pytest.mark.parametrize("share, branch", [(0.0, "ris"), (1.0, "direct"),
+                                               (0.3, "ris")])
+    def test_temporal_branch_without_slots(self, tmp_path, capsys,
+                                           monkeypatch, share, branch):
+        monkeypatch.setattr("risvital.cli.run_once", None)  # never reached
         out = tmp_path / "out"
         assert main(["acquire", "--strategy", "temporal", "--ris-share",
-                     str(share), "--out", str(out)]) == 2
+                     str(share), "--out", str(out)]) == 1
+        slots = round(share * 240) if branch == "ris" else 0
         assert capsys.readouterr().err.startswith(
-            f"error: {branch} branch received too few slow-time slots")
+            f"config error: the {branch} branch gets {slots} slow-time slots, "
+            "fewer than the 80 it needs")
+        assert not out.exists()
+
+    def test_short_window(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text("physiology:\n  duration: 10 s\n")
+        out = tmp_path / "out"
+        assert main(["acquire", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "gets 40 slow-time slots" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -357,13 +407,17 @@ class TestStrictValues:
         ({"ris": {"cols": 0}}, "cols: expected a whole number >= 1"),
         ({"radar": {"fast_time_samples": 0}}, "whole number >= 1"),
         ({"processing": {"zero_pad_factor": 0}}, "whole number >= 1"),
+        ({"radar": {"tone_frequency": "20 MHz"}}, "aliases"),
+        ({"physiology": {"breathing_rate": "3 Hz"}}, "violates Nyquist"),
     ])
     def test_rejected(self, doc, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(doc)
 
     @pytest.mark.parametrize("text", ["radar:\n", "strategy:\n  kind: bogus\n",
-                                      "ris: {rows: 0}\n"])
+                                      "ris: {rows: 0}\n",
+                                      "radar: {tone_frequency: 20 MHz}\n",
+                                      "physiology: {breathing_rate: 3 Hz}\n"])
     def test_rejected_through_cli(self, tmp_path, capsys, text):
         cfg = tmp_path / "scenario.yaml"
         cfg.write_text(text)
@@ -371,6 +425,7 @@ class TestStrictValues:
                      str(tmp_path / "x")])
         assert code == 1
         assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "x").exists()
 
     def test_lenient_spellings(self):
         scenario, _, sweep = load_config_text(
@@ -465,7 +520,8 @@ class TestGoldenHash:
 # Every drawn value is valid for its field: numbers lie in (0, 1], which
 # holds ris_share and gain_exponent; a sweep grid holds one to five
 # shares in [0, 1]; the array has at least two elements and every size
-# is at least one;
+# is at least one; the tone and the breathing rate are drawn as fractions
+# of half the fast-time and slow-time sample rates, then scaled to Hz;
 # each position has its own z range, so no two points coincide, and none
 # meets a default point (all at z = 1 m). A duration of at least 61 s
 # holds at least 61 pulses at any drawn interval (at most 1 s), so every
@@ -498,6 +554,8 @@ _BY_KEY = {
     "radar": _point(1.5), "ris_center": _point(2.5), "target": _point(3.5),
     "ris_normal": _UNIT_NORMALS,
     "chest_normal": st.one_of(st.just("auto"), _UNIT_NORMALS),
+    "tone_frequency": st.floats(0.01, 0.99),
+    "breathing_rate": st.floats(0.01, 0.99),
 }
 _BY_KIND = {
     **{kind: st.one_of(_NUMBER, _NUMBER.map(lambda v, u=unit: f"{v!r} {u}"))
@@ -522,9 +580,32 @@ def _section(rows):
         if key != "trace_file"})
 
 
+def _below_nyquist(doc):
+    """Scale the drawn tone and breathing-rate fractions to frequencies in
+    Hz below half the fast-time and slow-time sample rates."""
+    radar, physio = doc.get("radar", {}), doc.get("physiology", {})
+    base = RadarConfig()
+
+    def value(key, kind):
+        return (parse_quantity(radar[key], kind) if key in radar
+                else getattr(base, key))
+
+    if "tone_frequency" in radar:
+        fast_rate = (radar.get("fast_time_samples", base.fast_time_samples)
+                     * value("bandwidth", "frequency"))
+        doc["radar"] = radar | {
+            "tone_frequency": radar["tone_frequency"] * fast_rate / 2}
+    if "breathing_rate" in physio:
+        slow_rate = 1.0 / value("pulse_repetition_interval", "time")
+        doc["physiology"] = physio | {
+            "breathing_rate": physio["breathing_rate"] * slow_rate / 2}
+    return doc
+
+
 _DOCUMENTS = st.fixed_dictionaries({}, optional={
     name: _section(rows) for name, (_, _, rows)
-    in (SCHEMA | {"sweep": (None, None, SWEEP_ROWS)}).items()})
+    in (SCHEMA | {"sweep": (None, None, SWEEP_ROWS)}).items()}
+).map(_below_nyquist)
 
 
 class TestSchema:

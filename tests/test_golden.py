@@ -83,7 +83,7 @@ def loop_digest(kind: str) -> str:
 def run_digest(kind: str) -> str:
     result = run_once(Scenario(), StrategyConfig(kind=kind, ris_share=0.4),
                       seed=7)
-    digest = hashlib.sha256(result.record.samples.tobytes())
+    digest = hashlib.sha256(result.record.tobytes())
     for label, est in sorted(result.estimates.items()):
         digest.update(label.encode())
         digest.update(est.displacement.samples.tobytes())

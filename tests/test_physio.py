@@ -113,6 +113,15 @@ class TestAngleGain:
         with pytest.raises(ValueError):
             angle_gain(self.model, -0.1)
 
+    @pytest.mark.parametrize("table", [(), ((0.0, 1.0), (80.0, 0.2))])
+    def test_back_of_chest_gives_zero(self, table):
+        model = RcsModel(1.0, table=table)
+        for incidence in (np.pi / 2 + 1e-9, np.radians(101.3), np.pi):
+            assert angle_gain(model, incidence) == 0.0
+        # within the tolerance the law still holds
+        assert angle_gain(model, np.pi / 2 + 1e-13) \
+            == angle_gain(model, np.pi / 2)
+
     def test_measured_table_interpolation(self):
         model = RcsModel(1.0, table=((0.0, 1.0), (45.0, 0.5), (90.0, 0.0)))
         assert angle_gain(model, np.radians(22.5)) == pytest.approx(0.75)

@@ -44,9 +44,10 @@ class TestRadarConfig:
         assert round(radar.noise_floor_dbm, 1) == -107.0
 
     def test_waveform_defaults_to_quarter_rate(self):
+        # a tone at fs / 4 samples the cosine at its quarter periods
         wf = RadarConfig().waveform()
-        assert wf.f0 == pytest.approx(8e6)
-        assert wf.samples.size == 64
+        npt.assert_allclose(wf, np.sqrt(2) * np.tile([1.0, 0.0, -1.0, 0.0], 16),
+                            atol=1e-12)
 
 
 def constant_schedule(scn, gamma_ris):
@@ -69,16 +70,16 @@ class TestSimulateAcquisition:
                            scn.radar.wavelength, [0])[0]
         v = ch.ris_cascade
         expected = v[:, None] * (alpha * (v @ schedule))
-        npt.assert_allclose(record.samples, expected, rtol=1e-12, atol=1e-30)
+        npt.assert_allclose(record, expected, rtol=1e-12, atol=1e-30)
 
     def test_same_seed_identical(self):
         scn = Scenario()
         schedule = constant_schedule(scn, 0.5)
         r1, _ = simulate_acquisition(scn, schedule, seed=11)
         r2, _ = simulate_acquisition(scn, schedule, seed=11)
-        npt.assert_array_equal(r1.samples, r2.samples)
+        npt.assert_array_equal(r1, r2)
         r3, _ = simulate_acquisition(scn, schedule, seed=12)
-        assert np.any(r3.samples != r1.samples)
+        assert np.any(r3 != r1)
 
     def test_zero_schedule_record_is_matched_filter_noise(self):
         # nothing transmitted: the record is the matched-filter output of
@@ -87,9 +88,9 @@ class TestSimulateAcquisition:
         zeros = np.zeros((scn.radar.element_count, scn.slow_time_samples),
                          dtype=complex)
         noise = np.concatenate([
-            simulate_acquisition(scn, zeros, seed)[0].samples.ravel()
+            simulate_acquisition(scn, zeros, seed)[0].ravel()
             for seed in range(5)])
-        expected = scn.radar.noise_power / scn.radar.waveform().energy
+        expected = scn.radar.noise_power / np.sum(scn.radar.waveform() ** 2)
         assert np.mean(np.abs(noise) ** 2) == pytest.approx(expected, rel=0.05)
         assert np.var(noise.real) == pytest.approx(expected / 2, rel=0.1)
         assert np.var(noise.imag) == pytest.approx(expected / 2, rel=0.1)
@@ -101,7 +102,7 @@ class TestSimulateAcquisition:
         r1, _ = simulate_acquisition(scn, constant_schedule(scn, 0.5), ss)
         assert ss.n_children_spawned == 0
         r2, _ = simulate_acquisition(scn, constant_schedule(scn, 0.5), 9)
-        npt.assert_array_equal(r1.samples, r2.samples)
+        npt.assert_array_equal(r1, r2)
 
     def test_energy_accounting_direct_path(self):
         # noiseless direct-only received power, checked against the exact
@@ -124,7 +125,7 @@ class TestSimulateAcquisition:
                            scn.radar.wavelength, [0]))[0, 0]
             expected = (gain ** 2 * np.linalg.norm(ch.h_D) ** 4
                         * abs(h_unit @ w) ** 2)
-            measured = np.sum(np.abs(record.samples[:, 0]) ** 2)
+            measured = np.sum(np.abs(record[:, 0]) ** 2)
             assert measured == pytest.approx(expected, rel=1e-9)
             # Friis scale: |h_D| entries ~ lambda/(4 pi d) at d = 3 m
             lam = scn.radar.wavelength
@@ -163,6 +164,18 @@ class TestExtraction:
         # direct branch has 24 slots = 6 s < one period of the 0.05 Hz edge
         assert result.estimates["direct"] is None
         assert result.estimates["ris"] is not None
+
+    @pytest.mark.parametrize("table", [(), ((0.0, 1.0), (90.0, 0.0))])
+    def test_blind_path_not_graded(self, table):
+        # the chest turned 127 degrees from the radar, 48 from the RIS
+        base = Scenario()
+        scn = replace(base, placement=replace(
+            base.placement, chest_normal=np.array([0.6, 0.8, 0.0])),
+            physio=replace(base.physio, gain_table=table))
+        for kind in ("spatial", "temporal"):
+            result = run_once(scn, StrategyConfig(kind=kind), seed=1)
+            assert result.estimates["direct"] is None
+            assert result.estimates["ris"] is not None
 
     def test_clutter_filter_optional(self):
         scn = replace(Scenario(),

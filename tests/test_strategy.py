@@ -8,9 +8,9 @@ from risvital.beamform import temporal_weights
 from risvital.physio import DisplacementTrace
 from risvital.scenario import Scenario, noiseless, transmit_steering
 from risvital.sigproc import Spectrum, VitalSignEstimate
-from risvital.strategy import (LoopState, StrategyConfig, evaluate_and_update,
-                               gamma_sweep, plan_transmissions,
-                               run_closed_loop, run_once, temporal_slots)
+from risvital.strategy import (LoopState, StrategyConfig, branch_slots,
+                               evaluate_and_update, gamma_sweep,
+                               plan_transmissions, run_closed_loop, run_once)
 
 
 def fake_estimate(prominence_db, peak=0.133):
@@ -89,17 +89,26 @@ class TestPlanTransmissions:
             StrategyConfig(kind="mixed")
 
 
+def _temporal_slots(length, share):
+    return branch_slots(StrategyConfig(kind="temporal", ris_share=share),
+                        length)
+
+
 class TestTemporalSlots:
     def test_contiguous_blocks(self):
-        direct, ris = temporal_slots(240, 0.25)
+        direct, ris = _temporal_slots(240, 0.25)
         assert direct.size == 180 and ris.size == 60
         npt.assert_array_equal(ris, np.arange(180, 240))
 
     def test_extreme_shares(self):
-        direct, ris = temporal_slots(240, 0.0)
+        direct, ris = _temporal_slots(240, 0.0)
         assert ris.size == 0 and direct.size == 240
-        direct, ris = temporal_slots(240, 1.0)
+        direct, ris = _temporal_slots(240, 1.0)
         assert direct.size == 0 and ris.size == 240
+
+    @pytest.mark.parametrize("kind", ["spatial", "opportunistic"])
+    def test_every_slot_without_temporal_split(self, kind):
+        assert branch_slots(StrategyConfig(kind=kind), 240) == (None, None)
 
 
 class TestEvaluateAndUpdate:
@@ -137,6 +146,17 @@ class TestEvaluateAndUpdate:
         out = evaluate_and_update(state, fake_estimate(1.0),
                                   fake_estimate(1.0), cfg)
         assert out.needs_position_fix
+
+    @pytest.mark.parametrize("est_direct, est_ris, chosen", [
+        (None, None, None), (None, 0.0, "ris"), (0.0, None, "direct"),
+        (3.0, 9.0, "ris"), (9.0, 3.0, "direct")])
+    def test_probe_picks_only_a_graded_path(self, est_direct, est_ris,
+                                            chosen):
+        cfg = StrategyConfig(kind="opportunistic")
+        estimates = [None if p is None else fake_estimate(p)
+                     for p in (est_direct, est_ris)]
+        out = evaluate_and_update(LoopState(), *estimates, cfg)
+        assert out.active_path == chosen
 
     def test_opportunistic_hysteresis(self):
         cfg = StrategyConfig(kind="opportunistic", prominence_threshold_db=6.0,
@@ -188,7 +208,7 @@ class TestRunOnce:
         ss = np.random.SeedSequence(7)
         first = run_once(Scenario(), StrategyConfig(kind="spatial"), ss)
         second = run_once(Scenario(), StrategyConfig(kind="spatial"), ss)
-        npt.assert_array_equal(first.record.samples, second.record.samples)
+        npt.assert_array_equal(first.record, second.record)
         for path in ("direct", "ris"):
             assert (first.estimates[path].peak_prominence_db
                     == second.estimates[path].peak_prominence_db)
