@@ -10,13 +10,13 @@ from .channel import (ChannelModel, ChannelRealization, RisConfig,
                       realize_channel, ris_focus_profile)
 from .geometry import (ArrayConfig, GeometryError, PathAngles, Placement,
                        angles_from_placement, ula_steering)
-from .physio import (DisplacementTrace, RcsModel, angle_gain, load_trace_csv,
+from .physio import (RcsModel, angle_gain, load_trace_csv,
                      observed_displacement, rcs_series, synth_respiration,
                      write_trace_csv)
 from .scenario import (ChannelConfig, PhysioConfig, ProcessingConfig,
-                       RadarConfig, RisPanel, RunResult, Scenario,
-                       StaticScene, default_placement, extract_vital_signs,
-                       noiseless, simulate_acquisition)
+                       RadarConfig, RisPanel, Scenario, StaticScene,
+                       default_placement, extract_vital_signs, noiseless,
+                       simulate_acquisition)
 from .sigproc import (Spectrum, VitalSignEstimate, clutter_filter,
                       make_waveform, matched_filter, peak_quality,
                       phase_demodulate, power_spectrum, root_music_doa,

@@ -150,11 +150,10 @@ def criterion_5_demodulation() -> CriterionResult:
                                  distortion_strength=0.0),
                   processing=ProcessingConfig(clutter_window=None,
                                               detrend=False))
-    result = run_once(scn, StrategyConfig(kind="opportunistic",
-                                          initial_path="ris"), seed=5)
-    est = result.estimates["ris"]
-    truth = scn.base_trace().samples
-    recovered = est.displacement.samples
+    est = run_once(scn, StrategyConfig(kind="opportunistic",
+                                       initial_path="ris"), seed=5)[1]["ris"]
+    truth = scn.base_trace()
+    recovered = est.displacement
     recovered = recovered - np.mean(recovered - truth)
     rmse = float(np.sqrt(np.mean((recovered - truth) ** 2)))
     amplitude = scn.physio.peak_to_peak / 2.0
@@ -204,7 +203,7 @@ def criterion_7_dual_path_shape() -> CriterionResult:
     ris_wins = 0
     ris_prom = []
     for seed in range(20):
-        est = run_once(scn, strategy, seed).estimates
+        _, est = run_once(scn, strategy, seed)
         ris_wins += (est["ris"].peak_prominence_db
                      > est["direct"].peak_prominence_db)
         ris_prom.append(est["ris"].peak_prominence_db)
@@ -288,9 +287,9 @@ def criterion_9_temporal_resolution() -> CriterionResult:
     ratios = []
     for seed in range(5):
         spatial = run_once(scn, StrategyConfig(kind="spatial", ris_share=0.5),
-                           seed).estimates["ris"]
+                           seed)[1]["ris"]
         temporal = run_once(scn, StrategyConfig(kind="temporal", ris_share=0.5),
-                            seed).estimates["ris"]
+                            seed)[1]["ris"]
         ratios.append(_mainlobe_width(temporal.spectrum)
                       / _mainlobe_width(spatial.spectrum))
     ratio = float(np.median(ratios))

@@ -14,10 +14,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import (ConfigError, _count, _shares, config_hash, load_config,
                      parse_config)
-from .strategy import branch_slots, gamma_sweep, run_closed_loop, run_once
+from .strategy import (PROBE_PULSES, branch_slots, gamma_sweep,
+                       run_closed_loop, run_once)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -83,16 +86,17 @@ def cmd_acquire(args) -> int:
             raise ConfigError(f"the {label} branch gets {have} slow-time "
                               f"slots, fewer than the {least} it needs to "
                               "extract; adjust ris_share or the duration")
-    result = run_once(scenario, strategy, args.seed)
+    _, estimates = run_once(scenario, strategy, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     meta = _meta(scenario, strategy, sweep, args.seed, "acquire")
     # a path that cannot see the chest has no estimate and writes nothing
-    for label, est in sorted((k, e) for k, e in result.estimates.items() if e):
+    for label, est in sorted((k, e) for k, e in estimates.items() if e):
         disp = est.displacement
+        times = np.arange(disp.size) / scenario.radar.slow_rate
         _write_csv(out / f"{label}_displacement.csv",
                    ["time_s", "displacement_m"],
-                   zip(disp.times.tolist(), disp.samples.tolist()),
+                   zip(times.tolist(), disp.tolist()),
                    meta | {"path": label})
         _write_csv(out / f"{label}_spectrum.csv", ["freq_Hz", "power"],
                    zip(est.spectrum.freqs.tolist(), est.spectrum.power.tolist()),
@@ -122,6 +126,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_loop(args) -> int:
     scenario, strategy, sweep = _load(args)
+    probe = min(PROBE_PULSES, scenario.slow_time_samples)
+    if args.windows >= 1 and probe < scenario.radar.element_count:
+        raise ConfigError(f"the position probe gets {probe} pulses, fewer "
+                          f"than the {scenario.radar.element_count} array "
+                          "elements root-MUSIC needs; lengthen the duration")
     logs = run_closed_loop(scenario, strategy, args.windows, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

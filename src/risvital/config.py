@@ -11,9 +11,11 @@ Every section is a mapping and unknown keys are rejected. Quantities carry
 unit suffixes ("7.15 GHz", "250 ms", "10 mW", "-3 dBm", "2 cm", "10 dB")
 or are finite bare SI numbers; counts are whole numbers, and sizes (RIS
 rows and cols, fast-time samples, zero-pad factor) whole numbers >= 1; the
-radar has at least 2 elements; flags are YAML true/false; `clutter_window`
-is an odd count no longer than a window, or off; a `trace_file` holds
-exactly duration x slow-rate samples; the sweep's `gammas` are a non-empty
+radar has at least 2 elements; a window (duration x slow rate) holds at
+least 2 slow-time samples; table gains lie in [0, 1] and the distortion
+strength is >= 0; flags are YAML true/false; `clutter_window` is an odd
+count no longer than a window, or off; a `trace_file` holds exactly
+duration x slow-rate samples; the sweep's `gammas` are a non-empty
 list of shares in [0, 1]. Any violation, including the dataclasses' own
 checks, raises `ConfigError`.
 """
@@ -252,6 +254,9 @@ def parse_config(doc: dict):
                              physio.reflectivity_direct):
             scenario.rcs_model(reflectivity)
         radar.waveform()
+        _require(scenario.slow_time_samples >= 2, scenario.slow_time_samples,
+                 "slow-time samples per window (duration x slow rate)",
+                 "at least 2")
         window = scenario.processing.clutter_window
         _require(window is None or window <= scenario.slow_time_samples,
                  window, "processing.clutter_window",
@@ -260,7 +265,7 @@ def parse_config(doc: dict):
         if physio.trace_file is None:
             check_breath_rate(physio.breath_rate, radar.slow_rate)
         else:
-            have = scenario.base_trace().samples.size
+            have = scenario.base_trace().size
             _require(have == scenario.slow_time_samples, have,
                      f"samples in trace_file {physio.trace_file!r}",
                      f"{scenario.slow_time_samples} (duration x slow rate)")

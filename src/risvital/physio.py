@@ -30,35 +30,6 @@ class TraceError(ValueError):
 
 
 @dataclass(frozen=True)
-class DisplacementTrace:
-    """Chest displacement samples [m] at a fixed slow-time rate.
-
-    Time runs along the last axis; a leading axis, if any, stacks the
-    traces of several seeds.
-    """
-
-    samples: np.ndarray
-    slow_rate: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples",
-                           np.asarray(self.samples, dtype=float))
-        if self.samples.ndim not in (1, 2) or self.samples.shape[-1] < 2:
-            raise TraceError("trace needs at least 2 samples")
-        if not np.all(np.isfinite(self.samples)):
-            raise TraceError("trace samples must be finite")
-        if self.slow_rate <= 0:
-            raise TraceError("slow_rate must be positive")
-
-    def __len__(self) -> int:
-        return self.samples.shape[-1]
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(len(self)) / self.slow_rate
-
-
-@dataclass(frozen=True)
 class RcsModel:
     """Chest reflectivity magnitude plus the incidence-angle response.
 
@@ -87,8 +58,12 @@ class RcsModel:
                 raise ValueError("table angles must be ascending")
             if any(g2 > g1 for g1, g2 in zip(gains, gains[1:])):
                 raise ValueError("table gains must be non-increasing")
+            if not all(0.0 <= g <= 1.0 for g in gains):
+                raise ValueError("table gains must lie in [0, 1]")
         elif self.exponent <= 0:
             raise ValueError("exponent must be positive")
+        if self.distortion_strength < 0:
+            raise ValueError("distortion_strength must be >= 0")
 
 
 def check_breath_rate(breath_rate: float, slow_rate: float) -> None:
@@ -100,7 +75,7 @@ def check_breath_rate(breath_rate: float, slow_rate: float) -> None:
 
 def synth_respiration(breath_rate: float, peak_to_peak: float, duration: float,
                       slow_rate: float, harmonics: int = 0, drift: float = 0.0,
-                      rng_seed=0) -> DisplacementTrace:
+                      rng_seed=0) -> np.ndarray:
     """Sinusoidal breathing trace with optional small harmonics and drift.
 
     Harmonic amplitudes and phases are drawn per seed, each at most 10% of
@@ -119,10 +94,10 @@ def synth_respiration(breath_rate: float, peak_to_peak: float, duration: float,
         d += h_amp * np.sin(2.0 * np.pi * k * breath_rate * t + h_phase)
     if drift:
         d += drift * t / duration
-    return DisplacementTrace(samples=d, slow_rate=slow_rate)
+    return d
 
 
-def load_trace_csv(path, slow_rate: float = 4.0) -> list[DisplacementTrace]:
+def load_trace_csv(path) -> list[np.ndarray]:
     """Load one or two displacement traces [cm on disk -> m] from a CSV file."""
     path = Path(path)
     with path.open(newline="") as fh:
@@ -147,10 +122,10 @@ def load_trace_csv(path, slow_rate: float = 4.0) -> list[DisplacementTrace]:
                 raise TraceError(f"{path}: row {i + 2}: {exc}") from None
             for col, v in zip(columns, values):
                 col.append(v)
-    if not columns[0]:
-        raise TraceError(f"{path}: no samples")
-    return [DisplacementTrace(samples=np.asarray(col) / _CM_PER_M,
-                              slow_rate=slow_rate) for col in columns]
+    traces = [np.asarray(col) / _CM_PER_M for col in columns]
+    if len(traces[0]) < 2 or not np.all(np.isfinite(traces)):
+        raise TraceError(f"{path}: need 2 or more samples, all finite")
+    return traces
 
 
 def write_trace_csv(path, traces) -> None:
@@ -166,7 +141,7 @@ def write_trace_csv(path, traces) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_HEADER[:1 + len(traces)])
         for i in range(lengths.pop()):
-            writer.writerow([i] + [repr(float(t.samples[i] * _CM_PER_M))
+            writer.writerow([i] + [repr(float(t[i] * _CM_PER_M))
                                    for t in traces])
 
 
@@ -186,8 +161,8 @@ def angle_gain(model: RcsModel, incidence: float) -> float:
     return float(np.cos(min(incidence, np.pi / 2.0)) ** model.exponent)
 
 
-def observed_displacement(model: RcsModel, trace: DisplacementTrace,
-                          incidence: float, seeds: list) -> DisplacementTrace:
+def observed_displacement(model: RcsModel, trace: np.ndarray, slow_rate: float,
+                          incidence: float, seeds: list) -> np.ndarray:
     """Displacement actually seen from an angle: attenuated, optionally distorted.
 
     The jitter is white noise confined to DISTORTION_BAND, scaled by the
@@ -195,13 +170,13 @@ def observed_displacement(model: RcsModel, trace: DisplacementTrace,
     seed gives one observation on a leading (S, L) axis.
     """
     gain = angle_gain(model, incidence)
-    d = np.broadcast_to(gain * trace.samples, (len(seeds), len(trace)))
+    d = np.broadcast_to(gain * trace, (len(seeds), trace.size))
     if model.distortion_strength > 0.0 and gain < 1.0:
-        white = standard_normals(seeds, (len(trace),))
-        amp = np.max(np.abs(trace.samples)) if trace.samples.size else 0.0
+        white = standard_normals(seeds, (trace.size,))
+        amp = np.max(np.abs(trace)) if trace.size else 0.0
         level = model.distortion_strength * (1.0 - gain) * amp
-        d = d + level * _bandlimited_noise(white, trace.slow_rate)
-    return DisplacementTrace(samples=d, slow_rate=trace.slow_rate)
+        d = d + level * _bandlimited_noise(white, slow_rate)
+    return d
 
 
 def _bandlimited_noise(white: np.ndarray, rate: float) -> np.ndarray:
@@ -216,14 +191,13 @@ def _bandlimited_noise(white: np.ndarray, rate: float) -> np.ndarray:
     return noise / np.where(rms > 0, rms, 1.0)
 
 
-def rcs_series(model: RcsModel, trace: DisplacementTrace, incidence: float,
-               wavelength: float, seeds: list) -> np.ndarray:
+def rcs_series(model: RcsModel, trace: np.ndarray, slow_rate: float,
+               incidence: float, wavelength: float, seeds: list) -> np.ndarray:
     """Complex reflectivity per slow-time sample, Doppler-phase modulated.
 
     The displacement enters the phase at 4*pi/lambda: the echo travels the
     chest offset twice, matching the 1/2 that the demodulator applies.
     Each seed gives one row of the (S, L) result.
     """
-    observed = observed_displacement(model, trace, incidence, seeds)
-    return model.reflectivity * np.exp(
-        1j * 4.0 * np.pi * observed.samples / wavelength)
+    observed = observed_displacement(model, trace, slow_rate, incidence, seeds)
+    return model.reflectivity * np.exp(1j * 4.0 * np.pi * observed / wavelength)

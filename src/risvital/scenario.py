@@ -10,10 +10,11 @@ energy E, so that output is drawn directly, independently per antenna and
 pulse; the channel and clutter stay fixed for the run.
 
 A run splits into a static scene and per-seed draws. `Scenario.static`
-holds everything that does not depend on the seed (look angles, the LoS
-channel with the RIS profile, transmit steering, receive weights, the
-base trace, the RCS models and the noise scale); it is built on first
-use and kept for the scenario's lifetime. The per-seed part draws the
+holds everything that does not depend on the seed (the LoS channel with
+the RIS profile, transmit steering, receive weights, the base trace, the
+RCS models and the noise scale); like `Scenario.angles`, it is built on
+first use and kept for the scenario's lifetime. Every displacement is a
+plain array at the radar's slow rate. The per-seed part draws the
 channel, the two RCS jitters and the noise from the seed's own children.
 `simulate_acquisition` takes a list of seeds as a leading batch axis and
 gives an (S, M, L) record; `extract_vital_signs` grades one record or
@@ -36,8 +37,8 @@ from .channel import (ChannelModel, RisConfig, build_ris_grid,
                       standard_normals)
 from .geometry import (SPEED_OF_LIGHT, ArrayConfig, PathAngles, Placement,
                        angles_from_placement, ula_steering)
-from .physio import DisplacementTrace, RcsModel, angle_gain, load_trace_csv, \
-    rcs_series, synth_respiration
+from .physio import RcsModel, angle_gain, load_trace_csv, rcs_series, \
+    synth_respiration
 from .sigproc import (SignalError, VitalSignEstimate, clutter_filter,
                       make_waveform, peak_quality, phase_demodulate,
                       power_spectrum, separate_paths)
@@ -161,11 +162,10 @@ def default_placement() -> Placement:
 class StaticScene:
     """The seed-independent part of a run, built once per scenario."""
 
-    angles: PathAngles
     channel: ChannelModel  # LoS geometry, RIS reflection and clutter level
     tx_steering: tuple   # (direct, RIS) conjugated, see transmit_steering
     rx_weights: tuple    # (direct, RIS) separation weights
-    trace: DisplacementTrace
+    trace: np.ndarray    # base displacement [m] at the slow rate
     rcs_ris: RcsModel
     rcs_direct: RcsModel
     noise_sigma: float   # per real component of the matched-filter noise
@@ -184,7 +184,7 @@ class Scenario:
     def slow_time_samples(self) -> int:
         return int(round(self.physio.duration * self.radar.slow_rate))
 
-    @property
+    @cached_property
     def angles(self) -> PathAngles:
         return angles_from_placement(self.placement)
 
@@ -214,10 +214,10 @@ class Scenario:
             phases = np.round(phases / step) * step
         return replace(panel, phases=phases)
 
-    def base_trace(self) -> DisplacementTrace:
+    def base_trace(self) -> np.ndarray:
         p = self.physio
         if p.trace_file is not None:
-            return load_trace_csv(p.trace_file, self.radar.slow_rate)[0]
+            return load_trace_csv(p.trace_file)[0]
         return synth_respiration(p.breath_rate, p.peak_to_peak, p.duration,
                                  self.radar.slow_rate, harmonics=p.harmonics,
                                  drift=p.drift, rng_seed=0)
@@ -234,7 +234,6 @@ class Scenario:
         a_direct, a_ris = (np.conj(a) for a in tx)
         energy = np.sum(radar.waveform() ** 2)
         scene = StaticScene(
-            angles=self.angles,
             channel=channel_model(self.placement, radar.array_config,
                                   self.ris_config(),
                                   db_to_linear(self.channel.k_rice_db),
@@ -250,19 +249,9 @@ class Scenario:
             noise_sigma=np.sqrt(radar.noise_power / (2.0 * energy)))
         for array in (scene.channel.reflection,
                       *scene.channel.los,
-                      *scene.tx_steering, *scene.rx_weights,
-                      scene.trace.samples):
+                      *scene.tx_steering, *scene.rx_weights, scene.trace):
             array.flags.writeable = False
         return scene
-
-
-@dataclass(frozen=True)
-class RunResult:
-    """One acquisition with its extraction products."""
-
-    record: np.ndarray       # matched-filtered antennas x pulses
-    estimates: dict          # path label -> VitalSignEstimate
-    gamma_ris: float | None = None
 
 
 def transmit_steering(scn: Scenario):
@@ -319,16 +308,16 @@ def _simulate(scn: Scenario, schedule: np.ndarray, seed):
     batch, seeds = seed_list(seed)
     m, length = schedule.shape
     st = scn.static
-    trace = replace(st.trace, samples=st.trace.samples[:length])
+    trace, rate = st.trace[:length], scn.radar.slow_rate
     # each seed's four children, regrouped as one list per stream
     ch_seeds, ris_seeds, direct_seeds, noise_seeds = (
         list(stream) for stream in zip(*(child_seeds(s, 4) for s in seeds)))
     channel = st.channel.draw(ch_seeds if batch else ch_seeds[0])
-    lam = scn.radar.wavelength
-    alpha = rcs_series(st.rcs_ris, trace, st.angles.chest_incidence_ris,
+    lam, angles = scn.radar.wavelength, scn.angles
+    alpha = rcs_series(st.rcs_ris, trace, rate, angles.chest_incidence_ris,
                        lam, ris_seeds)
-    beta = rcs_series(st.rcs_direct, trace, st.angles.chest_incidence_direct,
-                      lam, direct_seeds)
+    beta = rcs_series(st.rcs_direct, trace, rate,
+                      angles.chest_incidence_direct, lam, direct_seeds)
     v_ris, h_d = channel.ris_cascade, channel.h_D
     # (..., 1, M) @ (M, L) keeps each seed's vector product bit-identical
     # to a lone run; an (S, M) @ (M, L) product rounds differently. The sum
@@ -351,39 +340,39 @@ def _simulate(scn: Scenario, schedule: np.ndarray, seed):
 
 
 def extract_vital_signs(scn: Scenario, record: np.ndarray,
-                        w_direct: np.ndarray, w_ris: np.ndarray,
                         slots_direct=None, slots_ris=None):
     """Clutter-filter, separate, demodulate, and grade both path branches.
 
-    With temporal slot sets, each branch is demodulated over its own slots
-    only; otherwise over the full record. Returns a dict of path label to
-    estimate (None for a branch too short to grade, or for a path with an
-    angle gain of 0, which cannot see the chest). An (S, M, L) record
-    gives one estimate per path whose traces, spectra, peaks and
-    prominences carry the leading seed axis.
+    The branches are separated with the scene's receive weights. With
+    temporal slot sets (ascending index arrays), each branch is
+    demodulated over its own slots only; otherwise over the full record.
+    Returns a dict of path label to estimate (None for a branch too short
+    to grade, or for a path with an angle gain of 0, which cannot see the
+    chest). An (S, M, L) record gives one estimate per path whose traces,
+    spectra, peaks and prominences carry the leading seed axis.
     """
     proc = scn.processing
     samples = np.asarray(record, dtype=complex)
     if proc.clutter_window is not None:
         samples = clutter_filter(samples, proc.clutter_window)
-    st = scn.static
-    gains = (angle_gain(st.rcs_direct, st.angles.chest_incidence_direct),
-             angle_gain(st.rcs_ris, st.angles.chest_incidence_ris))
+    st, angles, radar = scn.static, scn.angles, scn.radar
+    gains = (angle_gain(st.rcs_direct, angles.chest_incidence_direct),
+             angle_gain(st.rcs_ris, angles.chest_incidence_ris))
     estimates = {}
     for label, series, slots, gain in zip(
-            ("direct", "ris"), separate_paths(samples, w_direct, w_ris),
+            ("direct", "ris"), separate_paths(samples, *st.rx_weights),
             (slots_direct, slots_ris), gains):
         if slots is not None:
-            series = np.take(series, sorted(slots), axis=-1)
+            series = series[..., slots]
         if gain == 0.0 or series.shape[-1] < scn.min_branch_slots:
             estimates[label] = None
             continue
-        displacement = phase_demodulate(series, scn.radar.wavelength,
-                                        scn.radar.slow_rate,
+        displacement = phase_demodulate(series, radar.wavelength,
                                         detrend=proc.detrend)
         # common frequency grid across branches: slot subsets are padded to
         # the full acquisition length so peak locations stay comparable
-        spectrum = power_spectrum(displacement, proc.zero_pad_factor,
+        spectrum = power_spectrum(displacement, radar.slow_rate,
+                                  proc.zero_pad_factor,
                                   n_fft=proc.zero_pad_factor * samples.shape[-1])
         estimates[label] = VitalSignEstimate(
             displacement, spectrum, *peak_quality(spectrum, proc.band))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ArrayConfig
-from .physio import DisplacementTrace
 
 RESPIRATION_BAND = (0.05, 0.7)  # Hz
 
@@ -46,7 +45,7 @@ class VitalSignEstimate:
     prominence arrays where one record gives Python floats.
     """
 
-    displacement: DisplacementTrace
+    displacement: np.ndarray  # [m] at the radar's slow rate
     spectrum: Spectrum
     peak_freq: float | np.ndarray
     peak_prominence_db: float | np.ndarray
@@ -119,8 +118,8 @@ def separate_paths(record: np.ndarray, w_direct: np.ndarray,
     return np.conj(w_direct) @ record, np.conj(w_ris) @ record
 
 
-def phase_demodulate(r: np.ndarray, wavelength: float, slow_rate: float,
-                     detrend: bool = True) -> DisplacementTrace:
+def phase_demodulate(r: np.ndarray, wavelength: float,
+                     detrend: bool = True) -> np.ndarray:
     """Unwrapped slow-time phase converted to displacement d = (lambda/(4*pi)) * phi.
 
     The half compensates the round trip. `detrend` removes the least-squares
@@ -139,20 +138,20 @@ def phase_demodulate(r: np.ndarray, wavelength: float, slow_rate: float,
         fits = [np.polyval(np.polyfit(l_idx, row, 1), l_idx)
                 for row in phi.reshape(-1, l_idx.size)]
         phi = phi - np.reshape(fits, phi.shape)
-    return DisplacementTrace(samples=0.5 * wavelength / (2.0 * np.pi) * phi,
-                             slow_rate=slow_rate)
+    return 0.5 * wavelength / (2.0 * np.pi) * phi
 
 
-def power_spectrum(trace: DisplacementTrace, zero_pad_factor: int = 4,
+def power_spectrum(x: np.ndarray, slow_rate: float, zero_pad_factor: int = 4,
                    n_fft: int | None = None) -> Spectrum:
     """Mean-removed Hann-windowed periodogram, zero-padded by the given factor.
 
-    Normalized so the bin powers sum to the energy of the windowed signal.
-    `n_fft` overrides the transform length, letting short slot records be
+    `x` is sampled at `slow_rate`, time along the last axis. Normalized so
+    the bin powers sum to the energy of the windowed signal. `n_fft`
+    overrides the transform length, letting short slot records be
     evaluated on the frequency grid of a longer acquisition.
     """
     # a row mean rounds like the 1-D mean only over contiguous rows
-    x = np.ascontiguousarray(trace.samples)
+    x = np.ascontiguousarray(x, dtype=float)
     n = x.shape[-1]
     if n < 8:
         raise SignalError("need at least 8 samples for a spectrum")
@@ -168,7 +167,7 @@ def power_spectrum(trace: DisplacementTrace, zero_pad_factor: int = 4,
     power[..., 1:] *= 2.0
     if n_fft % 2 == 0:
         power[..., -1] /= 2.0
-    return Spectrum(freqs=np.fft.rfftfreq(n_fft, d=1.0 / trace.slow_rate),
+    return Spectrum(freqs=np.fft.rfftfreq(n_fft, d=1.0 / slow_rate),
                     power=power)
 
 

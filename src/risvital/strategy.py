@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .beamform import split_precoder
-from .scenario import (RunResult, Scenario, _simulate, child_seeds,
-                       extract_vital_signs, simulate_acquisition)
+from .scenario import (Scenario, _simulate, child_seeds, extract_vital_signs,
+                       simulate_acquisition)
 from .sigproc import VitalSignEstimate, root_music_doa
 
 STRATEGY_KINDS = ("temporal", "spatial", "opportunistic")
@@ -71,16 +71,16 @@ def branch_slots(strategy: StrategyConfig, length: int):
     return np.arange(boundary), np.arange(boundary, length)
 
 
-def plan_transmissions(strategy: StrategyConfig, length: int,
-                       a_direct: np.ndarray, a_ris: np.ndarray,
-                       total_power: float):
-    """Per-pulse precoder schedule (M, L) and the slot sets it implies.
+def plan_transmissions(scn: Scenario, strategy: StrategyConfig, length: int):
+    """Per-pulse precoder schedule (M, L) and the slot sets it implies,
+    built on the scene's steering pair and the radar's power budget.
 
     Spatial separation repeats one split precoder; temporal separation
     alternates the two full-power beams over the slot pattern;
     opportunistic transmits full power on the selected path throughout.
     """
-    a_direct, a_ris = (np.asarray(a, dtype=complex) for a in (a_direct, a_ris))
+    a_direct, a_ris = scn.static.tx_steering
+    total_power = scn.radar.total_power
     slots_direct, slots_ris = branch_slots(strategy, length)
     if slots_direct is not None:
         w_direct = split_precoder(a_direct, a_ris, 1.0, total_power).weights
@@ -133,32 +133,17 @@ def evaluate_and_update(state: LoopState, est_direct: VitalSignEstimate,
     return state  # temporal: fixed slot pattern
 
 
-def _plan(scn: Scenario, strategy: StrategyConfig):
-    return plan_transmissions(strategy, scn.slow_time_samples,
-                              *scn.static.tx_steering, scn.radar.total_power)
-
-
-def _run_batch(scn: Scenario, seeds, plan):
-    """One window per seed under one transmit plan, as one array pass.
+def run_once(scn: Scenario, strategy: StrategyConfig, seed):
+    """One acquisition window under a strategy, extracted on both paths.
 
     Returns (record, estimates) as `simulate_acquisition` and
     `extract_vital_signs` give them: with a leading seed axis for a list
-    of seeds, plain for one seed.
+    of seeds, which run as one array pass, and plain for one seed.
     """
-    schedule, slots_direct, slots_ris = plan
-    record, _ = simulate_acquisition(scn, schedule, seeds)
-    estimates = extract_vital_signs(scn, record, *scn.static.rx_weights,
-                                    slots_direct=slots_direct,
-                                    slots_ris=slots_ris)
-    return record, estimates
-
-
-def run_once(scn: Scenario, strategy: StrategyConfig, seed) -> RunResult:
-    """One acquisition window under a strategy, extracted on both paths."""
-    record, estimates = _run_batch(scn, seed, _plan(scn, strategy))
-    gamma = strategy.ris_share if strategy.kind in ("spatial", "temporal") \
-        else None
-    return RunResult(record=record, estimates=estimates, gamma_ris=gamma)
+    schedule, slots_direct, slots_ris = plan_transmissions(
+        scn, strategy, scn.slow_time_samples)
+    record, _ = simulate_acquisition(scn, schedule, seed)
+    return record, extract_vital_signs(scn, record, slots_direct, slots_ris)
 
 
 def gamma_sweep(scn: Scenario, kind: str, gamma_grid, seeds) -> list[dict]:
@@ -167,9 +152,9 @@ def gamma_sweep(scn: Scenario, kind: str, gamma_grid, seeds) -> list[dict]:
     Returns one row per (gamma, path, seed) with the dominant in-band peak
     and its prominence. A share of zero for the temporal RIS branch (or one
     for the direct branch) leaves that branch without slots; such rows carry
-    NaN peak and zero prominence. Each share's plan is built once and its
-    seeds run in passes of up to SEED_CHUNK; every row equals the lone
-    `run_once` at its seed bit for bit.
+    NaN peak and zero prominence. Each share's seeds run through
+    `run_once` in passes of up to SEED_CHUNK, one plan per pass; every row
+    equals the lone `run_once` at its seed bit for bit.
     """
     if kind not in ("spatial", "temporal"):
         raise ValueError(f"sweep supports spatial or temporal, got {kind!r}")
@@ -181,10 +166,10 @@ def gamma_sweep(scn: Scenario, kind: str, gamma_grid, seeds) -> list[dict]:
     seeds = list(seeds)
     rows = []
     for gamma in gamma_grid:
-        plan = _plan(scn, StrategyConfig(kind=kind, ris_share=float(gamma)))
+        strategy = StrategyConfig(kind=kind, ris_share=float(gamma))
         for start in range(0, len(seeds), SEED_CHUNK):
             chunk = seeds[start:start + SEED_CHUNK]
-            _, estimates = _run_batch(scn, chunk, plan)
+            _, estimates = run_once(scn, strategy, chunk)
             for i, seed in enumerate(chunk):
                 for path in ("direct", "ris"):
                     est = estimates[path]
@@ -230,14 +215,12 @@ def estimate_position(scn: Scenario, seed) -> float:
     It strips the static component and resolves two arrivals; the one
     farther from the known RIS direction is taken as the target.
     """
-    st = scn.static
     n = min(PROBE_PULSES, scn.slow_time_samples)
-    schedule = plan_transmissions(StrategyConfig(), n, *st.tx_steering,
-                                  scn.radar.total_power)[0]
+    schedule = plan_transmissions(scn, StrategyConfig(), n)[0]
     record, _ = _simulate(scn, schedule, seed)
     snapshots = record - record.mean(axis=1, keepdims=True)
     angles = root_music_doa(snapshots, 2, scn.radar.array_config)
-    return float(angles[np.argmax(np.abs(angles - st.angles.theta_ris))])
+    return float(angles[np.argmax(np.abs(angles - scn.angles.theta_ris))])
 
 
 def _best_path_by_geometry(scn: Scenario) -> str:
@@ -270,14 +253,15 @@ def run_closed_loop(scn: Scenario, strategy: StrategyConfig, n_windows: int,
     state.theta_direct_estimate = estimate_position(scn, seeds[0])
     for idx, (wseed, fix_seed) in enumerate(zip(window_seeds, fix_seeds)):
         window_strategy = _window_strategy(strategy, state)
-        result = run_once(scn, window_strategy, wseed)
-        state = evaluate_and_update(state, result.estimates["direct"],
-                                    result.estimates["ris"], strategy)
+        _, estimates = run_once(scn, window_strategy, wseed)
+        state = evaluate_and_update(state, estimates["direct"],
+                                    estimates["ris"], strategy)
         if state.needs_position_fix:
             state.theta_direct_estimate = estimate_position(scn, fix_seed)
+        gamma = None if window_strategy.kind == "opportunistic" \
+            else window_strategy.ris_share
         logs.append(WindowLog(window=idx, strategy=strategy.kind,
-                              gamma_ris=result.gamma_ris,
-                              estimates=result.estimates,
+                              gamma_ris=gamma, estimates=estimates,
                               state=replace(state)))
     return logs
 

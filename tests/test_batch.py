@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risvital.physio import DisplacementTrace
 from risvital.scenario import Scenario, extract_vital_signs, \
     simulate_acquisition
 from risvital.sigproc import Spectrum, VitalSignEstimate
@@ -25,8 +24,7 @@ def assert_same_estimates(a: dict, b: dict):
         if a[label] is None or b[label] is None:
             assert a[label] is b[label] is None
             continue
-        npt.assert_array_equal(a[label].displacement.samples,
-                               b[label].displacement.samples)
+        npt.assert_array_equal(a[label].displacement, b[label].displacement)
         npt.assert_array_equal(a[label].spectrum.power,
                                b[label].spectrum.power)
         assert repr((a[label].peak_freq, a[label].peak_prominence_db)) == \
@@ -36,7 +34,7 @@ def assert_same_estimates(a: dict, b: dict):
 def seed_row(estimates: dict, i: int) -> dict:
     """Row i of every stacked field, in the shape a lone extraction has."""
     return {label: est and VitalSignEstimate(
-                replace(est.displacement, samples=est.displacement.samples[i]),
+                est.displacement[i],
                 replace(est.spectrum, power=est.spectrum.power[i]),
                 float(est.peak_freq[i]), float(est.peak_prominence_db[i]))
             for label, est in estimates.items()}
@@ -58,7 +56,7 @@ def test_sweep_rows_equal_lone_runs(kind, share, seeds, detrend):
     assert [(r["seed"], r["path"]) for r in rows] == \
         [(s, p) for s in seeds for p in ("direct", "ris")]
     for seed, pair in zip(seeds, zip(rows[::2], rows[1::2])):
-        estimates = run_once(scn, strategy, seed).estimates
+        _, estimates = run_once(scn, strategy, seed)
         for row in pair:
             est = estimates[row["path"]]
             want = (est.peak_freq, est.peak_prominence_db) if est \
@@ -74,25 +72,23 @@ def test_sweep_rows_equal_lone_runs(kind, share, seeds, detrend):
 def test_run_once_replays_from_one_seed_sequence(kind, entropy, spawn_key):
     ss = np.random.SeedSequence(entropy, spawn_key=tuple(spawn_key))
     strategy = StrategyConfig(kind=kind, ris_share=0.5)
-    first, again = run_once(SCN, strategy, ss), run_once(SCN, strategy, ss)
+    record, first = run_once(SCN, strategy, ss)
+    again, second = run_once(SCN, strategy, ss)
     assert ss.n_children_spawned == 0
-    npt.assert_array_equal(first.record, again.record)
-    assert_same_estimates(first.estimates, again.estimates)
+    npt.assert_array_equal(record, again)
+    assert_same_estimates(first, second)
 
 
 def test_batched_acquisition_stacks_lone_acquisitions():
     strategy = StrategyConfig(kind="temporal", ris_share=0.4)
     schedule, slots_direct, slots_ris = plan_transmissions(
-        strategy, SCN.slow_time_samples, *SCN.static.tx_steering,
-        SCN.radar.total_power)
+        SCN, strategy, SCN.slow_time_samples)
     seeds = [3, np.random.SeedSequence(5), 3, 11]
     record, channel = simulate_acquisition(SCN, schedule, seeds)
     assert record.shape == (4,) + schedule.shape
-    batch = extract_vital_signs(SCN, record, *SCN.static.rx_weights,
-                                slots_direct=slots_direct,
-                                slots_ris=slots_ris)
+    batch = extract_vital_signs(SCN, record, slots_direct, slots_ris)
     for est in batch.values():  # one estimate per path, seeds stacked
-        assert est.displacement.samples.shape[0] == len(seeds)
+        assert est.displacement.shape[0] == len(seeds)
         assert est.spectrum.power.shape[0] == len(seeds)
         assert est.peak_freq.shape == est.peak_prominence_db.shape \
             == (len(seeds),)
@@ -104,20 +100,18 @@ def test_batched_acquisition_stacks_lone_acquisitions():
                                    getattr(ch, name))
         npt.assert_array_equal(channel.reflection, ch.reflection)
         assert_same_estimates(seed_row(batch, i), extract_vital_signs(
-            SCN, alone, *SCN.static.rx_weights, slots_direct=slots_direct,
-            slots_ris=slots_ris))
+            SCN, alone, slots_direct, slots_ris))
 
 
 @pytest.mark.parametrize("kind", ["spatial", "temporal"])
 def test_sweep_pass_builds_one_estimate_per_path(kind, monkeypatch):
     counts = Counter()
-    for cls in (DisplacementTrace, Spectrum, VitalSignEstimate):
+    for cls in (Spectrum, VitalSignEstimate):
         def counted(self, *args, _init=cls.__init__, _name=cls.__name__,
                     **kwargs):
             counts[_name] += 1
             _init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted)
-    SCN.static  # the scene's base trace is built once, before counting
 
     def built(n_seeds):
         counts.clear()
@@ -138,6 +132,6 @@ def test_static_scene_built_once_per_scenario():
     assert scn.static is static
     # shared by every run, so no caller may write into it
     for array in (static.tx_steering[0], static.rx_weights[1],
-                  static.trace.samples, static.channel.reflection):
+                  static.trace, static.channel.reflection):
         with pytest.raises(ValueError):
             array[0] = 0.0

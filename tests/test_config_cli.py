@@ -376,6 +376,54 @@ class TestWindowShorterThanClutterFilter:
         assert scenario.slow_time_samples == 21
 
 
+class TestWindowUnderTwoSamples:
+    """The window length follows from the config alone, so a window of
+    fewer than 2 slow-time samples is a config error (exit 1) for every
+    command, before anything is written."""
+
+    @pytest.mark.parametrize("command", ["acquire", "loop", "sweep"])
+    @pytest.mark.parametrize("duration, samples", [("0.2 s", 1), ("0 s", 0)])
+    def test_rejected(self, tmp_path, capsys, command, duration, samples):
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text(f"physiology: {{duration: {duration}}}\n"
+                       "processing: {clutter_window: off}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: slow-time samples per window (duration x slow "
+            f"rate): expected at least 2, got {samples}\n")
+        assert not out.exists()
+
+
+class TestLoopProbeShorterThanArray:
+    """Root-MUSIC needs at least as many probe pulses as array elements;
+    the probe length follows from the config, so the loop rejects a shorter
+    one as a config error (exit 1) before it writes anything."""
+
+    @pytest.mark.parametrize("text, pulses, elements", [
+        ("physiology: {duration: 1 s}\nprocessing: {clutter_window: off}\n",
+         4, 5),
+        ("radar: {element_count: 70}\n", 64, 70)])
+    def test_rejected(self, tmp_path, capsys, text, pulses, elements):
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["loop", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: the position probe gets {pulses} pulses, fewer "
+            f"than the {elements} array elements root-MUSIC needs; lengthen "
+            "the duration\n")
+        assert not out.exists()
+
+    def test_other_commands_still_run(self, tmp_path):
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text("physiology: {duration: 1 s}\n"
+                       "processing: {clutter_window: off}\n")
+        for argv in (["loop", "--windows", "0"], ["sweep", "--seeds", "1"]):
+            out = tmp_path / argv[0]
+            assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0
+
+
 class TestStrictValues:
     @pytest.mark.parametrize("doc, message", [
         ({"processing": {"detrend": "false"}}, "true or false"),
@@ -409,6 +457,12 @@ class TestStrictValues:
         ({"processing": {"zero_pad_factor": 0}}, "whole number >= 1"),
         ({"radar": {"tone_frequency": "20 MHz"}}, "aliases"),
         ({"physiology": {"breathing_rate": "3 Hz"}}, "violates Nyquist"),
+        ({"physiology": {"gain_table": [[0, 2.0], [90, 1.5]]}},
+         r"gains must lie in \[0, 1\]"),
+        ({"physiology": {"gain_table": [[0, -0.2], [90, -0.5]]}},
+         r"gains must lie in \[0, 1\]"),
+        ({"physiology": {"distortion_strength": -3}},
+         "distortion_strength must be >= 0"),
     ])
     def test_rejected(self, doc, message):
         with pytest.raises(ConfigError, match=message):
@@ -417,7 +471,9 @@ class TestStrictValues:
     @pytest.mark.parametrize("text", ["radar:\n", "strategy:\n  kind: bogus\n",
                                       "ris: {rows: 0}\n",
                                       "radar: {tone_frequency: 20 MHz}\n",
-                                      "physiology: {breathing_rate: 3 Hz}\n"])
+                                      "physiology: {breathing_rate: 3 Hz}\n",
+                                      "physiology: {gain_table: "
+                                      "[[0, 2.0], [90, 1.5]]}\n"])
     def test_rejected_through_cli(self, tmp_path, capsys, text):
         cfg = tmp_path / "scenario.yaml"
         cfg.write_text(text)

@@ -81,12 +81,12 @@ def loop_digest(kind: str) -> str:
 
 
 def run_digest(kind: str) -> str:
-    result = run_once(Scenario(), StrategyConfig(kind=kind, ris_share=0.4),
-                      seed=7)
-    digest = hashlib.sha256(result.record.tobytes())
-    for label, est in sorted(result.estimates.items()):
+    record, estimates = run_once(
+        Scenario(), StrategyConfig(kind=kind, ris_share=0.4), seed=7)
+    digest = hashlib.sha256(record.tobytes())
+    for label, est in sorted(estimates.items()):
         digest.update(label.encode())
-        digest.update(est.displacement.samples.tobytes())
+        digest.update(est.displacement.tobytes())
         digest.update(est.spectrum.freqs.tobytes())
         digest.update(est.spectrum.power.tobytes())
         digest.update(repr((est.peak_freq, est.peak_prominence_db)).encode())

@@ -2,10 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from risvital.physio import (DEFAULT_GAIN_EXPONENT, DisplacementTrace,
-                             RcsModel, TraceError, angle_gain, load_trace_csv,
-                             observed_displacement, rcs_series,
-                             synth_respiration, write_trace_csv)
+from risvital.physio import (DEFAULT_GAIN_EXPONENT, RcsModel, TraceError,
+                             angle_gain, load_trace_csv, observed_displacement,
+                             rcs_series, synth_respiration, write_trace_csv)
 
 WAVELENGTH = 299792458.0 / 7.15e9
 
@@ -14,15 +13,14 @@ class TestSynthRespiration:
     def test_paper_scale_trace(self):
         trace = synth_respiration(0.133, 0.02, 60.0, 4.0)
         assert len(trace) == 240
-        spectrum = np.abs(np.fft.rfft(trace.samples))
+        spectrum = np.abs(np.fft.rfft(trace))
         freqs = np.fft.rfftfreq(240, d=0.25)
         assert freqs[np.argmax(spectrum)] == pytest.approx(0.133, abs=1 / 60)
 
     def test_clean_trace_peak_to_peak(self):
         # rate-aligned frequency so the sampling grid hits the extremes
         trace = synth_respiration(0.25, 0.02, 60.0, 4.0, harmonics=0)
-        assert trace.samples.max() - trace.samples.min() == pytest.approx(
-            0.02, abs=1e-9)
+        assert trace.max() - trace.min() == pytest.approx(0.02, abs=1e-9)
 
     def test_nyquist_violation(self):
         with pytest.raises(TraceError):
@@ -31,41 +29,51 @@ class TestSynthRespiration:
     def test_harmonics_stay_small_and_deterministic(self):
         t1 = synth_respiration(0.2, 0.02, 30.0, 4.0, harmonics=2, rng_seed=5)
         t2 = synth_respiration(0.2, 0.02, 30.0, 4.0, harmonics=2, rng_seed=5)
-        npt.assert_array_equal(t1.samples, t2.samples)
+        npt.assert_array_equal(t1, t2)
         base = synth_respiration(0.2, 0.02, 30.0, 4.0)
-        extra = t1.samples - base.samples
+        extra = t1 - base
         assert np.max(np.abs(extra)) <= 2 * 0.1 * 0.01 + 1e-12
 
     def test_drift_adds_linear_term(self):
         trace = synth_respiration(0.2, 0.0, 10.0, 4.0, drift=0.004)
-        npt.assert_allclose(trace.samples[-1] - trace.samples[0], 0.004,
-                            rtol=0.05)
+        npt.assert_allclose(trace[-1] - trace[0], 0.004, rtol=0.05)
 
 
 class TestTraceCsv:
     def test_two_column_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
-        front = DisplacementTrace(rng.normal(0, 0.01, 100), 4.0)
-        side = DisplacementTrace(rng.normal(0, 0.01, 100), 4.0)
+        front = rng.normal(0, 0.01, 100)
+        side = rng.normal(0, 0.01, 100)
         path = tmp_path / "traces.csv"
         write_trace_csv(path, [front, side])
-        loaded = load_trace_csv(path, slow_rate=4.0)
+        loaded = load_trace_csv(path)
         assert len(loaded) == 2
         assert len(loaded[0]) == 100
-        npt.assert_allclose(loaded[0].samples, front.samples, atol=1e-12)
-        npt.assert_allclose(loaded[1].samples, side.samples, atol=1e-12)
+        npt.assert_allclose(loaded[0], front, atol=1e-12)
+        npt.assert_allclose(loaded[1], side, atol=1e-12)
 
     def test_single_column_file(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("index,front_radar_VS\n0,1.0\n1,2.0\n2,1.5\n")
         loaded = load_trace_csv(path)
         assert len(loaded) == 1
-        npt.assert_allclose(loaded[0].samples, [0.01, 0.02, 0.015])
+        npt.assert_allclose(loaded[0], [0.01, 0.02, 0.015])
 
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("index,front_radar_VS,side_radar_VS\n")
-        with pytest.raises(TraceError, match="no samples"):
+        with pytest.raises(TraceError, match="2 or more samples, all finite"):
+            load_trace_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        "index,front_radar_VS\n0,1.0\n1,nan\n",
+        "index,front_radar_VS\n0,inf\n1,1.0\n",
+        "index,front_radar_VS,side_radar_VS\n0,1.0,2.0\n1,1.0,-inf\n",
+        "index,front_radar_VS\n0,1.0\n"])
+    def test_unusable_column_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(TraceError, match="2 or more samples, all finite"):
             load_trace_csv(path)
 
     def test_wrong_header_rejected(self, tmp_path):
@@ -135,15 +143,15 @@ class TestAngleGain:
 class TestRcsSeries:
     def test_static_chest_constant_reflectivity(self):
         model = RcsModel(reflectivity=0.37)
-        trace = DisplacementTrace(np.zeros(50), 4.0)
-        series = rcs_series(model, trace, 0.0, WAVELENGTH, [0])[0]
+        trace = np.zeros(50)
+        series = rcs_series(model, trace, 4.0, 0.0, WAVELENGTH, [0])[0]
         npt.assert_allclose(series, 0.37, atol=1e-15)
 
     def test_quarter_wavelength_round_trip_phase(self):
         # the echo travels the displacement twice: lambda/4 offset -> pi
         model = RcsModel(reflectivity=1.0)
-        trace = DisplacementTrace(np.array([0.0, WAVELENGTH / 4]), 4.0)
-        series = rcs_series(model, trace, 0.0, WAVELENGTH, [0])[0]
+        trace = np.array([0.0, WAVELENGTH / 4])
+        series = rcs_series(model, trace, 4.0, 0.0, WAVELENGTH, [0])[0]
         assert np.angle(series[1]) == pytest.approx(np.pi, abs=1e-9) or \
             np.angle(series[1]) == pytest.approx(-np.pi, abs=1e-9)
         assert np.angle(series[0]) == pytest.approx(0.0, abs=1e-12)
@@ -151,14 +159,14 @@ class TestRcsSeries:
     def test_constant_magnitude(self):
         model = RcsModel(reflectivity=2.5)
         trace = synth_respiration(0.133, 0.02, 30.0, 4.0)
-        series = rcs_series(model, trace, np.radians(30), WAVELENGTH, [0])[0]
+        series = rcs_series(model, trace, 4.0, np.radians(30), WAVELENGTH, [0])[0]
         npt.assert_allclose(np.abs(series), 2.5, atol=1e-12)
 
     def test_excursion_ratio_tracks_gain_ratio(self):
         model = RcsModel(reflectivity=1.0)
         trace = synth_respiration(0.133, 0.004, 30.0, 4.0)  # small: no wrap
         def excursion(theta):
-            series = rcs_series(model, trace, theta, WAVELENGTH, [0])[0]
+            series = rcs_series(model, trace, 4.0, theta, WAVELENGTH, [0])[0]
             phase = np.unwrap(np.angle(series))
             return phase.max() - phase.min()
         ratio = excursion(np.radians(78.75)) / excursion(np.radians(11.25))
@@ -171,25 +179,25 @@ class TestObservedDisplacement:
     def test_no_distortion_is_pure_scaling(self):
         model = RcsModel(reflectivity=1.0)
         trace = synth_respiration(0.2, 0.02, 30.0, 4.0)
-        seen = observed_displacement(model, trace, np.radians(60.0), [0])
+        seen = observed_displacement(model, trace, 4.0, np.radians(60.0), [0])
         gain = angle_gain(model, np.radians(60.0))
-        npt.assert_allclose(seen.samples[0], gain * trace.samples, atol=1e-15)
+        npt.assert_allclose(seen[0], gain * trace, atol=1e-15)
 
     def test_frontal_view_immune_to_distortion(self):
         model = RcsModel(reflectivity=1.0, distortion_strength=1.0)
         trace = synth_respiration(0.2, 0.02, 30.0, 4.0)
-        seen = observed_displacement(model, trace, 0.0, [3])
-        npt.assert_allclose(seen.samples[0], trace.samples, atol=1e-15)
+        seen = observed_displacement(model, trace, 4.0, 0.0, [3])
+        npt.assert_allclose(seen[0], trace, atol=1e-15)
 
     def test_oblique_view_distorted_and_deterministic(self):
         model = RcsModel(reflectivity=1.0, distortion_strength=0.5)
         trace = synth_respiration(0.2, 0.02, 30.0, 4.0)
-        a = observed_displacement(model, trace, np.radians(78.75), [3])
-        b = observed_displacement(model, trace, np.radians(78.75), [3])
-        npt.assert_array_equal(a.samples, b.samples)
+        a = observed_displacement(model, trace, 4.0, np.radians(78.75), [3])
+        b = observed_displacement(model, trace, 4.0, np.radians(78.75), [3])
+        npt.assert_array_equal(a, b)
         gain = angle_gain(model, np.radians(78.75))
-        jitter = a.samples[0] - gain * trace.samples
-        level = 0.5 * (1 - gain) * np.max(np.abs(trace.samples))
+        jitter = a[0] - gain * trace
+        level = 0.5 * (1 - gain) * np.max(np.abs(trace))
         assert np.sqrt(np.mean(jitter ** 2)) == pytest.approx(level, rel=1e-9)
 
     def test_default_exponent_pins_oblique_gain(self):

@@ -2,14 +2,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risvital.beamform import split_precoder
 from risvital.channel import realize_channel
 from risvital.physio import TraceError, rcs_series
-from risvital.scenario import (ProcessingConfig, RadarConfig,
-                               Scenario, child_seeds, db_to_linear,
-                               dbm_to_watts, extract_vital_signs, noiseless,
-                               simulate_acquisition, transmit_steering)
+from risvital.scenario import (ProcessingConfig, RadarConfig, Scenario,
+                               child_seeds, db_to_linear, dbm_to_watts,
+                               noiseless, simulate_acquisition,
+                               transmit_steering)
 from risvital.strategy import StrategyConfig, run_once
 
 
@@ -66,7 +68,7 @@ class TestSimulateAcquisition:
         record, ch = simulate_acquisition(scn, schedule, seed=3)
         trace = scn.base_trace()
         alpha = rcs_series(scn.rcs_model(scn.physio.reflectivity_ris), trace,
-                           scn.angles.chest_incidence_ris,
+                           scn.radar.slow_rate, scn.angles.chest_incidence_ris,
                            scn.radar.wavelength, [0])[0]
         v = ch.ris_cascade
         expected = v[:, None] * (alpha * (v @ schedule))
@@ -121,6 +123,7 @@ class TestSimulateAcquisition:
             q = scn.physio.reflectivity_direct
             gain = np.abs(
                 rcs_series(scn.rcs_model(q), scn.base_trace(),
+                           scn.radar.slow_rate,
                            scn.angles.chest_incidence_direct,
                            scn.radar.wavelength, [0]))[0, 0]
             expected = (gain ** 2 * np.linalg.norm(ch.h_D) ** 4
@@ -150,20 +153,19 @@ class TestSimulateAcquisition:
 class TestExtraction:
     def test_slot_subsetting(self):
         scn = Scenario()
-        result = run_once(scn, StrategyConfig(kind="temporal", ris_share=0.5),
+        _, est = run_once(scn, StrategyConfig(kind="temporal", ris_share=0.5),
                           seed=1)
-        est = result.estimates
         # each branch demodulates only its own half of the record
         assert len(est["ris"].displacement) == 120
         assert len(est["direct"].displacement) == 120
 
     def test_min_window_rule(self):
         scn = Scenario()
-        result = run_once(scn, StrategyConfig(kind="temporal", ris_share=0.9),
-                          seed=1)
+        _, estimates = run_once(
+            scn, StrategyConfig(kind="temporal", ris_share=0.9), seed=1)
         # direct branch has 24 slots = 6 s < one period of the 0.05 Hz edge
-        assert result.estimates["direct"] is None
-        assert result.estimates["ris"] is not None
+        assert estimates["direct"] is None
+        assert estimates["ris"] is not None
 
     @pytest.mark.parametrize("table", [(), ((0.0, 1.0), (90.0, 0.0))])
     def test_blind_path_not_graded(self, table):
@@ -173,16 +175,51 @@ class TestExtraction:
             base.placement, chest_normal=np.array([0.6, 0.8, 0.0])),
             physio=replace(base.physio, gain_table=table))
         for kind in ("spatial", "temporal"):
-            result = run_once(scn, StrategyConfig(kind=kind), seed=1)
-            assert result.estimates["direct"] is None
-            assert result.estimates["ris"] is not None
+            _, estimates = run_once(scn, StrategyConfig(kind=kind), seed=1)
+            assert estimates["direct"] is None
+            assert estimates["ris"] is not None
 
     def test_clutter_filter_optional(self):
         scn = replace(Scenario(),
                       processing=ProcessingConfig(clutter_window=None))
-        result = run_once(scn, StrategyConfig(kind="spatial", ris_share=0.5),
-                          seed=1)
-        assert result.estimates["ris"] is not None
+        _, estimates = run_once(
+            scn, StrategyConfig(kind="spatial", ris_share=0.5), seed=1)
+        assert estimates["ris"] is not None
+
+
+class TestIncidenceMonotonicity:
+    """The more obliquely a path views the chest, the less breathing it
+    shows: on a noiseless RIS-only run the demodulated peak-to-peak does
+    not grow with the RIS incidence, under either gain law."""
+
+    @staticmethod
+    def ris_peak_to_peak(base, rotation_deg):
+        # rotate the chest in the horizontal plane away from facing the RIS
+        rot = np.radians(rotation_deg)
+        n = base.placement.chest_normal
+        normal = np.array([n[0] * np.cos(rot) - n[1] * np.sin(rot),
+                           n[0] * np.sin(rot) + n[1] * np.cos(rot), n[2]])
+        scn = replace(base, placement=replace(base.placement,
+                                              chest_normal=normal))
+        _, estimates = run_once(scn, StrategyConfig(
+            kind="opportunistic", initial_path="ris"), seed=0)
+        est = estimates["ris"]  # None where the gain is 0: nothing seen
+        return np.ptp(est.displacement) if est else 0.0
+
+    @pytest.mark.parametrize("table", [(), ((0.0, 1.0), (45.0, 0.6),
+                                            (90.0, 0.0))])
+    @settings(max_examples=30, deadline=None)
+    @given(a=st.floats(0.0, 90.0), b=st.floats(0.0, 90.0))
+    def test_ris_amplitude_never_grows_with_incidence(self, table, a, b):
+        base = noiseless(Scenario())
+        base = replace(
+            base,
+            physio=replace(base.physio, reflectivity_direct=0.0,
+                           distortion_strength=0.0, gain_table=table),
+            processing=ProcessingConfig(clutter_window=None, detrend=False))
+        low, high = sorted((a, b))
+        assert self.ris_peak_to_peak(base, high) \
+            <= self.ris_peak_to_peak(base, low) * (1 + 1e-9)
 
 
 class TestRisQuantization:

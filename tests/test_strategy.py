@@ -5,7 +5,6 @@ from dataclasses import replace
 
 from risvital import strategy as strategy_module
 from risvital.beamform import temporal_weights
-from risvital.physio import DisplacementTrace
 from risvital.scenario import Scenario, noiseless, transmit_steering
 from risvital.sigproc import Spectrum, VitalSignEstimate
 from risvital.strategy import (LoopState, StrategyConfig, branch_slots,
@@ -15,7 +14,7 @@ from risvital.strategy import (LoopState, StrategyConfig, branch_slots,
 
 def fake_estimate(prominence_db, peak=0.133):
     return VitalSignEstimate(
-        displacement=DisplacementTrace(np.zeros(16) + 1e-6, 4.0),
+        displacement=np.zeros(16) + 1e-6,
         spectrum=Spectrum(np.linspace(0, 2, 9), np.ones(9)),
         peak_freq=peak, peak_prominence_db=prominence_db)
 
@@ -28,8 +27,7 @@ class TestPlanTransmissions:
 
     def test_spatial_constant_schedule(self):
         schedule, sd, sr = plan_transmissions(
-            StrategyConfig(kind="spatial", ris_share=0.5), 240, self.a_d,
-            self.a_r, self.p)
+            self.scn, StrategyConfig(kind="spatial", ris_share=0.5), 240)
         assert schedule.shape == (5, 240)
         assert sd is None and sr is None
         assert np.all(schedule == schedule[:, :1])
@@ -38,8 +36,7 @@ class TestPlanTransmissions:
 
     def test_temporal_half_split(self):
         schedule, sd, sr = plan_transmissions(
-            StrategyConfig(kind="temporal", ris_share=0.5), 240, self.a_d,
-            self.a_r, self.p)
+            self.scn, StrategyConfig(kind="temporal", ris_share=0.5), 240)
         assert sd.size == 120 and sr.size == 120
         assert set(sd) | set(sr) == set(range(240))
         for l in (0, 119, 120, 239):
@@ -55,8 +52,8 @@ class TestPlanTransmissions:
         length = 240
         for share in (0.0, 0.1, 0.5, 0.9, 1.0):
             schedule, sd, sr = plan_transmissions(
-                StrategyConfig(kind="temporal", ris_share=share), length,
-                self.a_d, self.a_r, self.p)
+                self.scn, StrategyConfig(kind="temporal", ris_share=share),
+                length)
             for l in range(length):
                 oracle = temporal_weights(l, sd, sr, self.a_d, self.a_r,
                                           self.p).weights
@@ -64,8 +61,8 @@ class TestPlanTransmissions:
 
     def test_opportunistic_pins_one_path(self):
         schedule, _, _ = plan_transmissions(
-            StrategyConfig(kind="opportunistic", initial_path="ris"), 100,
-            self.a_d, self.a_r, self.p)
+            self.scn, StrategyConfig(kind="opportunistic", initial_path="ris"),
+            100)
         assert np.all(schedule == schedule[:, :1])
         assert abs(np.vdot(self.a_d, schedule[:, 0])) < 1e-12
         power = np.real(np.vdot(schedule[:, 0], schedule[:, 0]))
@@ -73,9 +70,8 @@ class TestPlanTransmissions:
 
     def test_power_budget_over_share_grid(self):
         for share in np.linspace(0, 1, 11):
-            schedule, _, _ = plan_transmissions(
-                StrategyConfig(kind="spatial", ris_share=float(share)), 16,
-                self.a_d, self.a_r, self.p)
+            strategy = StrategyConfig(kind="spatial", ris_share=float(share))
+            schedule, _, _ = plan_transmissions(self.scn, strategy, 16)
             for l in range(16):
                 power = np.real(np.vdot(schedule[:, l], schedule[:, l]))
                 assert power <= self.p * (1 + 1e-9)
@@ -200,18 +196,20 @@ class TestEvaluateAndUpdate:
 
 class TestRunOnce:
     def test_estimates_cover_both_paths(self):
-        result = run_once(Scenario(), StrategyConfig(kind="spatial"), seed=4)
-        assert set(result.estimates) == {"direct", "ris"}
-        assert result.gamma_ris == pytest.approx(0.5)
+        _, estimates = run_once(Scenario(), StrategyConfig(kind="spatial"),
+                                seed=4)
+        assert set(estimates) == {"direct", "ris"}
 
     def test_same_seed_sequence_replays(self):
         ss = np.random.SeedSequence(7)
-        first = run_once(Scenario(), StrategyConfig(kind="spatial"), ss)
-        second = run_once(Scenario(), StrategyConfig(kind="spatial"), ss)
-        npt.assert_array_equal(first.record, second.record)
+        record, first = run_once(Scenario(), StrategyConfig(kind="spatial"),
+                                 ss)
+        again, second = run_once(Scenario(), StrategyConfig(kind="spatial"),
+                                 ss)
+        npt.assert_array_equal(record, again)
         for path in ("direct", "ris"):
-            assert (first.estimates[path].peak_prominence_db
-                    == second.estimates[path].peak_prominence_db)
+            assert (first[path].peak_prominence_db
+                    == second[path].peak_prominence_db)
 
 
 class TestClosedLoop:
@@ -329,10 +327,10 @@ class TestGammaSweep:
     def test_single_gamma_matches_run_once(self):
         scn = Scenario()
         rows = gamma_sweep(scn, "spatial", [0.5], [7])
-        result = run_once(scn, StrategyConfig(kind="spatial", ris_share=0.5),
-                          seed=7)
+        _, estimates = run_once(
+            scn, StrategyConfig(kind="spatial", ris_share=0.5), seed=7)
         for row in rows:
-            est = result.estimates[row["path"]]
+            est = estimates[row["path"]]
             assert row["peak_freq_Hz"] == pytest.approx(est.peak_freq)
             assert row["prominence_db"] == pytest.approx(
                 est.peak_prominence_db)
