@@ -1,6 +1,6 @@
 """RIS-assisted radar vital-sign monitoring simulator."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .beamform import (IllConditionedConstraints, Precoder, min_norm_precoder,
                        min_power_closed_form, split_precoder, split_scale,

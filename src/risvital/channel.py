@@ -4,11 +4,11 @@ Builds the radar->RIS matrix, RIS->target and radar->target vectors from
 exact element-to-element free-space propagation, draws Rician fading
 around those line-of-sight components, and adds static clutter.
 `channel_model` does the geometry once; its `draw` is the per-seed part.
-A draw takes one flat standard-normal vector per seed and slices H_I,
-h_T, h_D and the clutter out of it, real then imaginary parts per
-component; the Rician mix, path-loss scale and clutter symmetrization
-then run once over the (S, ...) stack of a list of seeds. Each seed
-gets the bits it gets alone, and a single seed is the stack of one.
+A draw takes `draw_size` standard normals per seed from the caller and
+slices H_I, h_T, h_D and the clutter out of them, real then imaginary
+parts per component; the Rician mix, path-loss scale and clutter
+symmetrization then run once over the (S, ...) stack. Each seed gets
+the bits it gets alone, and an (n,) block gives a plain realization.
 The RIS reflection Gamma is diagonal, so it is kept as its (N,) diagonal.
 The one end-to-end signal model built from these components, two rank-1
 target terms plus clutter, is `scenario.simulate_acquisition`.
@@ -121,12 +121,6 @@ class ChannelRealization:
         return (self.H_I @ (self.reflection * self.h_T)[..., None])[..., 0]
 
 
-def seed_list(rng_seed):
-    """(whether `rng_seed` is a batch, the batch's list of seeds)."""
-    batch = isinstance(rng_seed, list)
-    return batch, (rng_seed if batch else [rng_seed])
-
-
 def standard_normals(seeds: list, shape: tuple) -> np.ndarray:
     """(S,) + shape standard normals, one generator call per seed.
 
@@ -212,23 +206,28 @@ class ChannelModel:
         if not all(np.all(np.isfinite(part)) for part in self.los):
             raise ChannelError("line-of-sight components must be finite")
 
-    def draw(self, rng_seed) -> ChannelRealization:
-        """H_I, h_T, h_D, then the clutter, from one normal draw per seed.
+    @property
+    def draw_size(self) -> int:
+        """Normals per draw: H_I, h_T, h_D, then the (M, M) clutter."""
+        return sum(2 * p.size for p in self.los) + 2 * self.los[2].size ** 2
 
-        A list of seeds gives one realization stacked over a leading seed
-        axis, validated once; a single seed gives a plain realization.
+    def draw(self, normals: np.ndarray) -> ChannelRealization:
+        """H_I, h_T, h_D, then the clutter, from `draw_size` normals per seed.
+
+        An (S, draw_size) block gives one realization stacked over a leading
+        seed axis, validated once; a (draw_size,) block gives a plain one.
         """
-        batch, seeds = seed_list(rng_seed)
+        stacked = normals.ndim == 2
+        normals = np.atleast_2d(normals)
         m = self.los[2].size
         bounds = np.cumsum([0] + [2 * part.size for part in self.los]).tolist()
-        normals = standard_normals(seeds, (bounds[-1] + 2 * m * m,))
         parts = [scale * _rician(self.k_factor, los, _complex_normal(
                      normals[:, lo:hi], los.shape))
                  for los, scale, lo, hi
                  in zip(self.los, self.scales, bounds, bounds[1:])]
         parts.append(_clutter(self.clutter_strength,
                               normals[:, bounds[-1]:], m))
-        if not batch:
+        if not stacked:
             parts = [part[0] for part in parts]
         return ChannelRealization(*parts, reflection=self.reflection)
 
@@ -249,8 +248,8 @@ def realize_channel(p: Placement, cfg: ArrayConfig, ris: RisConfig,
 
     The unit-variance nLoS draw of each component is scaled to the RMS
     magnitude of its LoS counterpart so fading perturbs the link without
-    erasing its path loss. Runs that share a geometry build the
-    `channel_model` once and pass their seeds to its `draw` as one list.
+    erasing its path loss. The normals are the first `draw_size` of
+    `rng_seed`'s stream, as a run takes them from its seed's first child.
     """
-    return channel_model(p, cfg, ris, k_rice,
-                         clutter_strength).draw(rng_seed)
+    model = channel_model(p, cfg, ris, k_rice, clutter_strength)
+    return model.draw(standard_normals([rng_seed], (model.draw_size,))[0])

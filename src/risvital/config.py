@@ -10,14 +10,14 @@ section, which has no dataclass, keeps its defaults here.
 Every section is a mapping and unknown keys are rejected. Quantities carry
 unit suffixes ("7.15 GHz", "250 ms", "10 mW", "-3 dBm", "2 cm", "10 dB")
 or are finite bare SI numbers; counts are whole numbers, and sizes (RIS
-rows and cols, fast-time samples, zero-pad factor) whole numbers >= 1; the
-radar has at least 2 elements; a window (duration x slow rate) holds at
-least 2 slow-time samples; table gains lie in [0, 1] and the distortion
-strength is >= 0; flags are YAML true/false; `clutter_window` is an odd
-count no longer than a window, or off; a `trace_file` holds exactly
-duration x slow-rate samples; the sweep's `gammas` are a non-empty
-list of shares in [0, 1]. Any violation, including the dataclasses' own
-checks, raises `ConfigError`.
+rows and cols, fast-time samples, zero-pad factor, hysteresis windows)
+whole numbers >= 1; the radar has at least 2 elements; a window (duration
+x slow rate) holds at least 2 slow-time samples; table gains lie in
+[0, 1]; distortion strength and adaptation step are >= 0; flags are
+true/false; `clutter_window` is an odd count no longer than a window, or
+off; a `trace_file`'s front column holds duration x slow-rate finite
+samples; the sweep's `gammas` are a non-empty list of shares in [0, 1].
+Any violation, including the dataclasses' own checks, raises `ConfigError`.
 """
 
 import hashlib
@@ -196,7 +196,7 @@ SCHEMA = {
         ("ris_share", "ris_share", "number"),
         ("adaptation_step", "adaptation_step", "number"),
         ("prominence_threshold", "prominence_threshold_db", "db"),
-        ("hysteresis_windows", "hysteresis_windows", "count"),
+        ("hysteresis_windows", "hysteresis_windows", "size"),
         ("initial_path", "initial_path", "text"),
         ("ideal", "ideal", "flag"),
     )),

@@ -5,6 +5,7 @@ ingested from CSV. The chest's complex reflectivity keeps constant
 magnitude while respiration modulates its phase; the observation angle
 attenuates (and optionally distorts) the displacement seen by a path, so
 a side view loses the breathing signal while a frontal view keeps it.
+The caller draws the distortion's white noise, one row per seed.
 """
 
 import csv
@@ -12,8 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .channel import standard_normals
 
 # Default attenuation exponent: cos^p law pinned to a gain of 0.1 at the
 # default scenario's oblique incidence of 78.75 degrees.
@@ -97,8 +96,9 @@ def synth_respiration(breath_rate: float, peak_to_peak: float, duration: float,
     return d
 
 
-def load_trace_csv(path) -> list[np.ndarray]:
-    """Load one or two displacement traces [cm on disk -> m] from a CSV file."""
+def load_trace_csv(path) -> np.ndarray:
+    """The front displacement trace [cm on disk -> m] of a CSV file; a side
+    column must hold numbers but is neither kept nor checked further."""
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -111,7 +111,7 @@ def load_trace_csv(path) -> list[np.ndarray]:
             raise TraceError(
                 f"{path}: expected header {','.join(TRACE_HEADER)} "
                 f"(last column optional), got {','.join(header)}")
-        columns = [[] for _ in header[1:]]
+        front = []
         for i, row in enumerate(reader):
             if len(row) != len(header):
                 raise TraceError(f"{path}: row {i + 2} has {len(row)} fields, "
@@ -120,12 +120,11 @@ def load_trace_csv(path) -> list[np.ndarray]:
                 values = [float(v) for v in row[1:]]
             except ValueError as exc:
                 raise TraceError(f"{path}: row {i + 2}: {exc}") from None
-            for col, v in zip(columns, values):
-                col.append(v)
-    traces = [np.asarray(col) / _CM_PER_M for col in columns]
-    if len(traces[0]) < 2 or not np.all(np.isfinite(traces)):
+            front.append(values[0])
+    trace = np.asarray(front) / _CM_PER_M
+    if trace.size < 2 or not np.all(np.isfinite(trace)):
         raise TraceError(f"{path}: need 2 or more samples, all finite")
-    return traces
+    return trace
 
 
 def write_trace_csv(path, traces) -> None:
@@ -162,17 +161,16 @@ def angle_gain(model: RcsModel, incidence: float) -> float:
 
 
 def observed_displacement(model: RcsModel, trace: np.ndarray, slow_rate: float,
-                          incidence: float, seeds: list) -> np.ndarray:
+                          incidence: float, white: np.ndarray) -> np.ndarray:
     """Displacement actually seen from an angle: attenuated, optionally distorted.
 
-    The jitter is white noise confined to DISTORTION_BAND, scaled by the
-    lost fraction of the angle gain, so a frontal view stays clean. Each
-    seed gives one observation on a leading (S, L) axis.
+    The jitter is the (S, L) `white` noise, one row per seed, confined to
+    DISTORTION_BAND and scaled by the lost fraction of the angle gain, so
+    a frontal view stays clean; the result is (S, L) as well.
     """
     gain = angle_gain(model, incidence)
-    d = np.broadcast_to(gain * trace, (len(seeds), trace.size))
+    d = np.broadcast_to(gain * trace, white.shape)
     if model.distortion_strength > 0.0 and gain < 1.0:
-        white = standard_normals(seeds, (trace.size,))
         amp = np.max(np.abs(trace)) if trace.size else 0.0
         level = model.distortion_strength * (1.0 - gain) * amp
         d = d + level * _bandlimited_noise(white, slow_rate)
@@ -192,12 +190,13 @@ def _bandlimited_noise(white: np.ndarray, rate: float) -> np.ndarray:
 
 
 def rcs_series(model: RcsModel, trace: np.ndarray, slow_rate: float,
-               incidence: float, wavelength: float, seeds: list) -> np.ndarray:
+               incidence: float, wavelength: float,
+               white: np.ndarray) -> np.ndarray:
     """Complex reflectivity per slow-time sample, Doppler-phase modulated.
 
     The displacement enters the phase at 4*pi/lambda: the echo travels the
     chest offset twice, matching the 1/2 that the demodulator applies.
-    Each seed gives one row of the (S, L) result.
+    Each row of the (S, L) `white` noise gives one row of the result.
     """
-    observed = observed_displacement(model, trace, slow_rate, incidence, seeds)
-    return model.reflectivity * np.exp(1j * 4.0 * np.pi * observed / wavelength)
+    d = observed_displacement(model, trace, slow_rate, incidence, white)
+    return model.reflectivity * np.exp(1j * 4.0 * np.pi * d / wavelength)

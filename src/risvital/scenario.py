@@ -14,15 +14,15 @@ holds everything that does not depend on the seed (the LoS channel with
 the RIS profile, transmit steering, receive weights, the base trace, the
 RCS models and the noise scale); like `Scenario.angles`, it is built on
 first use and kept for the scenario's lifetime. Every displacement is a
-plain array at the radar's slow rate. The per-seed part draws the
-channel, the two RCS jitters and the noise from the seed's own children.
-`simulate_acquisition` takes a list of seeds as a leading batch axis and
-gives an (S, M, L) record; `extract_vital_signs` grades one record or
-such a stack with the same code, one estimate per path with the seed
-axis leading. Every seed gets the bits it gets alone. A batch draws its
-channel as one stacked realization, builds the record in place from the
-two target terms and the clutter, and fills one preallocated noise array
-with one generator call per seed.
+plain array at the radar's slow rate. The per-seed part is one stream:
+one generator call on the seed's first child, laid out as the channel
+block, the RIS then the direct RCS jitter (L each, reserved even without
+distortion), then the (2, M, L) noise, real parts first. Only `_simulate`
+knows that layout. `simulate_acquisition` takes a list of seeds as a
+leading batch axis and gives an (S, M, L) record; `extract_vital_signs`
+grades one record or such a stack with the same code, one estimate per
+path with the seed axis leading. Every seed gets the bits it gets alone,
+and a batch builds its stacked record in place.
 """
 
 from dataclasses import dataclass, field, replace
@@ -33,8 +33,7 @@ import numpy as np
 from . import sigproc
 from .beamform import split_precoder
 from .channel import (ChannelModel, RisConfig, build_ris_grid,
-                      channel_model, ris_focus_profile, seed_list,
-                      standard_normals)
+                      channel_model, ris_focus_profile, standard_normals)
 from .geometry import (SPEED_OF_LIGHT, ArrayConfig, PathAngles, Placement,
                        angles_from_placement, ula_steering)
 from .physio import RcsModel, angle_gain, load_trace_csv, rcs_series, \
@@ -217,7 +216,7 @@ class Scenario:
     def base_trace(self) -> np.ndarray:
         p = self.physio
         if p.trace_file is not None:
-            return load_trace_csv(p.trace_file)[0]
+            return load_trace_csv(p.trace_file)
         return synth_respiration(p.breath_rate, p.peak_to_peak, p.duration,
                                  self.radar.slow_rate, harmonics=p.harmonics,
                                  drift=p.drift, rng_seed=0)
@@ -293,8 +292,7 @@ def simulate_acquisition(scn: Scenario, schedule: np.ndarray, seed):
 
     Returns (record, channel). A list of seeds runs them as one batch: the
     record is then (S, M, L), the channel is one realization stacked over
-    the seeds, and each seed draws from its own children in the order a
-    lone run does.
+    the seeds, and each seed draws the stream a lone run draws.
     """
     schedule = np.asarray(schedule, dtype=complex)
     window = (scn.radar.element_count, scn.slow_time_samples)
@@ -305,19 +303,23 @@ def simulate_acquisition(scn: Scenario, schedule: np.ndarray, seed):
 
 def _simulate(scn: Scenario, schedule: np.ndarray, seed):
     """`simulate_acquisition` of the window's first n pulses, schedule (M, n)."""
-    batch, seeds = seed_list(seed)
+    batch = isinstance(seed, list)
+    seeds = seed if batch else [seed]
     m, length = schedule.shape
     st = scn.static
     trace, rate = st.trace[:length], scn.radar.slow_rate
-    # each seed's four children, regrouped as one list per stream
-    ch_seeds, ris_seeds, direct_seeds, noise_seeds = (
-        list(stream) for stream in zip(*(child_seeds(s, 4) for s in seeds)))
-    channel = st.channel.draw(ch_seeds if batch else ch_seeds[0])
+    # one stream per seed: channel block, 2 x L jitter, (2, M, L) noise
+    n_ch = st.channel.draw_size
+    normals = standard_normals([child_seeds(s, 1)[0] for s in seeds],
+                               (n_ch + 2 * length + 2 * m * length,))
+    channel = st.channel.draw((normals if batch else normals[0])[..., :n_ch])
+    jitter = normals[:, n_ch:n_ch + 2 * length].reshape(-1, 2, length)
+    noise = normals[:, n_ch + 2 * length:].reshape(-1, 2, m, length)
     lam, angles = scn.radar.wavelength, scn.angles
     alpha = rcs_series(st.rcs_ris, trace, rate, angles.chest_incidence_ris,
-                       lam, ris_seeds)
+                       lam, jitter[:, 0])
     beta = rcs_series(st.rcs_direct, trace, rate,
-                      angles.chest_incidence_direct, lam, direct_seeds)
+                      angles.chest_incidence_direct, lam, jitter[:, 1])
     v_ris, h_d = channel.ris_cascade, channel.h_D
     # (..., 1, M) @ (M, L) keeps each seed's vector product bit-identical
     # to a lone run; an (S, M) @ (M, L) product rounds differently. The sum
@@ -327,9 +329,6 @@ def _simulate(scn: Scenario, schedule: np.ndarray, seed):
     samples += h_d[..., :, None] * (beta[:, None]
                                     * (h_d[..., None, :] @ schedule))
     samples += channel.H_C @ schedule
-
-    # real then imaginary parts, one (2, M, L) draw per seed
-    noise = standard_normals(noise_seeds, (2, m, length))
     z = noise[:, 1] * 1j
     z += noise[:, 0]
     z *= st.noise_sigma

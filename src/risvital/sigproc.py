@@ -131,13 +131,13 @@ def phase_demodulate(r: np.ndarray, wavelength: float,
     if zero.size:
         raise SignalError("zero-magnitude sample at slow-time index "
                           f"{zero[0] % r.shape[-1]}")
-    phi = np.unwrap(np.angle(r))
+    # rows reduce like a lone 1-D row only when contiguous
+    phi = np.ascontiguousarray(np.unwrap(np.angle(r)))
     if detrend:
-        l_idx = np.arange(phi.shape[-1])
-        # one fit per row: a fit of many rows at once rounds differently
-        fits = [np.polyval(np.polyfit(l_idx, row, 1), l_idx)
-                for row in phi.reshape(-1, l_idx.size)]
-        phi = phi - np.reshape(fits, phi.shape)
+        # closed-form least-squares line about the centred slot index
+        x = np.arange(phi.shape[-1]) - (phi.shape[-1] - 1) / 2.0
+        phi = phi - np.mean(phi, axis=-1, keepdims=True)
+        phi -= np.sum(phi * x, axis=-1, keepdims=True) / (x @ x) * x
     return 0.5 * wavelength / (2.0 * np.pi) * phi
 
 

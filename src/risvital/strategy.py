@@ -49,6 +49,13 @@ class StrategyConfig:
             raise ValueError(f"ris_share {self.ris_share} outside [0, 1]")
         if self.initial_path not in (None, "direct", "ris"):
             raise ValueError(f"invalid initial_path {self.initial_path!r}")
+        # either would turn the loop away from the path it should favour
+        if self.hysteresis_windows < 1:
+            raise ValueError(
+                f"hysteresis_windows {self.hysteresis_windows} must be >= 1")
+        if self.adaptation_step < 0:
+            raise ValueError(
+                f"adaptation_step {self.adaptation_step} must be >= 0")
 
 
 @dataclass

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from risvital.channel import (ChannelError, ChannelModel, ChannelRealization,
                               RisConfig, build_ris_grid, channel_model,
-                              los_channel, ris_focus_profile)
+                              los_channel, ris_focus_profile,
+                              standard_normals)
 from risvital.geometry import ArrayConfig, ula_steering
 from risvital.scenario import Scenario, db_to_linear, simulate_acquisition
 
@@ -24,18 +25,28 @@ def unit_model(k_factor, h_i, clutter_strength=0.0):
                         np.ones(n, dtype=complex), clutter_strength)
 
 
+def seed_draw(model, rng_seed):
+    """`model.draw` of the first normals of each seed's own stream; a list
+    of seeds gives the stacked realization."""
+    batch = isinstance(rng_seed, list)
+    normals = standard_normals(rng_seed if batch else [rng_seed],
+                               (model.draw_size,))
+    return model.draw(normals if batch else normals[0])
+
+
 class TestRicianDraw:
     def test_huge_k_returns_los(self):
         los = np.array([[1 + 2j, -0.5j], [0.25, 1.0]])
-        out = unit_model(1e12, los).draw(0).H_I
+        out = seed_draw(unit_model(1e12, los), 0).H_I
         # nLoS weight sqrt(1/(K+1)) = 1e-6; allow a few sigma of that scale
         npt.assert_allclose(out, los, rtol=1e-6, atol=5e-6)
-        out_inf = unit_model(np.inf, los).draw(0).H_I
+        out_inf = seed_draw(unit_model(np.inf, los), 0).H_I
         npt.assert_array_equal(out_inf, los)
 
     def test_k_zero_unit_variance(self):
         los = np.ones((1, 2), dtype=complex)
-        draws = unit_model(0.0, los).draw(list(range(100_000))).H_I[:, 0]
+        draws = seed_draw(unit_model(0.0, los),
+                          list(range(100_000))).H_I[:, 0]
         var = np.var(draws, axis=0)  # nLoS only: per-entry variance 1
         npt.assert_allclose(var, 1.0, rtol=0.03)
 
@@ -48,7 +59,8 @@ class TestRicianDraw:
         k = 2.0
         los = np.array([1.5 - 0.5j, -1.0 + 0.25j])
         n = 100_000
-        draws = unit_model(k, los[None, :]).draw(list(range(n))).H_I[:, 0]
+        draws = seed_draw(unit_model(k, los[None, :]),
+                          list(range(n))).H_I[:, 0]
         mean = draws.mean(axis=0)
         sem = np.sqrt(1.0 / (k + 1.0) / n)  # std error per complex entry
         err = np.abs(mean - np.sqrt(k / (k + 1.0)) * los)
@@ -56,7 +68,8 @@ class TestRicianDraw:
 
     def test_deterministic_per_seed(self):
         model = unit_model(3.0, np.ones((3, 4), dtype=complex))
-        npt.assert_array_equal(model.draw(42).H_I, model.draw(42).H_I)
+        npt.assert_array_equal(seed_draw(model, 42).H_I,
+                               seed_draw(model, 42).H_I)
 
     def test_negative_k_rejected(self):
         scn = Scenario()
@@ -213,7 +226,8 @@ class TestAssembleEndToEnd:
 
 def drawn_clutter(strength, rng_seed, m):
     """The (m, m) clutter of a draw, or its stack for a list of seeds."""
-    return unit_model(0.0, np.ones((m, 1)), strength).draw(rng_seed).H_C
+    return seed_draw(unit_model(0.0, np.ones((m, 1)), strength),
+                     rng_seed).H_C
 
 
 class TestClutterDraw:
@@ -319,10 +333,10 @@ class TestDrawEngine:
         scn = Scenario()
         model = channel_model(scn.placement, scn.radar.array_config,
                               scn.ris_config(), db_to_linear(k_db), clutter)
-        stacked = model.draw(seeds)
+        stacked = seed_draw(model, seeds)
         assert stacked.H_I.shape == (len(seeds), 5, 100)
         for i, seed in enumerate(seeds):
-            lone = model.draw(seed)
+            lone = seed_draw(model, seed)
             for name, want in zip(COMPONENTS, _oracle_draw(model, seed)):
                 assert _same_bits(getattr(lone, name), want), name
                 assert _same_bits(getattr(stacked, name)[i], want), name
@@ -334,7 +348,7 @@ class TestDrawEngine:
            bad=st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.inf)]))
     def test_stacked_realization_rejects_one_non_finite_entry(
             self, seeds, name, position, bad):
-        stacked = Scenario().static.channel.draw(seeds)
+        stacked = seed_draw(Scenario().static.channel, seeds)
         parts = {n: getattr(stacked, n).copy() for n in COMPONENTS}
         flat = parts[name].reshape(-1)
         flat[int(position * flat.size)] = bad

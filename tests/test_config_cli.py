@@ -2,6 +2,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -463,6 +464,10 @@ class TestStrictValues:
          r"gains must lie in \[0, 1\]"),
         ({"physiology": {"distortion_strength": -3}},
          "distortion_strength must be >= 0"),
+        ({"strategy": {"hysteresis_windows": 0}},
+         "hysteresis_windows: expected a whole number >= 1"),
+        ({"strategy": {"adaptation_step": -0.1}},
+         "adaptation_step -0.1 must be >= 0"),
     ])
     def test_rejected(self, doc, message):
         with pytest.raises(ConfigError, match=message):
@@ -473,7 +478,11 @@ class TestStrictValues:
                                       "radar: {tone_frequency: 20 MHz}\n",
                                       "physiology: {breathing_rate: 3 Hz}\n",
                                       "physiology: {gain_table: "
-                                      "[[0, 2.0], [90, 1.5]]}\n"])
+                                      "[[0, 2.0], [90, 1.5]]}\n",
+                                      "strategy: {kind: opportunistic, "
+                                      "ideal: true, hysteresis_windows: 0}\n",
+                                      "strategy: {kind: spatial, "
+                                      "adaptation_step: -0.1}\n"])
     def test_rejected_through_cli(self, tmp_path, capsys, text):
         cfg = tmp_path / "scenario.yaml"
         cfg.write_text(text)
@@ -537,6 +546,23 @@ class TestTraceFile:
         assert main(["loop", "--config", str(cfg), "--windows", "2",
                      "--out", str(out)]) == 0
         assert len((out / "loop.jsonl").read_text().splitlines()) == 2
+
+    def test_side_column_not_read(self, tmp_path):
+        # a nan in the unused side column changes nothing in the run
+        front = synth_respiration(0.2, 0.02, 60.0, 4.0)
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text("physiology: {trace_file: trace.csv}\n")
+        outputs = []
+        for name, bad in (("finite", 0.5), ("nan", np.nan)):
+            side = np.zeros_like(front)
+            side[100] = bad
+            write_trace_csv(tmp_path / "trace.csv", [front, side])
+            out = tmp_path / name
+            assert main(["acquire", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert len(outputs[0]) == 8
+        assert outputs[0] == outputs[1]
 
     def test_relative_path_follows_config_file(self, tmp_path, monkeypatch):
         cfg_dir = tmp_path / "cfg"

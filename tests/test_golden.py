@@ -1,13 +1,15 @@
 """Golden digests of the simulator's outputs at fixed seeds.
 
-The digests were computed before the seed-independent scene was cached
-and sweep seeds were batched, and pin that the batched engine changes no
-bit of a sweep row, a closed-loop log or a single-run record. Twenty
-sweep seeds run as one pass of `SEED_CHUNK` = 32; chunk boundaries are
-covered by `test_batch.py`, which draws up to 2 * SEED_CHUNK + 1 seeds.
+The digests were recomputed at version 0.3.0, when each seed's channel,
+RCS jitters and receiver noise came to be drawn from one stream rather
+than from four children of the seed, and the per-row polyfit detrend
+became a closed-form least-squares line; both change the numbers on
+purpose. They pin every bit of a sweep row, a closed-loop log and a
+single-run record. Twenty sweep seeds run as one pass of `SEED_CHUNK` =
+32; chunk boundaries are covered by `test_batch.py`, which draws up to
+2 * SEED_CHUNK + 1 seeds.
 The loop log holds no position estimate, so the root-MUSIC probe has a
-digest of its own (ten seeds on three scenarios), computed while every
-probe still built a 16 s scene of its own.
+digest of its own (ten seeds on three scenarios).
 The values hold for numpy's float64 kernels on x86-64 (numpy 2.4); a
 different numpy or CPU may round differently and fail them.
 """
@@ -27,30 +29,30 @@ SEEDS = range(20)
 
 SWEEP_DIGESTS = {
     "spatial":
-        "f70d111946ffa574714912b52c6a16009dff460c17035333b447ecbe0145cce7",
+        "99c10e26e34e44ca1805bdb7fe24deb51c222ec5b1f53ac7e5b5a30e5f98c7bb",
     "temporal":
-        "6c1c0d0e7291902cd857ed9640f5c1634c838fa9b31e2d11089c71fbe7ef14c4",
+        "4b91d09553c13b4c50685f6bb702bfb4589ab253468d19ac733fba644792233a",
 }
 LOOP_DIGESTS = {
     "opportunistic":
-        "279627710cf900401b50c7e72e5e0451ed189b6de0c36448dd789af5db3f58cd",
+        "c7299e1cc7d9164e6f5fa3aea18d2cd60bd7792c311d2ea855bd015c5e116029",
     "spatial":
-        "b7941d39bbf5d320a0f164ef682deb87c7b0619b9b4ce59027693fbc293801f9",
+        "4aeb208d613a2ad6f9369f909cb46140be5755606077143786bd0f67714a4bda",
 }
 RUN_DIGESTS = {
     "spatial":
-        "02f8db83d47d08b99c70820f928b76819c0182fdd2438b6b9068adf2ea5b8476",
+        "f4fc4b236661becec866f54f4c895ac39a0318556f4f61a5791fa5e43e3a8d14",
     "temporal":
-        "15f78b90fa765a04c2ede410220afb89f0ed1b4baf9acfe44194b32816826e64",
+        "bde78efb2cf8b06988004670247d2ce1396294a531558c4771e88400e85d001c",
 }
 
 PROBE_DIGESTS = {
     "default":
-        "46d5610a3f8041a58bd2ea911d43889706117f74bb6d3fa9dbcedf902d80f0c5",
+        "5996eb0de8f0ed1aabb3f5cd21fb97a20f2f3f487a671613a7b5a819475e7087",
     "noiseless":
-        "edb6fa46bbf47eb86c69295c3ffc6f1afb592d35296fe37493698596aea0891d",
+        "0d6aa949cd808bc829a2604e6231e8c64e787f5c7930906c1ca866300f2497dd",
     "harmonics_table":
-        "81424a3e70ac089ec19bd0bd8e661e1925458fdd066dff0e22e7110878139a3f",
+        "ab4fd790b23a4953730d24071e4fd51d95d31d12845cfd6e4df1600acb9a09b0",
 }
 
 

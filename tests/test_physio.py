@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from risvital.channel import standard_normals
 from risvital.physio import (DEFAULT_GAIN_EXPONENT, RcsModel, TraceError,
                              angle_gain, load_trace_csv, observed_displacement,
                              rcs_series, synth_respiration, write_trace_csv)
@@ -47,17 +48,13 @@ class TestTraceCsv:
         path = tmp_path / "traces.csv"
         write_trace_csv(path, [front, side])
         loaded = load_trace_csv(path)
-        assert len(loaded) == 2
-        assert len(loaded[0]) == 100
-        npt.assert_allclose(loaded[0], front, atol=1e-12)
-        npt.assert_allclose(loaded[1], side, atol=1e-12)
+        assert loaded.shape == (100,)
+        npt.assert_allclose(loaded, front, atol=1e-12)
 
     def test_single_column_file(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("index,front_radar_VS\n0,1.0\n1,2.0\n2,1.5\n")
-        loaded = load_trace_csv(path)
-        assert len(loaded) == 1
-        npt.assert_allclose(loaded[0], [0.01, 0.02, 0.015])
+        npt.assert_allclose(load_trace_csv(path), [0.01, 0.02, 0.015])
 
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -68,12 +65,27 @@ class TestTraceCsv:
     @pytest.mark.parametrize("text", [
         "index,front_radar_VS\n0,1.0\n1,nan\n",
         "index,front_radar_VS\n0,inf\n1,1.0\n",
-        "index,front_radar_VS,side_radar_VS\n0,1.0,2.0\n1,1.0,-inf\n",
         "index,front_radar_VS\n0,1.0\n"])
     def test_unusable_column_rejected(self, tmp_path, text):
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(TraceError, match="2 or more samples, all finite"):
+            load_trace_csv(path)
+
+    @pytest.mark.parametrize("side", ["-inf", "nan", "inf"])
+    def test_side_column_not_checked(self, tmp_path, side):
+        # the side column is parsed but not read into the run, so a
+        # non-finite side value does not reject the file
+        path = tmp_path / "side.csv"
+        path.write_text("index,front_radar_VS,side_radar_VS\n"
+                        f"0,1.0,2.0\n1,1.0,{side}\n")
+        npt.assert_array_equal(load_trace_csv(path), [0.01, 0.01])
+
+    def test_non_numeric_side_value_rejected(self, tmp_path):
+        path = tmp_path / "side.csv"
+        path.write_text("index,front_radar_VS,side_radar_VS\n"
+                        "0,1.0,2.0\n1,1.0,oops\n")
+        with pytest.raises(TraceError, match="row 3"):
             load_trace_csv(path)
 
     def test_wrong_header_rejected(self, tmp_path):
@@ -144,14 +156,16 @@ class TestRcsSeries:
     def test_static_chest_constant_reflectivity(self):
         model = RcsModel(reflectivity=0.37)
         trace = np.zeros(50)
-        series = rcs_series(model, trace, 4.0, 0.0, WAVELENGTH, [0])[0]
+        series = rcs_series(model, trace, 4.0, 0.0, WAVELENGTH,
+                            standard_normals([0], trace.shape))[0]
         npt.assert_allclose(series, 0.37, atol=1e-15)
 
     def test_quarter_wavelength_round_trip_phase(self):
         # the echo travels the displacement twice: lambda/4 offset -> pi
         model = RcsModel(reflectivity=1.0)
         trace = np.array([0.0, WAVELENGTH / 4])
-        series = rcs_series(model, trace, 4.0, 0.0, WAVELENGTH, [0])[0]
+        series = rcs_series(model, trace, 4.0, 0.0, WAVELENGTH,
+                            standard_normals([0], trace.shape))[0]
         assert np.angle(series[1]) == pytest.approx(np.pi, abs=1e-9) or \
             np.angle(series[1]) == pytest.approx(-np.pi, abs=1e-9)
         assert np.angle(series[0]) == pytest.approx(0.0, abs=1e-12)
@@ -159,14 +173,16 @@ class TestRcsSeries:
     def test_constant_magnitude(self):
         model = RcsModel(reflectivity=2.5)
         trace = synth_respiration(0.133, 0.02, 30.0, 4.0)
-        series = rcs_series(model, trace, 4.0, np.radians(30), WAVELENGTH, [0])[0]
+        series = rcs_series(model, trace, 4.0, np.radians(30), WAVELENGTH,
+                            standard_normals([0], trace.shape))[0]
         npt.assert_allclose(np.abs(series), 2.5, atol=1e-12)
 
     def test_excursion_ratio_tracks_gain_ratio(self):
         model = RcsModel(reflectivity=1.0)
         trace = synth_respiration(0.133, 0.004, 30.0, 4.0)  # small: no wrap
         def excursion(theta):
-            series = rcs_series(model, trace, 4.0, theta, WAVELENGTH, [0])[0]
+            series = rcs_series(model, trace, 4.0, theta, WAVELENGTH,
+                                standard_normals([0], trace.shape))[0]
             phase = np.unwrap(np.angle(series))
             return phase.max() - phase.min()
         ratio = excursion(np.radians(78.75)) / excursion(np.radians(11.25))
@@ -179,21 +195,25 @@ class TestObservedDisplacement:
     def test_no_distortion_is_pure_scaling(self):
         model = RcsModel(reflectivity=1.0)
         trace = synth_respiration(0.2, 0.02, 30.0, 4.0)
-        seen = observed_displacement(model, trace, 4.0, np.radians(60.0), [0])
+        seen = observed_displacement(model, trace, 4.0, np.radians(60.0),
+                                     standard_normals([0], trace.shape))
         gain = angle_gain(model, np.radians(60.0))
         npt.assert_allclose(seen[0], gain * trace, atol=1e-15)
 
     def test_frontal_view_immune_to_distortion(self):
         model = RcsModel(reflectivity=1.0, distortion_strength=1.0)
         trace = synth_respiration(0.2, 0.02, 30.0, 4.0)
-        seen = observed_displacement(model, trace, 4.0, 0.0, [3])
+        seen = observed_displacement(model, trace, 4.0, 0.0,
+                                     standard_normals([3], trace.shape))
         npt.assert_allclose(seen[0], trace, atol=1e-15)
 
     def test_oblique_view_distorted_and_deterministic(self):
         model = RcsModel(reflectivity=1.0, distortion_strength=0.5)
         trace = synth_respiration(0.2, 0.02, 30.0, 4.0)
-        a = observed_displacement(model, trace, 4.0, np.radians(78.75), [3])
-        b = observed_displacement(model, trace, 4.0, np.radians(78.75), [3])
+        a = observed_displacement(model, trace, 4.0, np.radians(78.75),
+                                  standard_normals([3], trace.shape))
+        b = observed_displacement(model, trace, 4.0, np.radians(78.75),
+                                  standard_normals([3], trace.shape))
         npt.assert_array_equal(a, b)
         gain = angle_gain(model, np.radians(78.75))
         jitter = a[0] - gain * trace

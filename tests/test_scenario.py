@@ -1,3 +1,4 @@
+import hashlib
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risvital.beamform import split_precoder
-from risvital.channel import realize_channel
+from risvital.channel import realize_channel, standard_normals
 from risvital.physio import TraceError, rcs_series
 from risvital.scenario import (ProcessingConfig, RadarConfig, Scenario,
                                child_seeds, db_to_linear, dbm_to_watts,
@@ -69,7 +70,8 @@ class TestSimulateAcquisition:
         trace = scn.base_trace()
         alpha = rcs_series(scn.rcs_model(scn.physio.reflectivity_ris), trace,
                            scn.radar.slow_rate, scn.angles.chest_incidence_ris,
-                           scn.radar.wavelength, [0])[0]
+                           scn.radar.wavelength,
+                           standard_normals([0], trace.shape))[0]
         v = ch.ris_cascade
         expected = v[:, None] * (alpha * (v @ schedule))
         npt.assert_allclose(record, expected, rtol=1e-12, atol=1e-30)
@@ -98,6 +100,32 @@ class TestSimulateAcquisition:
         assert np.var(noise.imag) == pytest.approx(expected / 2, rel=0.1)
         assert abs(np.mean(noise ** 2)) < 0.05 * expected
 
+    def test_channel_block_leads_each_stream(self):
+        # the channel normals come first in a seed's stream, so they are
+        # the bits a run drew before the jitter and noise shared its stream
+        scn = Scenario()
+        _, ch = simulate_acquisition(scn, constant_schedule(scn, 0.5),
+                                     list(range(10)))
+        digest = hashlib.sha256()
+        for name in ("H_I", "h_T", "h_D", "H_C"):
+            digest.update(getattr(ch, name).tobytes())
+        assert digest.hexdigest() == ("e0f17954e276a2108108bdc1c3af3b09"
+                                      "6cc9700165887af446042da60a3d2b2f")
+
+    def test_noise_block_ignores_the_chest_model(self):
+        # nothing transmitted: the record is the noise alone, which keeps
+        # its place in the stream with or without jitter, under either law
+        base = Scenario()
+        zeros = np.zeros((base.radar.element_count, base.slow_time_samples),
+                         dtype=complex)
+        records = {
+            simulate_acquisition(replace(base, physio=replace(
+                base.physio, distortion_strength=strength,
+                gain_table=table)), zeros, [4, 5])[0].tobytes()
+            for strength in (0.0, 0.35)
+            for table in ((), ((0.0, 1.0), (45.0, 0.6), (90.0, 0.0)))}
+        assert len(records) == 1
+
     def test_seed_sequence_not_mutated(self):
         scn = Scenario()
         ss = np.random.SeedSequence(9)
@@ -121,11 +149,12 @@ class TestSimulateAcquisition:
             w = schedule[:, 0]
             h_unit = ch.h_D / np.linalg.norm(ch.h_D)
             q = scn.physio.reflectivity_direct
+            trace = scn.base_trace()
             gain = np.abs(
-                rcs_series(scn.rcs_model(q), scn.base_trace(),
-                           scn.radar.slow_rate,
+                rcs_series(scn.rcs_model(q), trace, scn.radar.slow_rate,
                            scn.angles.chest_incidence_direct,
-                           scn.radar.wavelength, [0]))[0, 0]
+                           scn.radar.wavelength,
+                           standard_normals([0], trace.shape)))[0, 0]
             expected = (gain ** 2 * np.linalg.norm(ch.h_D) ** 4
                         * abs(h_unit @ w) ** 2)
             measured = np.sum(np.abs(record[:, 0]) ** 2)

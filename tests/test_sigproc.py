@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risvital.channel import standard_normals
 from risvital.geometry import ArrayConfig, ula_steering
 from risvital.physio import RcsModel, angle_gain, rcs_series, \
     synth_respiration
@@ -199,6 +200,30 @@ class TestPhaseDemodulate:
         with pytest.raises(SignalError, match="index 3"):
             phase_demodulate(r, WAVELENGTH)
 
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 4), n=st.integers(2, 400),
+           offset=st.integers(0, 5), slots=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_detrend_matches_polyfit_per_row(self, rows, n, offset, slots,
+                                             seed):
+        # slot rows taken from a longer record with an index array, as
+        # temporal extraction takes them, are Fortran-ordered; a wavelength
+        # of 4*pi makes the output the detrended phase in radians
+        rng = np.random.default_rng(seed)
+        width = n + offset
+        phase = (np.cumsum(rng.uniform(-3.0, 3.0, (rows, width)), axis=-1)
+                 + rng.uniform(-np.pi, np.pi, (rows, 1)))
+        record = np.exp(1j * phase) * rng.uniform(0.5, 2.0, (rows, width))
+        r = record[..., np.arange(offset, width) if slots else
+                   slice(offset, None)]
+        out = phase_demodulate(r, 4 * np.pi)
+        l_idx = np.arange(n)
+        for row, got in zip(r, out):
+            phi = np.unwrap(np.angle(row))
+            line = np.polyval(np.polyfit(l_idx, phi, 1), l_idx)
+            assert np.max(np.abs(got - (phi - line))) <= 1e-12
+            assert phase_demodulate(row, 4 * np.pi).tobytes() == got.tobytes()
+
     def test_small_displacement_identity_without_unwrap(self):
         rng = np.random.default_rng(7)
         d = rng.uniform(-WAVELENGTH / 8, WAVELENGTH / 8, 64)
@@ -321,7 +346,8 @@ class TestEndToEndIdentity:
         model = RcsModel(reflectivity=1.0)
         trace = synth_respiration(0.133, 0.02, 60.0, 4.0)
         theta = np.radians(40.0)
-        series = rcs_series(model, trace, 4.0, theta, WAVELENGTH, [0])[0]
+        series = rcs_series(model, trace, 4.0, theta, WAVELENGTH,
+                            standard_normals([0], trace.shape))[0]
         wf = make_waveform(8e6, 32e6, 64)
         slow = np.array([matched_filter(s * wf, wf) for s in series])
         out = phase_demodulate(slow, WAVELENGTH, detrend=False)
