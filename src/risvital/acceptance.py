@@ -1,16 +1,19 @@
 """Acceptance suite: quantitative exit criteria for the whole artifact.
 
 Each criterion is a standalone callable returning a CriterionResult with
-the measured values, so the CLI selftest and the test suite share one
-implementation. Criteria cover the beamformer closed forms against
+the measured values and its runtime, so the CLI selftest and the test
+suite share one implementation; `_criterion` times each body and applies
+its time bound. Criteria cover the beamformer closed forms against
 independent oracles, the demodulation chain, the clutter filter, the
 end-to-end dual-path behaviour, sweep trends, root-MUSIC accuracy, and
 byte-level determinism of the command-line outputs.
 """
 
 import filecmp
+import math
 import time
 from dataclasses import dataclass, replace
+from functools import wraps
 
 import numpy as np
 
@@ -33,6 +36,22 @@ class CriterionResult:
     runtime_s: float
 
 
+def _criterion(number: int, name: str, limit_s: float = math.inf):
+    """Make a criterion of a body that returns (passed, detail): the body
+    is timed, fails at `limit_s` or longer, and its detail gains the
+    runtime."""
+    def make(body):
+        @wraps(body)
+        def criterion(*args, **kwargs) -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, detail = body(*args, **kwargs)
+            dt = time.perf_counter() - t0
+            return CriterionResult(number, name, passed and dt < limit_s,
+                                   f"{detail}, {dt:.2f} s", dt)
+        return criterion
+    return make
+
+
 def _steering(m: int, theta: float) -> np.ndarray:
     return ula_steering(ArrayConfig.half_wavelength(m, 1.0), theta)
 
@@ -46,9 +65,9 @@ def _random_pair(rng: np.random.Generator, m: int = 5, max_corr: float = 0.99):
             return a1, a2
 
 
-def criterion_1_constraints() -> CriterionResult:
+@_criterion(1, "beamformer constraint satisfaction", limit_s=5.0)
+def criterion_1_beamformer_constraints():
     """1000 random constraint pairs satisfied to 1e-9 relative."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(1000):
@@ -58,10 +77,7 @@ def criterion_1_constraints() -> CriterionResult:
         worst = max(worst,
                     abs(abs(np.vdot(a1, w)) - g1) / g1,
                     abs(abs(np.vdot(a2, w)) - g2) / g2)
-    dt = time.perf_counter() - t0
-    return CriterionResult(1, "beamformer constraint satisfaction",
-                           worst < 1e-9 and dt < 5.0,
-                           f"worst relative error {worst:.3e}, {dt:.2f} s", dt)
+    return worst < 1e-9, f"worst relative error {worst:.3e}"
 
 
 def _grid_oracle_power(a1, a2, g1, g2, n_grid: int = 4096) -> float:
@@ -90,9 +106,9 @@ def _grid_oracle_power(a1, a2, g1, g2, n_grid: int = 4096) -> float:
     return float(min(p_mid, refined))
 
 
-def criterion_2_optimality() -> CriterionResult:
+@_criterion(2, "minimum-norm optimality", limit_s=30.0)
+def criterion_2_minimum_norm_optimality():
     """Closed-form power equals Eq.-style formula (1e-9) and grid oracle (1e-6)."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(202)
     worst_closed, worst_oracle = 0.0, 0.0
     for _ in range(100):
@@ -103,17 +119,14 @@ def criterion_2_optimality() -> CriterionResult:
         oracle = _grid_oracle_power(a1, a2, g1, g2)
         worst_closed = max(worst_closed, abs(power - closed) / closed)
         worst_oracle = max(worst_oracle, abs(power - oracle) / oracle)
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        2, "minimum-norm optimality",
-        worst_closed < 1e-9 and worst_oracle < 1e-6 and dt < 30.0,
-        f"closed-form err {worst_closed:.3e}, oracle err {worst_oracle:.3e}, "
-        f"{dt:.2f} s", dt)
+    return (worst_closed < 1e-9 and worst_oracle < 1e-6,
+            f"closed-form err {worst_closed:.3e}, "
+            f"oracle err {worst_oracle:.3e}")
 
 
-def criterion_3_power_split() -> CriterionResult:
+@_criterion(3, "fixed-budget split power")
+def criterion_3_fixed_budget_split():
     """Split precoder realizes the exact budget for every share value."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(303)
     total_power = 0.01
     worst = 0.0
@@ -122,26 +135,22 @@ def criterion_3_power_split() -> CriterionResult:
         for gamma in np.linspace(0.0, 1.0, 11):
             p = split_precoder(a1, a2, float(gamma), total_power)
             worst = max(worst, abs(p.achieved_power - total_power) / total_power)
-    dt = time.perf_counter() - t0
-    return CriterionResult(3, "fixed-budget split power", worst < 1e-9,
-                           f"worst relative power error {worst:.3e}", dt)
+    return worst < 1e-9, f"worst relative power error {worst:.3e}"
 
 
-def criterion_4_noise_floor() -> CriterionResult:
+@_criterion(4, "noise-floor arithmetic")
+def criterion_4_noise_floor_arithmetic():
     """Default config reproduces the quoted thermal noise floor."""
-    t0 = time.perf_counter()
     radar = Scenario().radar
     expected = -174.0 + 10.0 * np.log10(0.5e6) + 10.0
     exact = abs(radar.noise_floor_dbm - expected) < 1e-12
     rounded = round(radar.noise_floor_dbm, 1) == -107.0
-    dt = time.perf_counter() - t0
-    return CriterionResult(4, "noise-floor arithmetic", exact and rounded,
-                           f"sigma_n^2 = {radar.noise_floor_dbm:.4f} dBm", dt)
+    return exact and rounded, f"sigma_n^2 = {radar.noise_floor_dbm:.4f} dBm"
 
 
-def criterion_5_demodulation() -> CriterionResult:
+@_criterion(5, "demodulation fidelity", limit_s=5.0)
+def criterion_5_demodulation_fidelity():
     """Noiseless single-path loop recovers the displacement trace."""
-    t0 = time.perf_counter()
     scn = noiseless(Scenario())
     # single path, no clutter to remove, no unwrap trends to detrend; the
     # constant phase gauge of the channel is removed before comparison
@@ -159,19 +168,16 @@ def criterion_5_demodulation() -> CriterionResult:
     amplitude = scn.physio.peak_to_peak / 2.0
     bin_width = est.spectrum.bin_width
     peak_err = abs(est.peak_freq - scn.physio.breath_rate)
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        5, "demodulation fidelity",
-        rmse < 0.01 * amplitude and peak_err <= bin_width and dt < 5.0,
-        f"RMSE {rmse * 1e3:.4f} mm ({100 * rmse / amplitude:.3f}% of amplitude), "
-        f"peak offset {peak_err * 1e3:.2f} mHz vs bin {bin_width * 1e3:.2f} mHz",
-        dt)
+    return (rmse < 0.01 * amplitude and peak_err <= bin_width,
+            f"RMSE {rmse:.3e} m ({100 * rmse / amplitude:.3e}% of amplitude), "
+            f"peak offset {peak_err * 1e3:.2f} mHz vs bin "
+            f"{bin_width * 1e3:.2f} mHz")
 
 
-def criterion_6_clutter_filter() -> CriterionResult:
+@_criterion(6, "clutter filter response")
+def criterion_6_clutter_filter():
     """DC rejection for every odd window; measured tone attenuation matches
     the closed-form moving-average response."""
-    t0 = time.perf_counter()
     length = 240
     rng = np.random.default_rng(606)
     const = (rng.standard_normal(3) + 1j * rng.standard_normal(3))[:, None] \
@@ -188,16 +194,14 @@ def criterion_6_clutter_filter() -> CriterionResult:
     measured = np.abs(filtered[interior] / tone[interior])
     expected = abs(1.0 - moving_average_response(window, freq, rate))
     att_err = float(np.max(np.abs(measured - expected)))
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        6, "clutter filter response", worst_dc < 1e-12 and att_err < 1e-6,
-        f"max DC residual {worst_dc:.2e}, attenuation error {att_err:.2e} "
-        f"(expected |1-D| = {expected:.6f})", dt)
+    return (worst_dc < 1e-12 and att_err < 1e-6,
+            f"max DC residual {worst_dc:.2e}, attenuation error "
+            f"{att_err:.2e} (expected |1-D| = {expected:.6f})")
 
 
-def criterion_7_dual_path_shape() -> CriterionResult:
+@_criterion(7, "dual-path prominence ordering", limit_s=120.0)
+def criterion_7_dual_path_shape():
     """Spatial equal split: RIS branch dominates the direct branch."""
-    t0 = time.perf_counter()
     scn = Scenario()
     strategy = StrategyConfig(kind="spatial", ris_share=0.5)
     ris_wins = 0
@@ -209,12 +213,9 @@ def criterion_7_dual_path_shape() -> CriterionResult:
         ris_prom.append(est["ris"].peak_prominence_db)
     win_frac = ris_wins / 20.0
     median_prom = float(np.median(ris_prom))
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        7, "dual-path prominence ordering",
-        win_frac >= 0.9 and median_prom >= 10.0 and dt < 120.0,
-        f"RIS>direct in {win_frac:.0%} of seeds, median RIS prominence "
-        f"{median_prom:.1f} dB, {dt:.1f} s", dt)
+    return (win_frac >= 0.9 and median_prom >= 10.0,
+            f"RIS>direct in {win_frac:.0%} of seeds, median RIS prominence "
+            f"{median_prom:.1f} dB")
 
 
 def _lock_fractions(scn: Scenario, kind: str, grid, seeds) -> list[float]:
@@ -238,9 +239,9 @@ def _threshold_share(grid, fractions, level: float = 0.9):
     return None
 
 
-def criterion_8_sweep_trend() -> CriterionResult:
+@_criterion(8, "gamma-sweep lock trend", limit_s=600.0)
+def criterion_8_gamma_sweep_trend():
     """Lock fraction grows with the RIS share; temporal needs a larger share."""
-    t0 = time.perf_counter()
     scn = Scenario()
     grid = [round(0.1 * i, 1) for i in range(11)]
     seeds = range(40)
@@ -253,12 +254,9 @@ def criterion_8_sweep_trend() -> CriterionResult:
     th_temporal = _threshold_share(grid, temporal)
     ordering = (th_spatial is not None and th_temporal is not None
                 and th_temporal > th_spatial)
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        8, "gamma-sweep lock trend",
-        mono and at_half and ordering and dt < 600.0,
-        f"spatial locks {spatial}, temporal locks {temporal}, 90% thresholds "
-        f"spatial {th_spatial} vs temporal {th_temporal}, {dt:.1f} s", dt)
+    return (mono and at_half and ordering,
+            f"spatial locks {spatial}, temporal locks {temporal}, 90% "
+            f"thresholds spatial {th_spatial} vs temporal {th_temporal}")
 
 
 def _mainlobe_width(spectrum: Spectrum) -> float:
@@ -280,9 +278,9 @@ def _mainlobe_width(spectrum: Spectrum) -> float:
     return float(cross(+1) - cross(-1))
 
 
-def criterion_9_temporal_resolution() -> CriterionResult:
+@_criterion(9, "temporal resolution cost")
+def criterion_9_temporal_resolution():
     """Halving the observation window doubles the main-lobe width."""
-    t0 = time.perf_counter()
     scn = Scenario()
     ratios = []
     for seed in range(5):
@@ -293,15 +291,12 @@ def criterion_9_temporal_resolution() -> CriterionResult:
         ratios.append(_mainlobe_width(temporal.spectrum)
                       / _mainlobe_width(spatial.spectrum))
     ratio = float(np.median(ratios))
-    dt = time.perf_counter() - t0
-    return CriterionResult(9, "temporal resolution cost",
-                           abs(ratio - 2.0) <= 0.2,
-                           f"median main-lobe width ratio {ratio:.3f}", dt)
+    return abs(ratio - 2.0) <= 0.2, f"median main-lobe width ratio {ratio:.3f}"
 
 
-def criterion_10_root_music() -> CriterionResult:
+@_criterion(10, "root-MUSIC accuracy")
+def criterion_10_root_music():
     """Single source at 20 dB SNR, 200 snapshots: sub-half-degree accuracy."""
-    t0 = time.perf_counter()
     cfg = ArrayConfig.half_wavelength(5, 1.0)
     rng = np.random.default_rng(1010)
     errors = []
@@ -316,21 +311,18 @@ def criterion_10_root_music() -> CriterionResult:
         est = root_music_doa(np.outer(a, sig) + noise, 1, cfg)
         errors.append(abs(np.degrees(est[0] - theta)))
     median_err = float(np.median(errors))
-    dt = time.perf_counter() - t0
-    return CriterionResult(10, "root-MUSIC accuracy", median_err < 0.5,
-                           f"median |error| {median_err:.4f} deg over 100 seeds",
-                           dt)
+    return (median_err < 0.5,
+            f"median |error| {median_err:.4f} deg over 100 seeds")
 
 
-def criterion_11_determinism(tmp_root=None) -> CriterionResult:
+@_criterion(11, "output determinism")
+def criterion_11_determinism(tmp_root=None):
     """Repeated commands with the same seed produce byte-identical files."""
-    import contextlib
     import tempfile
     from pathlib import Path
-    t0 = time.perf_counter()
-    with contextlib.ExitStack() as stack:
-        root = Path(tmp_root) if tmp_root else Path(stack.enter_context(
-            tempfile.TemporaryDirectory(prefix="risvital-selftest-")))
+    with tempfile.TemporaryDirectory(prefix="risvital-selftest-",
+                                     dir=tmp_root) as tmp:
+        root = Path(tmp)
         identical = True
         details = []
         for command in (["acquire", "--seed", "7"],
@@ -341,9 +333,7 @@ def criterion_11_determinism(tmp_root=None) -> CriterionResult:
                 out = root / f"{command[0]}-{attempt}"
                 code = cli.main(command + ["--out", str(out)])
                 if code != 0:
-                    return CriterionResult(11, "output determinism", False,
-                                           f"{command[0]} exited with {code}",
-                                           time.perf_counter() - t0)
+                    return False, f"{command[0]} exited with {code}"
                 dirs.append(out)
             names = sorted(p.name for p in dirs[0].iterdir())
             match, mismatch, errors = filecmp.cmpfiles(dirs[0], dirs[1], names,
@@ -352,20 +342,18 @@ def criterion_11_determinism(tmp_root=None) -> CriterionResult:
                 identical = False
             details.append(f"{command[0]}: {len(match)} files identical"
                            + (f", {len(mismatch)} differ" if mismatch else ""))
-    dt = time.perf_counter() - t0
-    return CriterionResult(11, "output determinism", identical,
-                           "; ".join(details), dt)
+    return identical, "; ".join(details)
 
 
 ALL_CRITERIA = (
-    criterion_1_constraints,
-    criterion_2_optimality,
-    criterion_3_power_split,
-    criterion_4_noise_floor,
-    criterion_5_demodulation,
+    criterion_1_beamformer_constraints,
+    criterion_2_minimum_norm_optimality,
+    criterion_3_fixed_budget_split,
+    criterion_4_noise_floor_arithmetic,
+    criterion_5_demodulation_fidelity,
     criterion_6_clutter_filter,
     criterion_7_dual_path_shape,
-    criterion_8_sweep_trend,
+    criterion_8_gamma_sweep_trend,
     criterion_9_temporal_resolution,
     criterion_10_root_music,
     criterion_11_determinism,

@@ -3,12 +3,13 @@
 Builds the radar->RIS matrix, RIS->target and radar->target vectors from
 exact element-to-element free-space propagation, draws Rician fading
 around those line-of-sight components, and adds static clutter.
-`channel_model` does the geometry once; its `draw` is the per-seed part.
-A draw takes `draw_size` standard normals per seed from the caller and
-slices H_I, h_T, h_D and the clutter out of them, real then imaginary
-parts per component; the Rician mix, path-loss scale and clutter
-symmetrization then run once over the (S, ...) stack. Each seed gets
-the bits it gets alone, and an (n,) block gives a plain realization.
+`channel_model` does the geometry once; `realize_channel` is the
+per-seed part and the one channel draw. It takes `draw_size` standard
+normals per seed from the caller, so this module draws no random
+numbers, and slices H_I, h_T, h_D and the clutter out of them, real then
+imaginary parts per component; the Rician mix, path-loss scale and
+clutter symmetrization then run once over the (S, ...) stack. Each seed
+gets the bits it gets alone, and an (n,) block gives a plain realization.
 The RIS reflection Gamma is diagonal, so it is kept as its (N,) diagonal.
 The one end-to-end signal model built from these components, two rank-1
 target terms plus clutter, is `scenario.simulate_acquisition`.
@@ -121,18 +122,6 @@ class ChannelRealization:
         return (self.H_I @ (self.reflection * self.h_T)[..., None])[..., 0]
 
 
-def standard_normals(seeds: list, shape: tuple) -> np.ndarray:
-    """(S,) + shape standard normals, one generator call per seed.
-
-    Row i holds the first normals of seed i's own stream, exactly as one
-    draw of that shape from `default_rng(seed)` gives them.
-    """
-    out = np.empty((len(seeds),) + shape)
-    for row, seed in zip(out, seeds):
-        np.random.default_rng(seed).standard_normal(out=row)
-    return out
-
-
 def _complex_normal(normals: np.ndarray, shape) -> np.ndarray:
     """Circular complex Gaussian, unit variance per entry, (S,) + shape.
 
@@ -153,8 +142,6 @@ def _rician(k: float, los: np.ndarray, nlos: np.ndarray) -> np.ndarray:
 
 def _clutter(strength: float, normals: np.ndarray, m: int) -> np.ndarray:
     """Symmetric (S, m, m) clutter with per-entry variance `strength`."""
-    if strength < 0:
-        raise ChannelError("clutter strength must be >= 0")
     draw = np.sqrt(strength) * _complex_normal(normals, (m, m))
     upper = np.triu(draw)
     return upper + np.triu(draw, 1).swapaxes(-1, -2)
@@ -203,6 +190,8 @@ class ChannelModel:
     def __post_init__(self):
         if self.k_factor < 0:
             raise ChannelError("k_factor must be >= 0")
+        if self.clutter_strength < 0:
+            raise ChannelError("clutter strength must be >= 0")
         if not all(np.all(np.isfinite(part)) for part in self.los):
             raise ChannelError("line-of-sight components must be finite")
 
@@ -210,26 +199,6 @@ class ChannelModel:
     def draw_size(self) -> int:
         """Normals per draw: H_I, h_T, h_D, then the (M, M) clutter."""
         return sum(2 * p.size for p in self.los) + 2 * self.los[2].size ** 2
-
-    def draw(self, normals: np.ndarray) -> ChannelRealization:
-        """H_I, h_T, h_D, then the clutter, from `draw_size` normals per seed.
-
-        An (S, draw_size) block gives one realization stacked over a leading
-        seed axis, validated once; a (draw_size,) block gives a plain one.
-        """
-        stacked = normals.ndim == 2
-        normals = np.atleast_2d(normals)
-        m = self.los[2].size
-        bounds = np.cumsum([0] + [2 * part.size for part in self.los]).tolist()
-        parts = [scale * _rician(self.k_factor, los, _complex_normal(
-                     normals[:, lo:hi], los.shape))
-                 for los, scale, lo, hi
-                 in zip(self.los, self.scales, bounds, bounds[1:])]
-        parts.append(_clutter(self.clutter_strength,
-                              normals[:, bounds[-1]:], m))
-        if not stacked:
-            parts = [part[0] for part in parts]
-        return ChannelRealization(*parts, reflection=self.reflection)
 
 
 def channel_model(p: Placement, cfg: ArrayConfig, ris: RisConfig,
@@ -241,15 +210,25 @@ def channel_model(p: Placement, cfg: ArrayConfig, ris: RisConfig,
                         k_rice, scales, ris.reflection, clutter_strength)
 
 
-def realize_channel(p: Placement, cfg: ArrayConfig, ris: RisConfig,
-                    k_rice: float, clutter_strength: float,
-                    rng_seed) -> ChannelRealization:
-    """Draw one block-fading realization around the exact LoS geometry.
+def realize_channel(model: ChannelModel,
+                    normals: np.ndarray) -> ChannelRealization:
+    """Draw H_I, h_T, h_D, then the clutter, from `draw_size` normals per seed.
 
     The unit-variance nLoS draw of each component is scaled to the RMS
     magnitude of its LoS counterpart so fading perturbs the link without
-    erasing its path loss. The normals are the first `draw_size` of
-    `rng_seed`'s stream, as a run takes them from its seed's first child.
+    erasing its path loss. An (S, draw_size) block gives one realization
+    stacked over a leading seed axis, validated once; a (draw_size,) block
+    gives a plain one.
     """
-    model = channel_model(p, cfg, ris, k_rice, clutter_strength)
-    return model.draw(standard_normals([rng_seed], (model.draw_size,))[0])
+    stacked = normals.ndim == 2
+    normals = np.atleast_2d(normals)
+    m = model.los[2].size
+    bounds = np.cumsum([0] + [2 * part.size for part in model.los]).tolist()
+    parts = [scale * _rician(model.k_factor, los, _complex_normal(
+                 normals[:, lo:hi], los.shape))
+             for los, scale, lo, hi
+             in zip(model.los, model.scales, bounds, bounds[1:])]
+    parts.append(_clutter(model.clutter_strength, normals[:, bounds[-1]:], m))
+    if not stacked:
+        parts = [part[0] for part in parts]
+    return ChannelRealization(*parts, reflection=model.reflection)

@@ -16,8 +16,11 @@ x slow rate) holds at least 2 slow-time samples; table gains lie in
 [0, 1]; distortion strength and adaptation step are >= 0; flags are
 true/false; `clutter_window` is an odd count no longer than a window, or
 off; a `trace_file`'s front column holds duration x slow-rate finite
-samples; the sweep's `gammas` are a non-empty list of shares in [0, 1].
-Any violation, including the dataclasses' own checks, raises `ConfigError`.
+samples; the sweep's `gammas` are a non-empty list of shares in [0, 1];
+the channel model and receive weights build (clutter strength >= 0,
+total power > 0, target and RIS off the radar's vertical at steering
+vectors it can tell apart). Any violation, including the dataclasses'
+own checks, raises `ConfigError`.
 """
 
 import hashlib
@@ -254,6 +257,8 @@ def parse_config(doc: dict):
                              physio.reflectivity_direct):
             scenario.rcs_model(reflectivity)
         radar.waveform()
+        scenario.channel_model
+        scenario.receive_weights
         _require(scenario.slow_time_samples >= 2, scenario.slow_time_samples,
                  "slow-time samples per window (duration x slow rate)",
                  "at least 2")

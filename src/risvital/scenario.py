@@ -15,14 +15,15 @@ the RIS profile, transmit steering, receive weights, the base trace, the
 RCS models and the noise scale); like `Scenario.angles`, it is built on
 first use and kept for the scenario's lifetime. Every displacement is a
 plain array at the radar's slow rate. The per-seed part is one stream:
-one generator call on the seed's first child, laid out as the channel
-block, the RIS then the direct RCS jitter (L each, reserved even without
-distortion), then the (2, M, L) noise, real parts first. Only `_simulate`
-knows that layout. `simulate_acquisition` takes a list of seeds as a
-leading batch axis and gives an (S, M, L) record; `extract_vital_signs`
-grades one record or such a stack with the same code, one estimate per
-path with the seed axis leading. Every seed gets the bits it gets alone,
-and a batch builds its stacked record in place.
+one `standard_normals` call on the seed's first child, laid out as the
+channel block, the RIS then the direct RCS jitter (L each, reserved even
+without distortion), then the (2, M, L) noise, real parts first. Only
+`_simulate` knows that layout; it hands the channel block to
+`realize_channel`, the one channel draw. `simulate_acquisition` takes a
+list of seeds as a leading batch axis and gives an (S, M, L) record;
+`extract_vital_signs` grades one record or such a stack with the same
+code, one estimate per path with the seed axis leading. Every seed gets
+the bits it gets alone, and a batch builds its stacked record in place.
 """
 
 from dataclasses import dataclass, field, replace
@@ -33,7 +34,7 @@ import numpy as np
 from . import sigproc
 from .beamform import split_precoder
 from .channel import (ChannelModel, RisConfig, build_ris_grid,
-                      channel_model, ris_focus_profile, standard_normals)
+                      channel_model, realize_channel, ris_focus_profile)
 from .geometry import (SPEED_OF_LIGHT, ArrayConfig, PathAngles, Placement,
                        angles_from_placement, ula_steering)
 from .physio import RcsModel, angle_gain, load_trace_csv, rcs_series, \
@@ -222,26 +223,35 @@ class Scenario:
                                  drift=p.drift, rng_seed=0)
 
     @cached_property
+    def channel_model(self) -> ChannelModel:
+        """The LoS channel with the RIS profile, kept like `angles`."""
+        return channel_model(self.placement, self.radar.array_config,
+                             self.ris_config(),
+                             db_to_linear(self.channel.k_rice_db),
+                             self.channel.clutter_strength)
+
+    @cached_property
+    def receive_weights(self) -> tuple:
+        """(direct, RIS) separation weights on the receive steering a(theta),
+        kept like `angles`."""
+        # conjugating the transmit pair twice is exact
+        a_direct, a_ris = (np.conj(a) for a in transmit_steering(self))
+        return tuple(split_precoder(a_direct, a_ris, share,
+                                    self.radar.total_power).weights
+                     for share in (1.0, 0.0))
+
+    @cached_property
     def static(self) -> StaticScene:
         """The seed-independent part of every run, built on first use.
 
         Its arrays are read-only: every run of the scenario shares them.
         """
         radar = self.radar
-        tx = transmit_steering(self)
-        # receive steering a(theta); conjugating twice is exact
-        a_direct, a_ris = (np.conj(a) for a in tx)
         energy = np.sum(radar.waveform() ** 2)
         scene = StaticScene(
-            channel=channel_model(self.placement, radar.array_config,
-                                  self.ris_config(),
-                                  db_to_linear(self.channel.k_rice_db),
-                                  self.channel.clutter_strength),
-            tx_steering=tx,
-            rx_weights=tuple(
-                split_precoder(a_direct, a_ris, share,
-                               radar.total_power).weights
-                for share in (1.0, 0.0)),
+            channel=self.channel_model,
+            tx_steering=transmit_steering(self),
+            rx_weights=self.receive_weights,
             trace=self.base_trace(),
             rcs_ris=self.rcs_model(self.physio.reflectivity_ris),
             rcs_direct=self.rcs_model(self.physio.reflectivity_direct),
@@ -301,6 +311,18 @@ def simulate_acquisition(scn: Scenario, schedule: np.ndarray, seed):
     return _simulate(scn, schedule, seed)
 
 
+def standard_normals(seeds: list, shape: tuple) -> np.ndarray:
+    """(S,) + shape standard normals, one generator call per seed.
+
+    Row i holds the first normals of seed i's own stream, exactly as one
+    draw of that shape from `default_rng(seed)` gives them.
+    """
+    out = np.empty((len(seeds),) + shape)
+    for row, seed in zip(out, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    return out
+
+
 def _simulate(scn: Scenario, schedule: np.ndarray, seed):
     """`simulate_acquisition` of the window's first n pulses, schedule (M, n)."""
     batch = isinstance(seed, list)
@@ -312,7 +334,8 @@ def _simulate(scn: Scenario, schedule: np.ndarray, seed):
     n_ch = st.channel.draw_size
     normals = standard_normals([child_seeds(s, 1)[0] for s in seeds],
                                (n_ch + 2 * length + 2 * m * length,))
-    channel = st.channel.draw((normals if batch else normals[0])[..., :n_ch])
+    channel = realize_channel(st.channel,
+                              (normals if batch else normals[0])[..., :n_ch])
     jitter = normals[:, n_ch:n_ch + 2 * length].reshape(-1, 2, length)
     noise = normals[:, n_ch + 2 * length:].reshape(-1, 2, m, length)
     lam, angles = scn.radar.wavelength, scn.angles

@@ -1,69 +1,54 @@
 """Acceptance criteria as pytest cases, one per criterion.
 
-Each test runs the shared implementation from risvital.acceptance and
+One test body runs every criterion of `acceptance.ALL_CRITERIA` and
 fails with the measured values in the message, so `pytest` and the CLI
-selftest agree by construction.
+selftest agree by construction. Each case is named after its criterion,
+`test_criterion_<n>_<name>`, so a criterion added to the tuple is
+collected with no further edit.
 """
 
-import pytest
+import inspect
+import io
+import re
 
-from risvital import acceptance
-
-
-def _run(criterion):
-    result = criterion()
-    assert result.passed, f"criterion {result.number}: {result.detail}"
-    return result
+from risvital import acceptance, cli
 
 
-def test_criterion_1_beamformer_constraints():
-    _run(acceptance.criterion_1_constraints)
+def _case(criterion):
+    def test(tmp_path):
+        takes_root = "tmp_root" in inspect.signature(criterion).parameters
+        result = criterion(**({"tmp_root": tmp_path} if takes_root else {}))
+        assert result.passed, f"criterion {result.number}: {result.detail}"
+
+    test.__name__ = f"test_{criterion.__name__}"
+    return test
 
 
-def test_criterion_2_minimum_norm_optimality():
-    _run(acceptance.criterion_2_optimality)
+globals().update((f"test_{criterion.__name__}", _case(criterion))
+                 for criterion in acceptance.ALL_CRITERIA)
 
 
-def test_criterion_3_fixed_budget_split():
-    _run(acceptance.criterion_3_power_split)
+def test_run_all_writes_one_line_per_criterion(monkeypatch):
+    stub = acceptance._criterion(12, "stub")(lambda: (False, "stub detail"))
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", (
+        acceptance.criterion_4_noise_floor_arithmetic, stub))
+    stream = io.StringIO()
+    results = acceptance.run_all(stream)
+    assert [(r.number, r.passed) for r in results] == [(4, True), (12, False)]
+    first, second = stream.getvalue().splitlines()
+    assert re.fullmatch(r"\[PASS\]  4 noise-floor arithmetic: sigma_n\^2 = "
+                        r"-107\.0103 dBm, \d+\.\d\d s", first)
+    assert re.fullmatch(r"\[FAIL\] 12 stub: stub detail, \d+\.\d\d s", second)
 
 
-def test_criterion_4_noise_floor_arithmetic():
-    _run(acceptance.criterion_4_noise_floor)
-
-
-def test_criterion_5_demodulation_fidelity():
-    _run(acceptance.criterion_5_demodulation)
-
-
-def test_criterion_6_clutter_filter():
-    _run(acceptance.criterion_6_clutter_filter)
-
-
-def test_criterion_7_dual_path_shape():
-    _run(acceptance.criterion_7_dual_path_shape)
-
-
-def test_criterion_8_gamma_sweep_trend():
-    _run(acceptance.criterion_8_sweep_trend)
-
-
-def test_criterion_9_temporal_resolution():
-    _run(acceptance.criterion_9_temporal_resolution)
-
-
-def test_criterion_10_root_music():
-    _run(acceptance.criterion_10_root_music)
-
-
-def test_criterion_11_determinism(tmp_path):
-    result = acceptance.criterion_11_determinism(tmp_root=tmp_path)
-    assert result.passed, f"criterion 11: {result.detail}"
+def test_time_limit_fails_a_passing_body():
+    result = acceptance._criterion(12, "stub", limit_s=0.0)(
+        lambda: (True, "ok"))()
+    assert not result.passed
+    assert result.runtime_s >= 0.0
 
 
 def test_selftest_exit_codes(monkeypatch):
-    from risvital import cli
-
     def fake_run_all(passed):
         return lambda stream=None: [acceptance.CriterionResult(
             1, "stub", passed, "stub", 0.0)]

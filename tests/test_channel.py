@@ -1,4 +1,6 @@
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -8,10 +10,11 @@ from hypothesis import strategies as st
 
 from risvital.channel import (ChannelError, ChannelModel, ChannelRealization,
                               RisConfig, build_ris_grid, channel_model,
-                              los_channel, ris_focus_profile,
-                              standard_normals)
+                              los_channel, realize_channel, ris_focus_profile)
 from risvital.geometry import ArrayConfig, ula_steering
-from risvital.scenario import Scenario, db_to_linear, simulate_acquisition
+from risvital.scenario import (Scenario, db_to_linear, simulate_acquisition,
+                               standard_normals)
+from risvital.strategy import gamma_sweep
 
 WAVELENGTH = 299792458.0 / 7.15e9
 
@@ -26,12 +29,12 @@ def unit_model(k_factor, h_i, clutter_strength=0.0):
 
 
 def seed_draw(model, rng_seed):
-    """`model.draw` of the first normals of each seed's own stream; a list
-    of seeds gives the stacked realization."""
+    """`realize_channel` of the first normals of each seed's own stream; a
+    list of seeds gives the stacked realization."""
     batch = isinstance(rng_seed, list)
     normals = standard_normals(rng_seed if batch else [rng_seed],
                                (model.draw_size,))
-    return model.draw(normals if batch else normals[0])
+    return realize_channel(model, normals if batch else normals[0])
 
 
 class TestRicianDraw:
@@ -354,3 +357,17 @@ class TestDrawEngine:
         flat[int(position * flat.size)] = bad
         with pytest.raises(ChannelError, match=f"{name} contains non-finite"):
             ChannelRealization(**parts, reflection=stacked.reflection)
+
+
+def test_traced_sweep_times_one_draw_per_acquisition():
+    """The benchmark tracer times `realize_channel` by name, so every
+    acquisition must draw its channel through it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    with tracer.Tracer() as traced:
+        gamma_sweep(Scenario(), "spatial", [0.5], range(20))
+    acquisitions = traced.calls["scenario.simulate_acquisition"]
+    assert acquisitions >= 1
+    assert traced.calls["channel.realize_channel"] == acquisitions

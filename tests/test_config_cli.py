@@ -12,8 +12,10 @@ from risvital.cli import main
 from risvital.config import (SCHEMA, SWEEP_ROWS, ConfigError, config_hash,
                              load_config, parse_config, parse_quantity,
                              serialize_config)
+from risvital.geometry import SPEED_OF_LIGHT
 from risvital.physio import synth_respiration, write_trace_csv
-from risvital.scenario import RadarConfig
+from risvital.scenario import RadarConfig, default_placement
+from risvital.sigproc import SignalError
 from risvital.strategy import STRATEGY_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -325,6 +327,46 @@ class TestCliRuntimeErrors:
         assert not out.exists()
 
 
+class TestUnsteerableScene:
+    """A scene whose channel, power budget or steering pair cannot be
+    built follows from the config alone, so every command rejects it as a
+    config error (exit 1) before it runs, and writes nothing."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("channel: {clutter_strength: -1e-10}\n",
+         "clutter strength must be >= 0"),
+        ("radar: {total_power: 0 W}\n", "total_power must be positive"),
+        ("placement: {ris_center: [0.0, 0.0, 3.0]}\n",
+         "point directly above/below the array; azimuth undefined"),
+        ("placement: {target: [0.0, 0.0, 3.0]}\n",
+         "point directly above/below the array; azimuth undefined"),
+        ("placement: {ris_center: [6.0, 0.0, 1.0], "
+         "ris_normal: [-1.0, 0.0, 0.0]}\n",
+         "|a_c| = 1.000000000000 leaves the Gram matrix near singular")])
+    @pytest.mark.parametrize("argv", [["acquire"], ["loop"],
+                                      ["loop", "--windows", "0"]])
+    def test_rejected(self, tmp_path, capsys, text, message, argv):
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+
+class TestCliRuntimeHandler:
+    def test_runtime_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise SignalError("slow-time record contains non-finite entries")
+
+        monkeypatch.setattr("risvital.cli.run_once", fail)
+        out = tmp_path / "out"
+        assert main(["acquire", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: slow-time record contains non-finite entries\n")
+        assert not out.exists()
+
+
 class TestSweepGrid:
     """The sweep's share grid is parsed strictly wherever it comes from."""
 
@@ -468,6 +510,13 @@ class TestStrictValues:
          "hysteresis_windows: expected a whole number >= 1"),
         ({"strategy": {"adaptation_step": -0.1}},
          "adaptation_step -0.1 must be >= 0"),
+        ({"channel": {"clutter_strength": -1e-10}},
+         "clutter strength must be >= 0"),
+        ({"radar": {"total_power": "0 W"}}, "total_power must be positive"),
+        ({"placement": {"ris_center": [0.0, 0.0, 3.0]}}, "azimuth undefined"),
+        ({"placement": {"target": [0.0, 0.0, 3.0]}}, "azimuth undefined"),
+        ({"placement": {"ris_center": [6.0, 0.0, 1.0],
+                        "ris_normal": [-1.0, 0.0, 0.0]}}, "near singular"),
     ])
     def test_rejected(self, doc, message):
         with pytest.raises(ConfigError, match=message):
@@ -602,13 +651,15 @@ class TestGoldenHash:
 # Every drawn value is valid for its field: numbers lie in (0, 1], which
 # holds ris_share and gain_exponent; a sweep grid holds one to five
 # shares in [0, 1]; the array has at least two elements and every size
-# is at least one; the tone and the breathing rate are drawn as fractions
-# of half the fast-time and slow-time sample rates, then scaled to Hz;
-# each position has its own z range, so no two points coincide, and none
-# meets a default point (all at z = 1 m). A duration of at least 61 s
-# holds at least 61 pulses at any drawn interval (at most 1 s), so every
-# drawn clutter window fits the window. trace_file names a file and is
-# covered by TestTraceFile instead.
+# is at least one; the tone, the breathing rate and the radar's element
+# spacing are drawn as fractions of half the fast-time and slow-time
+# sample rates and of half the wavelength, then scaled to SI; each
+# position has its own z range, so no two points coincide, and none
+# meets a default point (all at z = 1 m); a document is kept only if the
+# array can steer its two paths apart (see _steerable). A duration of at
+# least 61 s holds at least 61 pulses at any drawn interval (at most
+# 1 s), so every drawn clutter window fits the window. trace_file names
+# a file and is covered by TestTraceFile instead.
 _UNIT = {"frequency": "Hz", "time": "ms", "length": "cm", "power": "dBm",
          "db": "dB"}
 _NUMBER = st.floats(0.01, 1.0)
@@ -638,6 +689,7 @@ _BY_KEY = {
     "chest_normal": st.one_of(st.just("auto"), _UNIT_NORMALS),
     "tone_frequency": st.floats(0.01, 0.99),
     "breathing_rate": st.floats(0.01, 0.99),
+    "radar.element_spacing": st.floats(0.01, 0.99),
 }
 _BY_KIND = {
     **{kind: st.one_of(_NUMBER, _NUMBER.map(lambda v, u=unit: f"{v!r} {u}"))
@@ -655,39 +707,66 @@ _BY_KIND = {
 }
 
 
-def _section(rows):
+def _section(name, rows):
     return st.fixed_dictionaries({}, optional={
-        key: _BY_KEY[key] if key in _BY_KEY else _BY_KIND[kind]
+        key: _BY_KEY.get(f"{name}.{key}", _BY_KEY.get(key, _BY_KIND.get(kind)))
         for key, _, kind in rows
         if key != "trace_file"})
 
 
-def _below_nyquist(doc):
-    """Scale the drawn tone and breathing-rate fractions to frequencies in
-    Hz below half the fast-time and slow-time sample rates."""
-    radar, physio = doc.get("radar", {}), doc.get("physiology", {})
-    base = RadarConfig()
+def _radar_value(radar, key, kind):
+    return (parse_quantity(radar[key], kind) if key in radar
+            else getattr(RadarConfig(), key))
 
-    def value(key, kind):
-        return (parse_quantity(radar[key], kind) if key in radar
-                else getattr(base, key))
 
+def _scaled(doc):
+    """Scale the drawn tone, breathing-rate and element-spacing fractions
+    to values below half the fast-time and slow-time sample rates and
+    half the wavelength."""
+    radar, physio = dict(doc.get("radar", {})), doc.get("physiology", {})
     if "tone_frequency" in radar:
-        fast_rate = (radar.get("fast_time_samples", base.fast_time_samples)
-                     * value("bandwidth", "frequency"))
-        doc["radar"] = radar | {
-            "tone_frequency": radar["tone_frequency"] * fast_rate / 2}
+        fast_rate = (radar.get("fast_time_samples",
+                               RadarConfig().fast_time_samples)
+                     * _radar_value(radar, "bandwidth", "frequency"))
+        radar["tone_frequency"] *= fast_rate / 2
+    if "element_spacing" in radar:
+        radar["element_spacing"] *= SPEED_OF_LIGHT / 2 / _radar_value(
+            radar, "carrier_frequency", "frequency")
+    if "radar" in doc:
+        doc["radar"] = radar
     if "breathing_rate" in physio:
-        slow_rate = 1.0 / value("pulse_repetition_interval", "time")
+        slow_rate = 1.0 / _radar_value(radar, "pulse_repetition_interval",
+                                       "time")
         doc["physiology"] = physio | {
             "breathing_rate": physio["breathing_rate"] * slow_rate / 2}
     return doc
 
 
+def _steerable(doc):
+    """The radar sees the target and the RIS off its vertical, at steering
+    phase steps more than a thousandth of a turn apart, modulo whole
+    turns, so the receive weights can tell the two paths apart."""
+    radar, placement = doc.get("radar", {}), doc.get("placement", {})
+    base = default_placement()
+    sines = []
+    for key, default in (("target", base.target_position),
+                         ("ris_center", base.ris_center)):
+        dx, dy = np.subtract(placement.get(key, default),
+                             placement.get("radar", base.radar_position))[:2]
+        if np.linalg.norm((dx, dy)) == 0.0:
+            return False
+        sines.append(dy / np.hypot(dx, dy))
+    wavelength = SPEED_OF_LIGHT / _radar_value(radar, "carrier_frequency",
+                                               "frequency")
+    turns = (radar.get("element_spacing", wavelength / 2) / wavelength
+             * (sines[0] - sines[1]))
+    return abs(turns - round(turns)) > 1e-3
+
+
 _DOCUMENTS = st.fixed_dictionaries({}, optional={
-    name: _section(rows) for name, (_, _, rows)
+    name: _section(name, rows) for name, (_, _, rows)
     in (SCHEMA | {"sweep": (None, None, SWEEP_ROWS)}).items()}
-).map(_below_nyquist)
+).map(_scaled).filter(_steerable)
 
 
 class TestSchema:

@@ -38,6 +38,8 @@ LOOP_DIGESTS = {
         "c7299e1cc7d9164e6f5fa3aea18d2cd60bd7792c311d2ea855bd015c5e116029",
     "spatial":
         "4aeb208d613a2ad6f9369f909cb46140be5755606077143786bd0f67714a4bda",
+    "temporal":
+        "3cfd35e86e217a964f53e74212249b43a9aed9256fe3184ad7af66e09ed461c1",
 }
 RUN_DIGESTS = {
     "spatial":

@@ -2,10 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from risvital.channel import standard_normals
 from risvital.physio import (DEFAULT_GAIN_EXPONENT, RcsModel, TraceError,
                              angle_gain, load_trace_csv, observed_displacement,
                              rcs_series, synth_respiration, write_trace_csv)
+from risvital.scenario import standard_normals
 
 WAVELENGTH = 299792458.0 / 7.15e9
 

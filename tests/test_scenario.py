@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risvital.beamform import split_precoder
-from risvital.channel import realize_channel, standard_normals
+from risvital.channel import realize_channel
 from risvital.physio import TraceError, rcs_series
 from risvital.scenario import (ProcessingConfig, RadarConfig, Scenario,
                                child_seeds, db_to_linear, dbm_to_watts,
                                noiseless, simulate_acquisition,
-                               transmit_steering)
+                               standard_normals, transmit_steering)
 from risvital.strategy import StrategyConfig, run_once
 
 
@@ -111,6 +111,18 @@ class TestSimulateAcquisition:
             digest.update(getattr(ch, name).tobytes())
         assert digest.hexdigest() == ("e0f17954e276a2108108bdc1c3af3b09"
                                       "6cc9700165887af446042da60a3d2b2f")
+
+    def test_channel_is_realize_channel_of_the_stream_head(self):
+        scn = Scenario()
+        model = scn.static.channel
+        for seed in range(10):
+            _, ch = simulate_acquisition(scn, constant_schedule(scn, 0.5),
+                                         seed)
+            want = realize_channel(model, standard_normals(
+                child_seeds(seed, 1), (model.draw_size,))[0])
+            for name in ("H_I", "h_T", "h_D", "H_C"):
+                assert getattr(ch, name).tobytes() \
+                    == getattr(want, name).tobytes(), (seed, name)
 
     def test_noise_block_ignores_the_chest_model(self):
         # nothing transmitted: the record is the noise alone, which keeps
@@ -268,9 +280,9 @@ class TestNoiselessHelper:
         scn = noiseless(Scenario())
         assert scn.radar.noise_power == 0.0
         assert scn.channel.clutter_strength == 0.0
-        ch = realize_channel(scn.placement, scn.radar.array_config,
-                             scn.ris_config(),
-                             db_to_linear(scn.channel.k_rice_db), 0.0, 1)
+        model = scn.static.channel
+        ch = realize_channel(model,
+                             standard_normals([1], (model.draw_size,))[0])
         npt.assert_array_equal(ch.H_C, 0.0)
 
 

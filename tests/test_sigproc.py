@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risvital.channel import standard_normals
 from risvital.geometry import ArrayConfig, ula_steering
 from risvital.physio import RcsModel, angle_gain, rcs_series, \
     synth_respiration
+from risvital.scenario import standard_normals
 from risvital.sigproc import (SignalError, Spectrum, clutter_filter,
                               make_waveform, matched_filter,
                               moving_average_response, peak_quality,

@@ -250,6 +250,12 @@ class TestClosedLoop:
         # RIS path dominates the default scenario: share should climb
         assert shares[-1] > 0.5
 
+    def test_temporal_windows_keep_the_configured_share(self):
+        logs = run_closed_loop(Scenario(), StrategyConfig(
+            kind="temporal", ris_share=0.6), 3, seed=1)
+        assert [(log.gamma_ris, log.state.gamma_ris) for log in logs] \
+            == [(0.6, 0.6)] * 3
+
     def test_log_entries_expose_quality(self):
         logs = run_closed_loop(Scenario(), StrategyConfig(kind="spatial"), 2,
                                seed=0)
