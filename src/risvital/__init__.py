@@ -14,9 +14,8 @@ from .physio import (RcsModel, angle_gain, load_trace_csv,
                      observed_displacement, rcs_series, synth_respiration,
                      write_trace_csv)
 from .scenario import (ChannelConfig, PhysioConfig, ProcessingConfig,
-                       RadarConfig, RisPanel, Scenario, StaticScene,
-                       default_placement, extract_vital_signs, noiseless,
-                       simulate_acquisition)
+                       RadarConfig, RisPanel, Scenario, default_placement,
+                       extract_vital_signs, noiseless, simulate_acquisition)
 from .sigproc import (Spectrum, VitalSignEstimate, clutter_filter,
                       make_waveform, matched_filter, peak_quality,
                       phase_demodulate, power_spectrum, root_music_doa,

@@ -161,7 +161,7 @@ def criterion_5_demodulation_fidelity():
                                               detrend=False))
     est = run_once(scn, StrategyConfig(kind="opportunistic",
                                        initial_path="ris"), seed=5)[1]["ris"]
-    truth = scn.base_trace()
+    truth = scn.trace
     recovered = est.displacement
     recovered = recovered - np.mean(recovered - truth)
     rmse = float(np.sqrt(np.mean((recovered - truth) ** 2)))

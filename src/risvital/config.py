@@ -17,10 +17,13 @@ x slow rate) holds at least 2 slow-time samples; table gains lie in
 true/false; `clutter_window` is an odd count no longer than a window, or
 off; a `trace_file`'s front column holds duration x slow-rate finite
 samples; the sweep's `gammas` are a non-empty list of shares in [0, 1];
-the channel model and receive weights build (clutter strength >= 0,
-total power > 0, target and RIS off the radar's vertical at steering
-vectors it can tell apart). Any violation, including the dataclasses'
-own checks, raises `ConfigError`.
+the RCS models, noise scale, channel model and receive weights build
+(reflectivity >= 0, gain exponent > 0, clutter strength >= 0, total
+power > 0, target and RIS off the radar's vertical at steering vectors
+it can tell apart). Any violation, including the dataclasses' own
+checks, raises `ConfigError`. `parse_config` builds these by reading
+the scenario's cached properties, which every run then reuses; it reads
+the trace only from a `trace_file` and never synthesizes one.
 """
 
 import hashlib
@@ -246,17 +249,14 @@ def parse_config(doc: dict):
                  for attr, default in defaults.items()}
         strategy = built.pop("strategy")
         scenario = Scenario(**built)
-        # Build the derived models here so that their checks report as
-        # config errors rather than at run time.
+        # Read the scenario's seed-independent parts here, so that their
+        # checks report as config errors; every run reuses them.
         radar = scenario.radar
         radar.array_config
         _require(radar.element_count >= 2, radar.element_count,
                  "radar.element_count", "at least 2 elements to steer two paths")
-        physio = scenario.physio
-        for reflectivity in (physio.reflectivity_ris,
-                             physio.reflectivity_direct):
-            scenario.rcs_model(reflectivity)
-        radar.waveform()
+        scenario.rcs_models
+        scenario.noise_sigma
         scenario.channel_model
         scenario.receive_weights
         _require(scenario.slow_time_samples >= 2, scenario.slow_time_samples,
@@ -267,10 +267,11 @@ def parse_config(doc: dict):
                  window, "processing.clutter_window",
                  f"at most the {scenario.slow_time_samples} slow-time samples "
                  "of a window (duration x slow rate)")
+        physio = scenario.physio
         if physio.trace_file is None:
             check_breath_rate(physio.breath_rate, radar.slow_rate)
         else:
-            have = scenario.base_trace().size
+            have = scenario.trace.size
             _require(have == scenario.slow_time_samples, have,
                      f"samples in trace_file {physio.trace_file!r}",
                      f"{scenario.slow_time_samples} (duration x slow rate)")

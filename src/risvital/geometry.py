@@ -112,7 +112,7 @@ def ula_steering(cfg: ArrayConfig, theta: float) -> np.ndarray:
 def _azimuth_from_broadside(origin: np.ndarray, point: np.ndarray) -> float:
     """Azimuth of `point` seen from `origin`: 0 at +x broadside, positive toward +y."""
     d = point - origin
-    if np.linalg.norm(d[:2]) == 0.0:
+    if d[0] == 0.0 and d[1] == 0.0:  # a norm underflows below ~1e-162 m
         raise GeometryError("point directly above/below the array; azimuth undefined")
     return float(np.arctan2(d[1], d[0]))
 

@@ -9,12 +9,14 @@ configured floor N0 leaves the matched filter as CN(0, N0/E) for a pulse of
 energy E, so that output is drawn directly, independently per antenna and
 pulse; the channel and clutter stay fixed for the run.
 
-A run splits into a static scene and per-seed draws. `Scenario.static`
-holds everything that does not depend on the seed (the LoS channel with
-the RIS profile, transmit steering, receive weights, the base trace, the
-RCS models and the noise scale); like `Scenario.angles`, it is built on
-first use and kept for the scenario's lifetime. Every displacement is a
-plain array at the radar's slow rate. The per-seed part is one stream:
+A run splits into a seed-independent part and per-seed draws. Each
+seed-independent piece is one cached property of `Scenario`: `angles`,
+`channel_model` (the LoS channel with the RIS profile), `tx_steering`,
+`receive_weights`, `trace`, `rcs_models` and `noise_sigma`, the pairs
+ordered (direct, RIS). Each is built on first use and kept for the
+scenario's lifetime, and its arrays are read-only, since every run
+shares them. Every displacement is a plain array at the radar's slow
+rate. The per-seed part is one stream:
 one `standard_normals` call on the seed's first child, laid out as the
 channel block, the RIS then the direct RCS jitter (L each, reserved even
 without distortion), then the (2, M, L) noise, real parts first. Only
@@ -158,17 +160,11 @@ def default_placement() -> Placement:
                      chest_normal=chest_normal)
 
 
-@dataclass(frozen=True)
-class StaticScene:
-    """The seed-independent part of a run, built once per scenario."""
-
-    channel: ChannelModel  # LoS geometry, RIS reflection and clutter level
-    tx_steering: tuple   # (direct, RIS) conjugated, see transmit_steering
-    rx_weights: tuple    # (direct, RIS) separation weights
-    trace: np.ndarray    # base displacement [m] at the slow rate
-    rcs_ris: RcsModel
-    rcs_direct: RcsModel
-    noise_sigma: float   # per real component of the matched-filter noise
+def _read_only(*arrays) -> tuple:
+    """Mark arrays that every run of a scenario shares as read-only."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -195,13 +191,6 @@ class Scenario:
         return max(8, int(np.ceil(self.radar.slow_rate
                                   / self.processing.band[0])))
 
-    def rcs_model(self, reflectivity: float) -> RcsModel:
-        p = self.physio
-        kwargs = {} if p.gain_exponent is None \
-            else {"exponent": p.gain_exponent}
-        return RcsModel(reflectivity, table=p.gain_table,
-                        distortion_strength=p.distortion_strength, **kwargs)
-
     def ris_config(self) -> RisConfig:
         spacing = (self.ris.element_spacing if self.ris.element_spacing
                    is not None else self.radar.wavelength / 2.0)
@@ -224,56 +213,56 @@ class Scenario:
 
     @cached_property
     def channel_model(self) -> ChannelModel:
-        """The LoS channel with the RIS profile, kept like `angles`."""
-        return channel_model(self.placement, self.radar.array_config,
-                             self.ris_config(),
-                             db_to_linear(self.channel.k_rice_db),
-                             self.channel.clutter_strength)
+        """The LoS channel with the RIS profile."""
+        model = channel_model(self.placement, self.radar.array_config,
+                              self.ris_config(),
+                              db_to_linear(self.channel.k_rice_db),
+                              self.channel.clutter_strength)
+        _read_only(model.reflection, *model.los)
+        return model
+
+    @cached_property
+    def tx_steering(self) -> tuple:
+        """Conjugated (direct, RIS) steering pair for transmit precoders.
+
+        With exp(-j*2*pi*d/lambda) propagation the physical field radiated
+        toward an angle is a(theta)^T w, so holding |a^H w| on the conjugated
+        vectors steers the actual emitted power.
+        """
+        cfg = self.radar.array_config
+        return _read_only(*(np.conj(ula_steering(cfg, theta)) for theta in
+                            (self.angles.theta_direct, self.angles.theta_ris)))
 
     @cached_property
     def receive_weights(self) -> tuple:
-        """(direct, RIS) separation weights on the receive steering a(theta),
-        kept like `angles`."""
+        """(direct, RIS) separation weights on the receive steering pair."""
         # conjugating the transmit pair twice is exact
-        a_direct, a_ris = (np.conj(a) for a in transmit_steering(self))
-        return tuple(split_precoder(a_direct, a_ris, share,
-                                    self.radar.total_power).weights
-                     for share in (1.0, 0.0))
+        a_direct, a_ris = (np.conj(a) for a in self.tx_steering)
+        return _read_only(*(split_precoder(a_direct, a_ris, share,
+                                           self.radar.total_power).weights
+                            for share in (1.0, 0.0)))
 
     @cached_property
-    def static(self) -> StaticScene:
-        """The seed-independent part of every run, built on first use.
+    def trace(self) -> np.ndarray:
+        """Base displacement [m] at the slow rate."""
+        return _read_only(self.base_trace())[0]
 
-        Its arrays are read-only: every run of the scenario shares them.
-        """
-        radar = self.radar
-        energy = np.sum(radar.waveform() ** 2)
-        scene = StaticScene(
-            channel=self.channel_model,
-            tx_steering=transmit_steering(self),
-            rx_weights=self.receive_weights,
-            trace=self.base_trace(),
-            rcs_ris=self.rcs_model(self.physio.reflectivity_ris),
-            rcs_direct=self.rcs_model(self.physio.reflectivity_direct),
-            noise_sigma=np.sqrt(radar.noise_power / (2.0 * energy)))
-        for array in (scene.channel.reflection,
-                      *scene.channel.los,
-                      *scene.tx_steering, *scene.rx_weights, scene.trace):
-            array.flags.writeable = False
-        return scene
+    @cached_property
+    def rcs_models(self) -> tuple:
+        """(direct, RIS) chest reflectivity models."""
+        p = self.physio
+        kwargs = {} if p.gain_exponent is None \
+            else {"exponent": p.gain_exponent}
+        return tuple(RcsModel(q, table=p.gain_table,
+                              distortion_strength=p.distortion_strength,
+                              **kwargs)
+                     for q in (p.reflectivity_direct, p.reflectivity_ris))
 
-
-def transmit_steering(scn: Scenario):
-    """Conjugated steering pair used to build transmit precoders.
-
-    With exp(-j*2*pi*d/lambda) propagation the physical field radiated
-    toward an angle is a(theta)^T w, so holding |a^H w| on the conjugated
-    vectors steers the actual emitted power.
-    """
-    angles = scn.angles
-    cfg = scn.radar.array_config
-    return tuple(np.conj(ula_steering(cfg, theta))
-                 for theta in (angles.theta_direct, angles.theta_ris))
+    @cached_property
+    def noise_sigma(self) -> float:
+        """Per real component of the matched-filter noise."""
+        energy = np.sum(self.radar.waveform() ** 2)
+        return np.sqrt(self.radar.noise_power / (2.0 * energy))
 
 
 def child_seeds(seed, n: int) -> list[np.random.SeedSequence]:
@@ -328,20 +317,21 @@ def _simulate(scn: Scenario, schedule: np.ndarray, seed):
     batch = isinstance(seed, list)
     seeds = seed if batch else [seed]
     m, length = schedule.shape
-    st = scn.static
-    trace, rate = st.trace[:length], scn.radar.slow_rate
+    model, rate = scn.channel_model, scn.radar.slow_rate
+    trace = scn.trace[:length]
     # one stream per seed: channel block, 2 x L jitter, (2, M, L) noise
-    n_ch = st.channel.draw_size
+    n_ch = model.draw_size
     normals = standard_normals([child_seeds(s, 1)[0] for s in seeds],
                                (n_ch + 2 * length + 2 * m * length,))
-    channel = realize_channel(st.channel,
+    channel = realize_channel(model,
                               (normals if batch else normals[0])[..., :n_ch])
     jitter = normals[:, n_ch:n_ch + 2 * length].reshape(-1, 2, length)
     noise = normals[:, n_ch + 2 * length:].reshape(-1, 2, m, length)
     lam, angles = scn.radar.wavelength, scn.angles
-    alpha = rcs_series(st.rcs_ris, trace, rate, angles.chest_incidence_ris,
+    rcs_direct, rcs_ris = scn.rcs_models
+    alpha = rcs_series(rcs_ris, trace, rate, angles.chest_incidence_ris,
                        lam, jitter[:, 0])
-    beta = rcs_series(st.rcs_direct, trace, rate,
+    beta = rcs_series(rcs_direct, trace, rate,
                       angles.chest_incidence_direct, lam, jitter[:, 1])
     v_ris, h_d = channel.ris_cascade, channel.h_D
     # (..., 1, M) @ (M, L) keeps each seed's vector product bit-identical
@@ -354,7 +344,7 @@ def _simulate(scn: Scenario, schedule: np.ndarray, seed):
     samples += channel.H_C @ schedule
     z = noise[:, 1] * 1j
     z += noise[:, 0]
-    z *= st.noise_sigma
+    z *= scn.noise_sigma
     samples += z
     if not np.all(np.isfinite(samples)):
         raise SignalError("slow-time record contains non-finite entries")
@@ -377,12 +367,13 @@ def extract_vital_signs(scn: Scenario, record: np.ndarray,
     samples = np.asarray(record, dtype=complex)
     if proc.clutter_window is not None:
         samples = clutter_filter(samples, proc.clutter_window)
-    st, angles, radar = scn.static, scn.angles, scn.radar
-    gains = (angle_gain(st.rcs_direct, angles.chest_incidence_direct),
-             angle_gain(st.rcs_ris, angles.chest_incidence_ris))
+    angles, radar = scn.angles, scn.radar
+    rcs_direct, rcs_ris = scn.rcs_models
+    gains = (angle_gain(rcs_direct, angles.chest_incidence_direct),
+             angle_gain(rcs_ris, angles.chest_incidence_ris))
     estimates = {}
     for label, series, slots, gain in zip(
-            ("direct", "ris"), separate_paths(samples, *st.rx_weights),
+            ("direct", "ris"), separate_paths(samples, *scn.receive_weights),
             (slots_direct, slots_ris), gains):
         if slots is not None:
             series = series[..., slots]

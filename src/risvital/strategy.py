@@ -86,7 +86,7 @@ def plan_transmissions(scn: Scenario, strategy: StrategyConfig, length: int):
     alternates the two full-power beams over the slot pattern;
     opportunistic transmits full power on the selected path throughout.
     """
-    a_direct, a_ris = scn.static.tx_steering
+    a_direct, a_ris = scn.tx_steering
     total_power = scn.radar.total_power
     slots_direct, slots_ris = branch_slots(strategy, length)
     if slots_direct is not None:

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risvital import scenario as scenario_module
+from risvital.config import load_config
+from risvital.physio import RcsModel
 from risvital.scenario import Scenario, extract_vital_signs, \
     simulate_acquisition
 from risvital.sigproc import Spectrum, VitalSignEstimate
@@ -16,6 +20,7 @@ from risvital.strategy import (SEED_CHUNK, StrategyConfig, gamma_sweep,
                                plan_transmissions, run_once)
 
 SCN = Scenario()
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def assert_same_estimates(a: dict, b: dict):
@@ -123,15 +128,38 @@ def test_sweep_pass_builds_one_estimate_per_path(kind, monkeypatch):
     assert built(20) == one
 
 
+SHARED = ("angles", "channel_model", "tx_steering", "receive_weights",
+          "trace", "rcs_models", "noise_sigma")
+
+
 def test_static_scene_built_once_per_scenario():
     scn = Scenario()
-    assert "static" not in vars(scn)
+    assert not set(SHARED) & set(vars(scn))
     run_once(scn, StrategyConfig(), 0)
-    static = scn.static
+    built = {name: getattr(scn, name) for name in SHARED}
     run_once(scn, StrategyConfig(kind="temporal"), 1)
-    assert scn.static is static
+    for name, value in built.items():
+        assert getattr(scn, name) is value, name
     # shared by every run, so no caller may write into it
-    for array in (static.tx_steering[0], static.rx_weights[1],
-                  static.trace, static.channel.reflection):
+    for array in (scn.tx_steering[0], scn.receive_weights[1], scn.trace,
+                  scn.channel_model.reflection, scn.channel_model.los[0]):
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+def test_parse_and_run_build_each_scene_piece_once(monkeypatch):
+    counts = Counter()
+
+    def steering(cfg, theta, _original=scenario_module.ula_steering):
+        counts["ula_steering"] += 1
+        return _original(cfg, theta)
+
+    def rcs_init(self, *args, _init=RcsModel.__init__, **kwargs):
+        counts["RcsModel"] += 1
+        _init(self, *args, **kwargs)
+
+    monkeypatch.setattr(scenario_module, "ula_steering", steering)
+    monkeypatch.setattr(RcsModel, "__init__", rcs_init)
+    scn, strategy, _ = load_config(ROOT / "scenario.example.yaml")
+    run_once(scn, strategy, 0)
+    assert counts == {"ula_steering": 2, "RcsModel": 2}

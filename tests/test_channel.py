@@ -351,7 +351,7 @@ class TestDrawEngine:
            bad=st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.inf)]))
     def test_stacked_realization_rejects_one_non_finite_entry(
             self, seeds, name, position, bad):
-        stacked = seed_draw(Scenario().static.channel, seeds)
+        stacked = seed_draw(Scenario().channel_model, seeds)
         parts = {n: getattr(stacked, n).copy() for n in COMPONENTS}
         flat = parts[name].reshape(-1)
         flat[int(position * flat.size)] = bad

@@ -16,7 +16,7 @@ from risvital.geometry import SPEED_OF_LIGHT
 from risvital.physio import synth_respiration, write_trace_csv
 from risvital.scenario import RadarConfig, default_placement
 from risvital.sigproc import SignalError
-from risvital.strategy import STRATEGY_KINDS
+from risvital.strategy import STRATEGY_KINDS, run_once
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -353,6 +353,13 @@ class TestUnsteerableScene:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
+    def test_tiny_offset_from_the_vertical_runs(self):
+        scn, strategy, _ = parse_config({"placement": {
+            "radar": [0.0, 5.27e-232, 2.0], "ris_center": [0.0, 0.0, 3.0]}})
+        assert scn.angles.theta_ris == -np.pi / 2
+        assert all(run_once(scn, strategy, 0)[1].values())
+
+
 
 class TestCliRuntimeHandler:
     def test_runtime_error_exits_2(self, tmp_path, capsys, monkeypatch):
@@ -540,6 +547,44 @@ class TestStrictValues:
         assert code == 1
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "x").exists()
+
+    @staticmethod
+    def _acquire_error(tmp_path, capsys, text):
+        """The stderr of an `acquire` on `text` that must exit 1 unwritten."""
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["acquire", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("physiology: {reflectivity_ris: -1}\n", "reflectivity must be >= 0"),
+        ("physiology: {reflectivity_direct: -0.5}\n",
+         "reflectivity must be >= 0"),
+        ("physiology: {gain_exponent: 0}\n", "exponent must be positive"),
+        ("strategy: {initial_path: side}\n", "invalid initial_path 'side'"),
+        ("- radar\n- ris\n", "config root must be a mapping")])
+    def test_cli_error_line(self, tmp_path, capsys, text, message):
+        assert self._acquire_error(tmp_path, capsys, text) \
+            == f"config error: {message}\n"
+
+    def test_cli_error_line_for_unparsable_yaml(self, tmp_path, capsys):
+        text = "radar: {element_count: 5\n"
+        with pytest.raises(yaml.YAMLError) as exc:
+            yaml.safe_load(text)
+        assert self._acquire_error(tmp_path, capsys, text) == (
+            f"config error: {tmp_path / 'scenario.yaml'}: invalid YAML: "
+            f"{exc.value}\n")
+
+    def test_cli_error_line_for_short_trace_row(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("index,front_radar_VS,side_radar_VS\n"
+                         "0,0.1,0.2\n1,0.1\n")
+        text = (f"physiology: {{trace_file: {trace}}}\n"
+                "processing: {clutter_window: off}\n")
+        assert self._acquire_error(tmp_path, capsys, text) == (
+            f"config error: {trace}: row 3 has 2 fields, expected 3\n")
 
     def test_lenient_spellings(self):
         scenario, _, sweep = load_config_text(
@@ -753,7 +798,7 @@ def _steerable(doc):
                          ("ris_center", base.ris_center)):
         dx, dy = np.subtract(placement.get(key, default),
                              placement.get("radar", base.radar_position))[:2]
-        if np.linalg.norm((dx, dy)) == 0.0:
+        if dx == 0.0 and dy == 0.0:
             return False
         sines.append(dy / np.hypot(dx, dy))
     wavelength = SPEED_OF_LIGHT / _radar_value(radar, "carrier_frequency",

@@ -113,6 +113,20 @@ class TestAnglesFromPlacement:
             [b.theta_direct, b.theta_ris, b.chest_incidence_direct,
              b.chest_incidence_ris], atol=1e-12)
 
+    def test_tiny_horizontal_offset_has_an_azimuth(self):
+        # |d[:2]| underflows to 0 below ~1e-162 m, but arctan2 is defined
+        p = fig4_placement()
+
+        def ris_seen_from(radar):
+            return angles_from_placement(Placement(
+                radar_position=radar, ris_center=[0.0, 0.0, 3.0],
+                ris_normal=p.ris_normal, target_position=p.target_position,
+                chest_normal=p.chest_normal)).theta_ris
+
+        assert ris_seen_from([0.0, 5.27e-232, 2.0]) == -np.pi / 2
+        with pytest.raises(GeometryError, match="directly above/below"):
+            ris_seen_from([0.0, 0.0, 2.0])
+
     def test_coincident_points_rejected(self):
         with pytest.raises(GeometryError):
             Placement(radar_position=[0, 0, 1], ris_center=[2.707, 1.4606, 1],

@@ -12,7 +12,7 @@ from risvital.physio import TraceError, rcs_series
 from risvital.scenario import (ProcessingConfig, RadarConfig, Scenario,
                                child_seeds, db_to_linear, dbm_to_watts,
                                noiseless, simulate_acquisition,
-                               standard_normals, transmit_steering)
+                               standard_normals)
 from risvital.strategy import StrategyConfig, run_once
 
 
@@ -54,7 +54,7 @@ class TestRadarConfig:
 
 
 def constant_schedule(scn, gamma_ris):
-    a_tx_d, a_tx_r = transmit_steering(scn)
+    a_tx_d, a_tx_r = scn.tx_steering
     w = split_precoder(a_tx_d, a_tx_r, 1.0 - gamma_ris,
                        scn.radar.total_power).weights
     return np.tile(w[:, None], (1, scn.slow_time_samples))
@@ -68,7 +68,7 @@ class TestSimulateAcquisition:
         schedule = constant_schedule(scn, 1.0)
         record, ch = simulate_acquisition(scn, schedule, seed=3)
         trace = scn.base_trace()
-        alpha = rcs_series(scn.rcs_model(scn.physio.reflectivity_ris), trace,
+        alpha = rcs_series(scn.rcs_models[1], trace,
                            scn.radar.slow_rate, scn.angles.chest_incidence_ris,
                            scn.radar.wavelength,
                            standard_normals([0], trace.shape))[0]
@@ -114,7 +114,7 @@ class TestSimulateAcquisition:
 
     def test_channel_is_realize_channel_of_the_stream_head(self):
         scn = Scenario()
-        model = scn.static.channel
+        model = scn.channel_model
         for seed in range(10):
             _, ch = simulate_acquisition(scn, constant_schedule(scn, 0.5),
                                          seed)
@@ -160,10 +160,9 @@ class TestSimulateAcquisition:
             record, ch = simulate_acquisition(scn, schedule, seed=2)
             w = schedule[:, 0]
             h_unit = ch.h_D / np.linalg.norm(ch.h_D)
-            q = scn.physio.reflectivity_direct
             trace = scn.base_trace()
             gain = np.abs(
-                rcs_series(scn.rcs_model(q), trace, scn.radar.slow_rate,
+                rcs_series(scn.rcs_models[0], trace, scn.radar.slow_rate,
                            scn.angles.chest_incidence_direct,
                            scn.radar.wavelength,
                            standard_normals([0], trace.shape)))[0, 0]
@@ -280,7 +279,7 @@ class TestNoiselessHelper:
         scn = noiseless(Scenario())
         assert scn.radar.noise_power == 0.0
         assert scn.channel.clutter_strength == 0.0
-        model = scn.static.channel
+        model = scn.channel_model
         ch = realize_channel(model,
                              standard_normals([1], (model.draw_size,))[0])
         npt.assert_array_equal(ch.H_C, 0.0)

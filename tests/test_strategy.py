@@ -5,7 +5,7 @@ from dataclasses import replace
 
 from risvital import strategy as strategy_module
 from risvital.beamform import temporal_weights
-from risvital.scenario import Scenario, noiseless, transmit_steering
+from risvital.scenario import Scenario, noiseless
 from risvital.sigproc import Spectrum, VitalSignEstimate
 from risvital.strategy import (LoopState, StrategyConfig, branch_slots,
                                evaluate_and_update, gamma_sweep,
@@ -22,7 +22,7 @@ def fake_estimate(prominence_db, peak=0.133):
 class TestPlanTransmissions:
     def setup_method(self):
         self.scn = Scenario()
-        self.a_d, self.a_r = transmit_steering(self.scn)
+        self.a_d, self.a_r = self.scn.tx_steering
         self.p = self.scn.radar.total_power
 
     def test_spatial_constant_schedule(self):
