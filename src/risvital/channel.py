@@ -11,8 +11,8 @@ imaginary parts per component; the Rician mix, path-loss scale and
 clutter symmetrization then run once over the (S, ...) stack. Each seed
 gets the bits it gets alone, and an (n,) block gives a plain realization.
 The RIS reflection Gamma is diagonal, so it is kept as its (N,) diagonal.
-The one end-to-end signal model built from these components, two rank-1
-target terms plus clutter, is `scenario.simulate_acquisition`.
+The one end-to-end signal model on these components, two rank-1 target
+terms plus clutter, is `scenario.compose_record` on a seed's draw.
 
 Propagation phase convention is exp(-j*2*pi*d/lambda) with one-way Friis
 amplitude lambda/(4*pi*d) per link leg, so the far-field line-of-sight

@@ -16,16 +16,15 @@ seed-independent piece is one cached property of `Scenario`: `angles`,
 ordered (direct, RIS). Each is built on first use and kept for the
 scenario's lifetime, and its arrays are read-only, since every run
 shares them. Every displacement is a plain array at the radar's slow
-rate. The per-seed part is one stream:
-one `standard_normals` call on the seed's first child, laid out as the
-channel block, the RIS then the direct RCS jitter (L each, reserved even
-without distortion), then the (2, M, L) noise, real parts first. Only
-`_simulate` knows that layout; it hands the channel block to
-`realize_channel`, the one channel draw. `simulate_acquisition` takes a
-list of seeds as a leading batch axis and gives an (S, M, L) record;
-`extract_vital_signs` grades one record or such a stack with the same
-code, one estimate per path with the seed axis leading. Every seed gets
-the bits it gets alone, and a batch builds its stacked record in place.
+rate. The per-seed part is one stream: one `standard_normals` call on
+the seed's first child, laid out as the channel block, the RIS then the
+direct RCS jitter (L each, reserved even without distortion), then the
+(2, M, L) noise, real parts first. Only `draw_acquisition` knows that
+layout; it hands the channel block to `realize_channel`, the one channel
+draw. `compose_record` excites a draw under a schedule and only reads
+it, so one draw serves every share of a sweep. A list of seeds is a
+leading batch axis that `extract_vital_signs` grades with the same code,
+one estimate per path. Every seed gets the bits it gets alone.
 """
 
 from dataclasses import dataclass, field, replace
@@ -297,7 +296,8 @@ def simulate_acquisition(scn: Scenario, schedule: np.ndarray, seed):
     window = (scn.radar.element_count, scn.slow_time_samples)
     if schedule.shape != window:
         raise ValueError(f"schedule shape {schedule.shape} != {window}")
-    return _simulate(scn, schedule, seed)
+    draw = draw_acquisition(scn, seed, window[1])
+    return compose_record(draw, schedule), draw[0]
 
 
 def standard_normals(seeds: list, shape: tuple) -> np.ndarray:
@@ -312,13 +312,14 @@ def standard_normals(seeds: list, shape: tuple) -> np.ndarray:
     return out
 
 
-def _simulate(scn: Scenario, schedule: np.ndarray, seed):
-    """`simulate_acquisition` of the window's first n pulses, schedule (M, n)."""
+def draw_acquisition(scn: Scenario, seed, length: int) -> tuple:
+    """All `seed` fixes for the first `length` pulses, whatever the schedule:
+    (channel, alpha, beta, noise). The RCS series (S, L) and scaled noise
+    (S, M, L) keep the seed axis; a lone seed's channel is plain."""
     batch = isinstance(seed, list)
     seeds = seed if batch else [seed]
-    m, length = schedule.shape
     model, rate = scn.channel_model, scn.radar.slow_rate
-    trace = scn.trace[:length]
+    m, trace = scn.radar.element_count, scn.trace[:length]
     # one stream per seed: channel block, 2 x L jitter, (2, M, L) noise
     n_ch = model.draw_size
     normals = standard_normals([child_seeds(s, 1)[0] for s in seeds],
@@ -333,6 +334,16 @@ def _simulate(scn: Scenario, schedule: np.ndarray, seed):
                        lam, jitter[:, 0])
     beta = rcs_series(rcs_direct, trace, rate,
                       angles.chest_incidence_direct, lam, jitter[:, 1])
+    z = noise[:, 1] * 1j
+    z += noise[:, 0]
+    z *= scn.noise_sigma
+    return channel, alpha, beta, z
+
+
+def compose_record(draw: tuple, schedule: np.ndarray) -> np.ndarray:
+    """The record of `draw` under schedule (M, L), stacked like its channel.
+    The draw is only read, so one draw serves any number of schedules."""
+    channel, alpha, beta, noise = draw
     v_ris, h_d = channel.ris_cascade, channel.h_D
     # (..., 1, M) @ (M, L) keeps each seed's vector product bit-identical
     # to a lone run; an (S, M) @ (M, L) product rounds differently. The sum
@@ -342,13 +353,10 @@ def _simulate(scn: Scenario, schedule: np.ndarray, seed):
     samples += h_d[..., :, None] * (beta[:, None]
                                     * (h_d[..., None, :] @ schedule))
     samples += channel.H_C @ schedule
-    z = noise[:, 1] * 1j
-    z += noise[:, 0]
-    z *= scn.noise_sigma
-    samples += z
+    samples += noise
     if not np.all(np.isfinite(samples)):
         raise SignalError("slow-time record contains non-finite entries")
-    return (samples if batch else samples[0]), channel
+    return samples if h_d.ndim > 1 else samples[0]
 
 
 def extract_vital_signs(scn: Scenario, record: np.ndarray,

@@ -12,15 +12,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .beamform import split_precoder
-from .scenario import (Scenario, _simulate, child_seeds, extract_vital_signs,
+from .scenario import (Scenario, child_seeds, compose_record,
+                       draw_acquisition, extract_vital_signs,
                        simulate_acquisition)
 from .sigproc import VitalSignEstimate, root_music_doa
 
 STRATEGY_KINDS = ("temporal", "spatial", "opportunistic")
-# Seeds per batched pass in gamma_sweep. The pass stacks every per-seed
-# array, so the chunk bounds its memory; 32 runs a default 20-seed share
-# as one pass.
-SEED_CHUNK = 32
+SEED_CHUNK = 32  # seeds per gamma_sweep draw, which bounds its memory
 PROBE_PULSES = 64  # a position probe's pulses, from the window's start
 
 
@@ -87,20 +85,17 @@ def plan_transmissions(scn: Scenario, strategy: StrategyConfig, length: int):
     opportunistic transmits full power on the selected path throughout.
     """
     a_direct, a_ris = scn.tx_steering
-    total_power = scn.radar.total_power
     slots_direct, slots_ris = branch_slots(strategy, length)
-    if slots_direct is not None:
-        w_direct = split_precoder(a_direct, a_ris, 1.0, total_power).weights
-        w_ris = split_precoder(a_direct, a_ris, 0.0, total_power).weights
-        schedule = np.empty((a_direct.size, length), dtype=complex)
-        schedule[:, slots_direct] = w_direct[:, None]
-        schedule[:, slots_ris] = w_ris[:, None]
-        return schedule, slots_direct, slots_ris
-    # opportunistic: the whole response on the active path
-    share = strategy.ris_share if strategy.kind == "spatial" \
+    # (RIS share, slots) per beam; opportunistic: all on the active path
+    constant = strategy.ris_share if strategy.kind == "spatial" \
         else float((strategy.initial_path or "ris") == "ris")
-    w = split_precoder(a_direct, a_ris, 1.0 - share, total_power).weights
-    return np.tile(w[:, None], (1, length)), None, None
+    beams = ((constant, slice(None)),) if slots_direct is None \
+        else ((0.0, slots_direct), (1.0, slots_ris))
+    schedule = np.empty((a_direct.size, length), dtype=complex)
+    for share, slots in beams:
+        schedule[:, slots] = split_precoder(
+            a_direct, a_ris, 1.0 - share, scn.radar.total_power).weights[:, None]
+    return schedule, slots_direct, slots_ris
 
 
 def evaluate_and_update(state: LoopState, est_direct: VitalSignEstimate,
@@ -159,34 +154,35 @@ def gamma_sweep(scn: Scenario, kind: str, gamma_grid, seeds) -> list[dict]:
     Returns one row per (gamma, path, seed) with the dominant in-band peak
     and its prominence. A share of zero for the temporal RIS branch (or one
     for the direct branch) leaves that branch without slots; such rows carry
-    NaN peak and zero prominence. Each share's seeds run through
-    `run_once` in passes of up to SEED_CHUNK, one plan per pass; every row
-    equals the lone `run_once` at its seed bit for bit.
+    NaN peak and zero prominence. Each share gets one plan; each pass of up
+    to SEED_CHUNK seeds is drawn once and composed under every plan. Rows
+    come in grid order and equal the lone `run_once` bit for bit.
     """
     if kind not in ("spatial", "temporal"):
         raise ValueError(f"sweep supports spatial or temporal, got {kind!r}")
-    gamma_grid = list(gamma_grid)
-    if not gamma_grid:
+    length, seeds = scn.slow_time_samples, list(seeds)
+    # StrategyConfig rejects a share outside [0, 1] before any draw
+    plans = [(g, plan_transmissions(
+        scn, StrategyConfig(kind=kind, ris_share=g), length))
+        for g in map(float, gamma_grid)]
+    if not plans:
         raise ValueError("gamma grid is empty")
-    if any(not 0.0 <= g <= 1.0 for g in gamma_grid):
-        raise ValueError("gamma grid values must lie in [0, 1]")
-    seeds = list(seeds)
-    rows = []
-    for gamma in gamma_grid:
-        strategy = StrategyConfig(kind=kind, ris_share=float(gamma))
-        for start in range(0, len(seeds), SEED_CHUNK):
-            chunk = seeds[start:start + SEED_CHUNK]
-            _, estimates = run_once(scn, strategy, chunk)
+    rows = [[] for _ in plans]
+    for start in range(0, len(seeds), SEED_CHUNK):
+        chunk = seeds[start:start + SEED_CHUNK]
+        draw = draw_acquisition(scn, chunk, length)
+        for (gamma, (schedule, *slots)), out in zip(plans, rows):
+            estimates = extract_vital_signs(
+                scn, compose_record(draw, schedule), *slots)
             for i, seed in enumerate(chunk):
-                for path in ("direct", "ris"):
-                    est = estimates[path]
+                for path, est in estimates.items():
                     peak, prom = ((float(est.peak_freq[i]),
                                    float(est.peak_prominence_db[i]))
                                   if est else (np.nan, 0.0))
-                    rows.append({"gamma": float(gamma), "path": path,
-                                 "seed": int(seed), "peak_freq_Hz": peak,
-                                 "prominence_db": prom})
-    return rows
+                    out.append({"gamma": gamma, "path": path,
+                                "seed": int(seed), "peak_freq_Hz": peak,
+                                "prominence_db": prom})
+    return [row for out in rows for row in out]
 
 
 @dataclass(frozen=True)
@@ -224,7 +220,7 @@ def estimate_position(scn: Scenario, seed) -> float:
     """
     n = min(PROBE_PULSES, scn.slow_time_samples)
     schedule = plan_transmissions(scn, StrategyConfig(), n)[0]
-    record, _ = _simulate(scn, schedule, seed)
+    record = compose_record(draw_acquisition(scn, seed, n), schedule)
     snapshots = record - record.mean(axis=1, keepdims=True)
     angles = root_music_doa(snapshots, 2, scn.radar.array_config)
     return float(angles[np.argmax(np.abs(angles - scn.angles.theta_ris))])

@@ -47,21 +47,22 @@ def seed_row(estimates: dict, i: int) -> dict:
 
 @settings(max_examples=25, deadline=None)
 @given(kind=st.sampled_from(["spatial", "temporal"]),
-       share=st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
-                       st.floats(0.0, 1.0)),
+       grid=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                               st.floats(0.0, 1.0)), min_size=1, max_size=3),
        seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1,
                       max_size=2 * SEED_CHUNK + 1),
        detrend=st.booleans())
-def test_sweep_rows_equal_lone_runs(kind, share, seeds, detrend):
+def test_sweep_rows_equal_lone_runs(kind, grid, seeds, detrend):
     # without the detrend the row means are large, so a reduction that
-    # rounds differently in a batch shows in the spectra
+    # rounds differently in a batch shows in the spectra; a grid of
+    # several shares (repeats allowed) composes each draw more than once
     scn = replace(SCN, processing=replace(SCN.processing, detrend=detrend))
-    rows = gamma_sweep(scn, kind, [share], seeds)
-    strategy = StrategyConfig(kind=kind, ris_share=share)
-    assert [(r["seed"], r["path"]) for r in rows] == \
-        [(s, p) for s in seeds for p in ("direct", "ris")]
-    for seed, pair in zip(seeds, zip(rows[::2], rows[1::2])):
-        _, estimates = run_once(scn, strategy, seed)
+    rows = gamma_sweep(scn, kind, grid, seeds)
+    assert [(r["gamma"], r["seed"], r["path"]) for r in rows] == \
+        [(g, s, p) for g in grid for s in seeds for p in ("direct", "ris")]
+    for pair in zip(rows[::2], rows[1::2]):
+        strategy = StrategyConfig(kind=kind, ris_share=pair[0]["gamma"])
+        _, estimates = run_once(scn, strategy, pair[0]["seed"])
         for row in pair:
             est = estimates[row["path"]]
             want = (est.peak_freq, est.peak_prominence_db) if est \
