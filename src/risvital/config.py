@@ -11,19 +11,20 @@ Every section is a mapping and unknown keys are rejected. Quantities carry
 unit suffixes ("7.15 GHz", "250 ms", "10 mW", "-3 dBm", "2 cm", "10 dB")
 or are finite bare SI numbers; counts are whole numbers, and sizes (RIS
 rows and cols, fast-time samples, zero-pad factor, hysteresis windows)
-whole numbers >= 1; the radar has at least 2 elements; a window (duration
-x slow rate) holds at least 2 slow-time samples; table gains lie in
-[0, 1]; distortion strength and adaptation step are >= 0; flags are
-true/false; `clutter_window` is an odd count no longer than a window, or
-off; a `trace_file`'s front column holds duration x slow-rate finite
-samples; the sweep's `gammas` are a non-empty list of shares in [0, 1];
-the RCS models, noise scale, channel model and receive weights build
-(reflectivity >= 0, gain exponent > 0, clutter strength >= 0, total
-power > 0, target and RIS off the radar's vertical at steering vectors
-it can tell apart). Any violation, including the dataclasses' own
-checks, raises `ConfigError`. `parse_config` builds these by reading
-the scenario's cached properties, which every run then reuses; it reads
-the trace only from a `trace_file` and never synthesizes one.
+whole numbers >= 1; the radar has at least 2 elements, a positive
+carrier frequency and a positive pulse interval; the band's low edge is
+in (0, slow rate / 2); a window (duration x slow rate) holds at least 2
+slow-time samples; table gains lie in [0, 1]; distortion strength and
+adaptation step are >= 0; flags are true/false; `clutter_window` is an
+odd count no longer than a window, or off; a `trace_file`'s front column
+holds duration x slow-rate finite samples; the sweep's `gammas` are a
+non-empty list of shares in [0, 1]; the RCS models, noise scale, channel
+model and receive weights build (reflectivity >= 0, gain exponent > 0,
+clutter strength >= 0, total power > 0, target and RIS off the radar's
+vertical at steering vectors it can tell apart). Any violation,
+including the dataclasses' own checks, raises `ConfigError`.
+`parse_config` builds these by reading the scenario's cached properties,
+which every run then reuses; it reads the trace only from a `trace_file`.
 """
 
 import hashlib
@@ -252,6 +253,12 @@ def parse_config(doc: dict):
         # Read the scenario's seed-independent parts here, so that their
         # checks report as config errors; every run reuses them.
         radar = scenario.radar
+        for key in ("carrier_frequency", "pulse_repetition_interval"):
+            value = getattr(radar, key)
+            _require(value > 0, value, f"radar.{key}", "a positive value")
+        low, nyquist = scenario.processing.band[0], radar.slow_rate / 2
+        _require(0 < low < nyquist, low, "processing.band",
+                 f"a low edge in (0, {nyquist}) Hz, below Nyquist")
         radar.array_config
         _require(radar.element_count >= 2, radar.element_count,
                  "radar.element_count", "at least 2 elements to steer two paths")
@@ -328,7 +335,10 @@ def serialize_config(scenario: Scenario, strategy: StrategyConfig,
 
 def config_hash(scenario: Scenario, strategy: StrategyConfig,
                 sweep: dict) -> str:
-    """Stable digest of the fully-resolved configuration."""
+    """Stable digest of the fully-resolved configuration; a trace file
+    counts by the samples it holds, not by its path."""
     doc = serialize_config(scenario, strategy, sweep)
+    if scenario.physio.trace_file is not None:
+        doc["physiology"]["trace_file"] = scenario.trace.tolist()
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]

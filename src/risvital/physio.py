@@ -127,23 +127,6 @@ def load_trace_csv(path) -> np.ndarray:
     return trace
 
 
-def write_trace_csv(path, traces) -> None:
-    """Write one or two traces [m -> cm on disk] in the ingestion schema."""
-    traces = list(traces)
-    if not 1 <= len(traces) <= 2:
-        raise TraceError("trace CSV holds one or two traces")
-    lengths = {len(t) for t in traces}
-    if len(lengths) != 1:
-        raise TraceError("traces must have equal length")
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_HEADER[:1 + len(traces)])
-        for i in range(lengths.pop()):
-            writer.writerow([i] + [repr(float(t[i] * _CM_PER_M))
-                                   for t in traces])
-
-
 def angle_gain(model: RcsModel, incidence: float) -> float:
     """Displacement gain in [0, 1] for an incidence angle >= 0.
 

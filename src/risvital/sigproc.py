@@ -1,5 +1,5 @@
-"""Receive-side processing: waveform, matched filter, clutter removal,
-path separation, phase demodulation, spectral estimation, and root-MUSIC.
+"""Receive-side processing: waveform, clutter removal, path separation,
+phase demodulation, spectral estimation, and root-MUSIC.
 
 The chain collapses each pulse to one complex sample per antenna, strips
 the static environment in slow time, splits the record into the two path
@@ -57,19 +57,6 @@ def make_waveform(f0: float, fs: float, n_samples: int) -> np.ndarray:
         raise SignalError(f"tone frequency {f0} Hz aliases at fs = {fs} Hz")
     k = np.arange(n_samples)
     return np.sqrt(2.0) * np.cos(2.0 * np.pi * f0 * k / fs)
-
-
-def matched_filter(y_fast: np.ndarray, waveform: np.ndarray) -> complex:
-    """Correlate one fast-time row with the waveform, normalized by its energy.
-
-    A channel that returns c * s yields exactly c, so the output scale is
-    independent of the pulse length.
-    """
-    y_fast = np.asarray(y_fast, dtype=complex)
-    if y_fast.shape != waveform.shape:
-        raise SignalError(
-            f"fast-time length {y_fast.shape} != waveform {waveform.shape}")
-    return complex(np.vdot(waveform, y_fast) / np.vdot(waveform, waveform))
 
 
 def clutter_filter(record: np.ndarray, window: int) -> np.ndarray:

@@ -1,0 +1,39 @@
+"""Test-side references and fixture writers that the package never calls."""
+
+import csv
+from pathlib import Path
+
+import numpy as np
+
+from risvital.physio import _CM_PER_M, TRACE_HEADER, TraceError
+from risvital.sigproc import SignalError
+
+
+def matched_filter(y_fast: np.ndarray, waveform: np.ndarray) -> complex:
+    """Correlate one fast-time row with the waveform, normalized by its energy.
+
+    A channel that returns c * s yields exactly c, so the output scale is
+    independent of the pulse length.
+    """
+    y_fast = np.asarray(y_fast, dtype=complex)
+    if y_fast.shape != waveform.shape:
+        raise SignalError(
+            f"fast-time length {y_fast.shape} != waveform {waveform.shape}")
+    return complex(np.vdot(waveform, y_fast) / np.vdot(waveform, waveform))
+
+
+def write_trace_csv(path, traces) -> None:
+    """Write one or two traces [m -> cm on disk] in the ingestion schema."""
+    traces = list(traces)
+    if not 1 <= len(traces) <= 2:
+        raise TraceError("trace CSV holds one or two traces")
+    lengths = {len(t) for t in traces}
+    if len(lengths) != 1:
+        raise TraceError("traces must have equal length")
+    path = Path(path)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TRACE_HEADER[:1 + len(traces)])
+        for i in range(lengths.pop()):
+            writer.writerow([i] + [repr(float(t[i] * _CM_PER_M))
+                                   for t in traces])

@@ -13,10 +13,12 @@ from risvital.config import (SCHEMA, SWEEP_ROWS, ConfigError, config_hash,
                              load_config, parse_config, parse_quantity,
                              serialize_config)
 from risvital.geometry import SPEED_OF_LIGHT
-from risvital.physio import synth_respiration, write_trace_csv
+from risvital.physio import synth_respiration
 from risvital.scenario import RadarConfig, default_placement
 from risvital.sigproc import SignalError
 from risvital.strategy import STRATEGY_KINDS, run_once
+
+from oracles import write_trace_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -524,6 +526,14 @@ class TestStrictValues:
         ({"placement": {"target": [0.0, 0.0, 3.0]}}, "azimuth undefined"),
         ({"placement": {"ris_center": [6.0, 0.0, 1.0],
                         "ris_normal": [-1.0, 0.0, 0.0]}}, "near singular"),
+        ({"processing": {"band": ["0 Hz", "0.7 Hz"]}},
+         r"processing.band: expected a low edge in \(0, 2.0\) Hz"),
+        ({"processing": {"band": ["3 Hz", "5 Hz"]}},
+         r"processing.band: expected a low edge in \(0, 2.0\) Hz"),
+        ({"radar": {"carrier_frequency": "0 Hz"}},
+         "radar.carrier_frequency: expected a positive value"),
+        ({"radar": {"pulse_repetition_interval": "0 s"}},
+         "radar.pulse_repetition_interval: expected a positive value"),
     ])
     def test_rejected(self, doc, message):
         with pytest.raises(ConfigError, match=message):
@@ -676,6 +686,30 @@ class TestTraceFile:
         monkeypatch.chdir(cfg_dir)
         assert parse_config(doc)[0].physio.trace_file == "trace.csv"
 
+    def test_hash_follows_the_trace_not_its_path(self, tmp_path):
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text("physiology: {trace_file: trace.csv}\n")
+        hashes = []
+        for rate in (0.2, 0.25):
+            write_trace_csv(tmp_path / "trace.csv",
+                            [synth_respiration(rate, 0.02, 60.0, 4.0)])
+            hashes.append(config_hash(*load_config(cfg)))
+        assert hashes[0] != hashes[1]
+
+    def test_hash_ignores_how_the_config_is_named(self, tmp_path,
+                                                   monkeypatch):
+        (tmp_path / "tc").mkdir()
+        write_trace_csv(tmp_path / "tc" / "trace.csv",
+                        [synth_respiration(0.2, 0.02, 60.0, 4.0)])
+        (tmp_path / "tc" / "c.yaml").write_text(
+            "physiology: {trace_file: trace.csv}\n")
+        monkeypatch.chdir(tmp_path)
+        relative, absolute = (load_config(path) for path in
+                              ("tc/c.yaml", tmp_path / "tc" / "c.yaml"))
+        assert relative[0].physio.trace_file \
+            != absolute[0].physio.trace_file
+        assert config_hash(*relative) == config_hash(*absolute)
+
 
 class TestGoldenHash:
     """Any change to the serialized form, or to the defaults, is deliberate."""
@@ -696,9 +730,10 @@ class TestGoldenHash:
 # Every drawn value is valid for its field: numbers lie in (0, 1], which
 # holds ris_share and gain_exponent; a sweep grid holds one to five
 # shares in [0, 1]; the array has at least two elements and every size
-# is at least one; the tone, the breathing rate and the radar's element
-# spacing are drawn as fractions of half the fast-time and slow-time
-# sample rates and of half the wavelength, then scaled to SI; each
+# is at least one; the tone, the breathing rate, the band edges and the
+# radar's element spacing are drawn as fractions of half the fast-time
+# and slow-time sample rates and of half the wavelength, then scaled to
+# SI; each
 # position has its own z range, so no two points coincide, and none
 # meets a default point (all at z = 1 m); a document is kept only if the
 # array can steer its two paths apart (see _steerable). A duration of at
@@ -765,10 +800,11 @@ def _radar_value(radar, key, kind):
 
 
 def _scaled(doc):
-    """Scale the drawn tone, breathing-rate and element-spacing fractions
-    to values below half the fast-time and slow-time sample rates and
-    half the wavelength."""
+    """Scale the drawn tone, breathing-rate, band and element-spacing
+    fractions to values below half the fast-time and slow-time sample
+    rates and half the wavelength."""
     radar, physio = dict(doc.get("radar", {})), doc.get("physiology", {})
+    processing = doc.get("processing", {})
     if "tone_frequency" in radar:
         fast_rate = (radar.get("fast_time_samples",
                                RadarConfig().fast_time_samples)
@@ -779,11 +815,13 @@ def _scaled(doc):
             radar, "carrier_frequency", "frequency")
     if "radar" in doc:
         doc["radar"] = radar
+    nyquist = 0.5 / _radar_value(radar, "pulse_repetition_interval", "time")
     if "breathing_rate" in physio:
-        slow_rate = 1.0 / _radar_value(radar, "pulse_repetition_interval",
-                                       "time")
         doc["physiology"] = physio | {
-            "breathing_rate": physio["breathing_rate"] * slow_rate / 2}
+            "breathing_rate": physio["breathing_rate"] * nyquist}
+    if "band" in processing:
+        doc["processing"] = processing | {
+            "band": [edge * nyquist for edge in processing["band"]]}
     return doc
 
 

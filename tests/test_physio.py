@@ -4,8 +4,10 @@ import pytest
 
 from risvital.physio import (DEFAULT_GAIN_EXPONENT, RcsModel, TraceError,
                              angle_gain, load_trace_csv, observed_displacement,
-                             rcs_series, synth_respiration, write_trace_csv)
+                             rcs_series, synth_respiration)
 from risvital.scenario import standard_normals
+
+from oracles import write_trace_csv
 
 WAVELENGTH = 299792458.0 / 7.15e9
 
