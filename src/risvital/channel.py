@@ -2,7 +2,9 @@
 
 Builds the radar->RIS matrix, RIS->target and radar->target vectors from
 exact element-to-element free-space propagation, draws Rician fading
-around those line-of-sight components, and adds static clutter.
+around those line-of-sight components, and adds static clutter. A RIS
+panel is a (positions, phases) pair: `build_ris_grid` lays out the (N, 3)
+element positions, `ris_focus_profile` the phases that focus it on the target.
 `channel_model` does the geometry once; `realize_channel` is the
 per-seed part and the one channel draw. It takes `draw_size` standard
 normals per seed from the caller, so this module draws no random
@@ -30,39 +32,17 @@ class ChannelError(ValueError):
     """Raised for inconsistent channel inputs."""
 
 
-@dataclass(frozen=True)
-class RisConfig:
-    """RIS panel: element positions [m] and reflection phases [rad]."""
-
-    element_positions: np.ndarray  # (N, 3)
-    phases: np.ndarray             # (N,), in [0, 2*pi)
-
-    def __post_init__(self):
-        object.__setattr__(self, "element_positions",
-                           np.asarray(self.element_positions, dtype=float))
-        object.__setattr__(self, "phases",
-                           np.mod(np.asarray(self.phases, dtype=float), 2 * np.pi))
-        n = len(self.element_positions)
-        if self.element_positions.shape != (n, 3) or self.phases.shape != (n,):
-            raise ChannelError(
-                f"expected (N, 3) element positions and N phases, got "
-                f"{self.element_positions.shape} and {self.phases.shape}")
-
-    @property
-    def reflection(self) -> np.ndarray:
-        """Unit-modulus reflection coefficient per element, (N,)."""
-        return np.exp(1j * self.phases)
-
-
 def build_ris_grid(center, normal, rows: int, cols: int,
-                   spacing: float) -> RisConfig:
+                   spacing: float) -> np.ndarray:
     """Lay out a rows x cols panel centred at `center` in the plane normal to `normal`.
 
     Columns run along the horizontal in-plane axis, rows along the in-plane
-    axis closest to vertical; every phase starts at zero.
+    axis closest to vertical; returns the (rows * cols, 3) positions [m].
     """
     if rows < 1 or cols < 1:
         raise ChannelError("RIS grid dimensions must be positive")
+    if not spacing > 0:
+        raise ChannelError("RIS element spacing must be positive")
     center = np.asarray(center, dtype=float)
     normal = np.asarray(normal, dtype=float)
     norm = np.linalg.norm(normal)
@@ -78,10 +58,9 @@ def build_ris_grid(center, normal, rows: int, cols: int,
     r_idx = np.arange(rows) - (rows - 1) / 2.0
     c_idx = np.arange(cols) - (cols - 1) / 2.0
     rr, cc = np.meshgrid(r_idx, c_idx, indexing="ij")
-    positions = (center
-                 + rr.reshape(-1, 1) * spacing * row_axis
-                 + cc.reshape(-1, 1) * spacing * col_axis)
-    return RisConfig(positions, np.zeros(rows * cols))
+    return (center
+            + rr.reshape(-1, 1) * spacing * row_axis
+            + cc.reshape(-1, 1) * spacing * col_axis)
 
 
 @dataclass(frozen=True)
@@ -153,21 +132,21 @@ def _friis_entry(dist: np.ndarray, wavelength: float) -> np.ndarray:
     return (wavelength / (4.0 * np.pi * dist)) * np.exp(-2j * np.pi * dist / wavelength)
 
 
-def los_channel(p: Placement, cfg: ArrayConfig, ris: RisConfig):
+def los_channel(p: Placement, cfg: ArrayConfig, ris_el: np.ndarray):
     """Exact-distance free-space LoS components (H_I, h_T, h_D)."""
     lam = cfg.carrier_wavelength
     radar_el = cfg.element_positions(p.radar_position)          # (M, 3)
-    d_ir = np.linalg.norm(radar_el[:, None, :] - ris.element_positions[None, :, :],
+    d_ir = np.linalg.norm(radar_el[:, None, :] - ris_el[None, :, :],
                           axis=2)                               # (M, N)
-    d_t = np.linalg.norm(ris.element_positions - p.target_position, axis=1)  # (N,)
+    d_t = np.linalg.norm(ris_el - p.target_position, axis=1)    # (N,)
     d_d = np.linalg.norm(radar_el - p.target_position, axis=1)  # (M,)
     return (_friis_entry(d_ir, lam), _friis_entry(d_t, lam), _friis_entry(d_d, lam))
 
 
-def ris_focus_profile(p: Placement, ris: RisConfig, wavelength: float) -> np.ndarray:
+def ris_focus_profile(p: Placement, ris_el: np.ndarray, wavelength: float) -> np.ndarray:
     """Phases that equalize the cascaded radar->element->target phase over elements."""
-    d1 = np.linalg.norm(ris.element_positions - p.radar_position, axis=1)
-    d2 = np.linalg.norm(ris.element_positions - p.target_position, axis=1)
+    d1 = np.linalg.norm(ris_el - p.radar_position, axis=1)
+    d2 = np.linalg.norm(ris_el - p.target_position, axis=1)
     return np.mod(2.0 * np.pi * (d1 + d2) / wavelength, 2.0 * np.pi)
 
 
@@ -201,13 +180,18 @@ class ChannelModel:
         return sum(2 * p.size for p in self.los) + 2 * self.los[2].size ** 2
 
 
-def channel_model(p: Placement, cfg: ArrayConfig, ris: RisConfig,
+def channel_model(p: Placement, cfg: ArrayConfig, ris: tuple,
                   k_rice: float, clutter_strength: float) -> ChannelModel:
-    """The exact LoS geometry normalized to unit RMS, for many draws."""
-    los = los_channel(p, cfg, ris)
+    """The exact LoS geometry normalized to unit RMS, for many draws, on the
+    RIS panel `ris`: (N, 3) element positions [m] and (N,) phases [rad]."""
+    ris_el, phases = ris
+    if np.shape(ris_el) != np.shape(phases) + (3,):
+        raise ChannelError(f"expected (N, 3) element positions and N phases, "
+                           f"got {np.shape(ris_el)} and {np.shape(phases)}")
+    los = los_channel(p, cfg, ris_el)
     scales = tuple(np.sqrt(np.mean(np.abs(part) ** 2)) for part in los)
     return ChannelModel(tuple(part / scale for part, scale in zip(los, scales)),
-                        k_rice, scales, ris.reflection, clutter_strength)
+                        k_rice, scales, np.exp(1j * phases), clutter_strength)
 
 
 def realize_channel(model: ChannelModel,

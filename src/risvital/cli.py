@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, _count, _shares, config_hash, load_config,
                      parse_config)
-from .strategy import (PROBE_PULSES, branch_slots, gamma_sweep,
-                       run_closed_loop, run_once)
+from .strategy import (PROBE_PULSES, STRATEGY_KINDS, SWEEP_KINDS,
+                       branch_slots, gamma_sweep, run_closed_loop, run_once)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -110,8 +110,7 @@ def cmd_sweep(args) -> int:
     gammas = sweep["gammas"] if args.gammas is None else _shares(
         [g for g in args.gammas.split(",") if g != ""], "--gammas")
     n_seeds = args.seeds if args.seeds is not None else sweep["seeds"]
-    kind = strategy.kind if strategy.kind in ("spatial", "temporal") \
-        else "spatial"
+    kind = strategy.kind if strategy.kind in SWEEP_KINDS else "spatial"
     rows = gamma_sweep(scenario, kind, gammas, range(n_seeds))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -159,17 +158,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="RIS-assisted radar vital-sign monitoring simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p):
         p.add_argument("--config", help="scenario YAML (defaults built in)")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p_acq = sub.add_parser("acquire", help="run one acquisition, write "
                                            "displacement and spectrum CSVs")
     common(p_acq)
     p_acq.add_argument("--seed", type=int, default=0)
-    p_acq.add_argument("--strategy", choices=("spatial", "temporal",
-                                              "opportunistic"))
+    p_acq.add_argument("--strategy", choices=STRATEGY_KINDS)
     p_acq.add_argument("--ris-share", type=float, dest="ris_share")
     p_acq.set_defaults(func=cmd_acquire)
 
@@ -177,15 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep)
     p_sweep.add_argument("--gammas", help="comma-separated share grid")
     p_sweep.add_argument("--seeds", type=int, help="number of seeds")
-    p_sweep.add_argument("--strategy", choices=("spatial", "temporal"))
+    p_sweep.add_argument("--strategy", choices=SWEEP_KINDS)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_loop = sub.add_parser("loop", help="run the closed sensing loop")
     common(p_loop)
     p_loop.add_argument("--windows", type=int, default=5)
     p_loop.add_argument("--seed", type=int, default=0)
-    p_loop.add_argument("--strategy", choices=("spatial", "temporal",
-                                               "opportunistic"))
+    p_loop.add_argument("--strategy", choices=STRATEGY_KINDS)
     p_loop.add_argument("--ris-share", type=float, dest="ris_share")
     p_loop.set_defaults(func=cmd_loop)
 

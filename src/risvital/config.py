@@ -8,20 +8,21 @@ dataclasses (the placement's in `default_placement`); only the sweep
 section, which has no dataclass, keeps its defaults here.
 
 Every section is a mapping and unknown keys are rejected. Quantities carry
-unit suffixes ("7.15 GHz", "250 ms", "10 mW", "-3 dBm", "2 cm", "10 dB")
-or are finite bare SI numbers; counts are whole numbers, and sizes (RIS
-rows and cols, fast-time samples, zero-pad factor, hysteresis windows)
-whole numbers >= 1; the radar has at least 2 elements, a positive
-carrier frequency and a positive pulse interval; the band's low edge is
-in (0, slow rate / 2); a window (duration x slow rate) holds at least 2
-slow-time samples; table gains lie in [0, 1]; distortion strength and
-adaptation step are >= 0; flags are true/false; `clutter_window` is an
+unit suffixes ("7.15 GHz", "250 ms", "10 mW", "-3 dBm", "2 cm", "10 dB") or
+are finite bare SI numbers, and what they derive (watts, Rician factor,
+wavelength, slow rate, noise scale) must not overflow; counts are whole
+numbers, and sizes (RIS rows and cols, fast-time samples, zero-pad factor,
+hysteresis windows) whole numbers >= 1; the radar has at least 2 elements, a
+positive carrier frequency and a positive pulse interval; the band's low
+edge is in (0, slow rate / 2); a window (duration x slow rate) holds at
+least 2 slow-time samples; table gains lie in [0, 1]; distortion strength
+and adaptation step are >= 0; flags are true/false; `clutter_window` is an
 odd count no longer than a window, or off; a `trace_file`'s front column
 holds duration x slow-rate finite samples; the sweep's `gammas` are a
 non-empty list of shares in [0, 1]; the RCS models, noise scale, channel
 model and receive weights build (reflectivity >= 0, gain exponent > 0,
-clutter strength >= 0, total power > 0, target and RIS off the radar's
-vertical at steering vectors it can tell apart). Any violation,
+clutter strength >= 0, total power > 0, RIS spacing > 0, target and RIS off
+the radar's vertical at steering vectors it can tell apart). Any violation,
 including the dataclasses' own checks, raises `ConfigError`.
 `parse_config` builds these by reading the scenario's cached properties,
 which every run then reuses; it reads the trace only from a `trace_file`.
@@ -30,6 +31,7 @@ which every run then reuses; it reads the trace only from a `trace_file`.
 import hashlib
 import json
 import math
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,8 +40,8 @@ import yaml
 
 from .physio import check_breath_rate
 from .scenario import (ChannelConfig, PhysioConfig, ProcessingConfig,
-                       RadarConfig, RisPanel, Scenario, dbm_to_watts,
-                       default_placement)
+                       RadarConfig, RisPanel, Scenario, db_to_linear,
+                       dbm_to_watts, default_placement)
 from .strategy import StrategyConfig
 
 
@@ -72,6 +74,15 @@ def _number(value, key: str) -> float:
     return number
 
 
+def _finite(derive, value, key: str):
+    """`derive()`; an overflow, raised or warned, is a config error on `key`."""
+    derived = math.inf
+    with suppress(OverflowError, FloatingPointError), np.errstate(over="raise"):
+        derived = derive()
+    _require(math.isfinite(derived), value, key, "a value that does not overflow")
+    return derived
+
+
 def parse_quantity(value, kind: str, key: str = "") -> float:
     """Parse a number-with-unit string (or bare SI number) of a given kind."""
     table = _UNIT_TABLES[kind]
@@ -82,11 +93,11 @@ def parse_quantity(value, kind: str, key: str = "") -> float:
     _require(len(parts) == 2, value, key, "'<number> <unit>'")
     magnitude, unit = _number(parts[0], key), parts[1]
     if kind == "power" and unit == "dBm":
-        return dbm_to_watts(magnitude)
+        return _finite(lambda: dbm_to_watts(magnitude), value, key)
     if unit not in table:
         raise ConfigError(f"{key}: unit {unit!r} does not measure {kind}; "
                           f"use {', '.join(table)}")
-    return magnitude * table[unit]
+    return _finite(lambda: magnitude * table[unit], value, key)
 
 
 def _count(value, key: str, least: int = 0) -> int:
@@ -253,9 +264,11 @@ def parse_config(doc: dict):
         # Read the scenario's seed-independent parts here, so that their
         # checks report as config errors; every run reuses them.
         radar = scenario.radar
-        for key in ("carrier_frequency", "pulse_repetition_interval"):
+        for key, derived in (("carrier_frequency", "wavelength"),
+                             ("pulse_repetition_interval", "slow_rate")):
             value = getattr(radar, key)
             _require(value > 0, value, f"radar.{key}", "a positive value")
+            _finite(lambda: getattr(radar, derived), value, f"radar.{key}")
         low, nyquist = scenario.processing.band[0], radar.slow_rate / 2
         _require(0 < low < nyquist, low, "processing.band",
                  f"a low edge in (0, {nyquist}) Hz, below Nyquist")
@@ -263,7 +276,10 @@ def parse_config(doc: dict):
         _require(radar.element_count >= 2, radar.element_count,
                  "radar.element_count", "at least 2 elements to steer two paths")
         scenario.rcs_models
-        scenario.noise_sigma
+        _finite(lambda: scenario.noise_sigma, radar.noise_figure_db,
+                "radar.noise_figure")
+        k_db = scenario.channel.k_rice_db
+        _finite(lambda: db_to_linear(k_db), k_db, "channel.rician_k")
         scenario.channel_model
         scenario.receive_weights
         _require(scenario.slow_time_samples >= 2, scenario.slow_time_samples,

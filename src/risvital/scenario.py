@@ -34,8 +34,8 @@ import numpy as np
 
 from . import sigproc
 from .beamform import split_precoder
-from .channel import (ChannelModel, RisConfig, build_ris_grid,
-                      channel_model, realize_channel, ris_focus_profile)
+from .channel import (ChannelModel, build_ris_grid, channel_model,
+                      realize_channel, ris_focus_profile)
 from .geometry import (SPEED_OF_LIGHT, ArrayConfig, PathAngles, Placement,
                        angles_from_placement, ula_steering)
 from .physio import RcsModel, angle_gain, load_trace_csv, rcs_series, \
@@ -190,17 +190,18 @@ class Scenario:
         return max(8, int(np.ceil(self.radar.slow_rate
                                   / self.processing.band[0])))
 
-    def ris_config(self) -> RisConfig:
+    def ris_config(self) -> tuple:
+        """(N, 3) element positions [m] and focusing phases in [0, 2*pi)."""
         spacing = (self.ris.element_spacing if self.ris.element_spacing
                    is not None else self.radar.wavelength / 2.0)
-        panel = build_ris_grid(self.placement.ris_center,
-                               self.placement.ris_normal,
-                               self.ris.rows, self.ris.cols, spacing)
-        phases = ris_focus_profile(self.placement, panel, self.radar.wavelength)
+        grid = build_ris_grid(self.placement.ris_center,
+                              self.placement.ris_normal,
+                              self.ris.rows, self.ris.cols, spacing)
+        phases = ris_focus_profile(self.placement, grid, self.radar.wavelength)
         if self.ris.phase_bits is not None:
             step = 2.0 * np.pi / (2 ** self.ris.phase_bits)
-            phases = np.round(phases / step) * step
-        return replace(panel, phases=phases)
+            phases = np.mod(np.round(phases / step) * step, 2.0 * np.pi)
+        return grid, phases
 
     def base_trace(self) -> np.ndarray:
         p = self.physio

@@ -18,6 +18,7 @@ from .scenario import (Scenario, child_seeds, compose_record,
 from .sigproc import VitalSignEstimate, root_music_doa
 
 STRATEGY_KINDS = ("temporal", "spatial", "opportunistic")
+SWEEP_KINDS = ("spatial", "temporal")  # the kinds with a share to sweep
 SEED_CHUNK = 32  # seeds per gamma_sweep draw, which bounds its memory
 PROBE_PULSES = 64  # a position probe's pulses, from the window's start
 
@@ -158,8 +159,8 @@ def gamma_sweep(scn: Scenario, kind: str, gamma_grid, seeds) -> list[dict]:
     to SEED_CHUNK seeds is drawn once and composed under every plan. Rows
     come in grid order and equal the lone `run_once` bit for bit.
     """
-    if kind not in ("spatial", "temporal"):
-        raise ValueError(f"sweep supports spatial or temporal, got {kind!r}")
+    if kind not in SWEEP_KINDS:
+        raise ValueError(f"sweep supports {' or '.join(SWEEP_KINDS)}, got {kind!r}")
     length, seeds = scn.slow_time_samples, list(seeds)
     # StrategyConfig rejects a share outside [0, 1] before any draw
     plans = [(g, plan_transmissions(

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import risvital.cli  # noqa: F401  the tracer looks cli and config up by name
 from risvital.channel import (ChannelError, ChannelModel, ChannelRealization,
-                              RisConfig, build_ris_grid, channel_model,
-                              los_channel, realize_channel, ris_focus_profile)
+                              build_ris_grid, channel_model, los_channel,
+                              realize_channel, ris_focus_profile)
 from risvital.geometry import ArrayConfig, ula_steering
 from risvital.scenario import (Scenario, db_to_linear, simulate_acquisition,
                                standard_normals)
@@ -259,31 +259,39 @@ class TestClutterDraw:
 
 class TestRisConfig:
     def test_reflection_unit_modulus(self):
-        panel = replace(build_ris_grid([0, 2, 0], [0, -1, 0], 3, 4, 0.02),
-                        phases=np.linspace(0, 5, 12))
-        gamma = panel.reflection
+        scn = Scenario()
+        grid = build_ris_grid([0, 2, 0], [0, -1, 0], 3, 4, 0.02)
+        gamma = channel_model(scn.placement, scn.radar.array_config,
+                              (grid, np.linspace(0, 5, 12)), 1.0,
+                              0.0).reflection
         assert gamma.shape == (12,)
         npt.assert_allclose(np.abs(gamma), 1.0, atol=1e-15)
         npt.assert_allclose(np.angle(gamma), np.angle(np.exp(
             1j * np.linspace(0, 5, 12))), atol=1e-12)
 
     def test_grid_spacing_and_extent(self):
-        panel = build_ris_grid([0, 2, 0], [0, -1, 0], 10, 10, 0.021)
-        extent = panel.element_positions.max(axis=0) \
-            - panel.element_positions.min(axis=0)
+        grid = build_ris_grid([0, 2, 0], [0, -1, 0], 10, 10, 0.021)
+        assert grid.shape == (100, 3)
+        extent = grid.max(axis=0) - grid.min(axis=0)
         assert extent.max() == pytest.approx(9 * 0.021, rel=1e-12)
 
     def test_positions_and_phases_must_match(self):
-        positions = build_ris_grid([0, 2, 0], [0, -1, 0], 3, 4,
-                                   0.02).element_positions
-        with pytest.raises(ChannelError):
-            RisConfig(positions, np.zeros(11))
-        with pytest.raises(ChannelError):
-            RisConfig(positions[:, :2], np.zeros(12))
+        scn = Scenario()
+        grid = build_ris_grid([0, 2, 0], [0, -1, 0], 3, 4, 0.02)
+        for ris in ((grid, np.zeros(11)), (grid[:, :2], np.zeros(12)),
+                    (grid, np.zeros((12, 1)))):
+            with pytest.raises(ChannelError, match="element positions"):
+                channel_model(scn.placement, scn.radar.array_config, ris,
+                              1.0, 0.0)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ChannelError):
             build_ris_grid([0, 2, 0], [0, -1, 0], 0, 4, 0.02)
+
+    @pytest.mark.parametrize("spacing", [0.0, -0.01, np.nan])
+    def test_nonpositive_spacing_rejected(self, spacing):
+        with pytest.raises(ChannelError, match="spacing must be positive"):
+            build_ris_grid([0, 2, 0], [0, -1, 0], 3, 4, spacing)
 
     def test_gamma_modulus_validated(self):
         with pytest.raises(ChannelError):

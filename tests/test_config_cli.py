@@ -534,6 +534,20 @@ class TestStrictValues:
          "radar.carrier_frequency: expected a positive value"),
         ({"radar": {"pulse_repetition_interval": "0 s"}},
          "radar.pulse_repetition_interval: expected a positive value"),
+        ({"channel": {"rician_k": "4000 dB"}},
+         "channel.rician_k: expected a value that does not overflow"),
+        ({"radar": {"total_power": "5000 dBm"}},
+         "radar.total_power: expected a value that does not overflow"),
+        ({"radar": {"noise_figure": "4000 dB"}},
+         "radar.noise_figure: expected a value that does not overflow"),
+        ({"radar": {"pulse_repetition_interval": "1e-320 s"}},
+         "radar.pulse_repetition_interval: expected a value that does not"),
+        ({"ris": {"element_spacing": "0 m"}},
+         "RIS element spacing must be positive"),
+        ({"ris": {"element_spacing": "-1 cm"}},
+         "RIS element spacing must be positive"),
+        ({"radar": {"carrier_frequency": "1e-320 Hz"}},
+         "radar.carrier_frequency: expected a value that does not overflow"),
     ])
     def test_rejected(self, doc, message):
         with pytest.raises(ConfigError, match=message):
@@ -553,6 +567,25 @@ class TestStrictValues:
         cfg = tmp_path / "scenario.yaml"
         cfg.write_text(text)
         code = main(["acquire", "--config", str(cfg), "--out",
+                     str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["acquire", "loop", "sweep"])
+    @pytest.mark.parametrize("text", ["channel: {rician_k: 4000 dB}\n",
+                                      "radar: {total_power: 5000 dBm}\n",
+                                      "radar: {noise_figure: 4000 dB}\n",
+                                      "radar: {pulse_repetition_interval: "
+                                      "1e-320 s}\n",
+                                      "ris: {element_spacing: 0 m}\n",
+                                      "ris: {element_spacing: -1 cm}\n"])
+    def test_overflow_and_spacing_exit_1(self, tmp_path, capsys, command,
+                                         text):
+        # filterwarnings = error turns any warning on the way into exit 2
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text(text)
+        code = main([command, "--config", str(cfg), "--out",
                      str(tmp_path / "x")])
         assert code == 1
         assert capsys.readouterr().err.startswith("config error:")

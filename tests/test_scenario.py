@@ -265,13 +265,21 @@ class TestIncidenceMonotonicity:
 class TestRisQuantization:
     def test_phase_bits_quantize_profile(self):
         scn = replace(Scenario(), ris=replace(Scenario().ris, phase_bits=2))
-        phases = scn.ris_config().phases
+        _, phases = scn.ris_config()
         step = 2 * np.pi / 4
         npt.assert_allclose(np.mod(phases / step, 1.0), 0.0, atol=1e-9)
 
     def test_continuous_by_default(self):
-        phases = Scenario().ris_config().phases
+        _, phases = Scenario().ris_config()
         assert np.unique(np.mod(phases, 2 * np.pi / 256)).size > 10
+
+    @pytest.mark.parametrize("bits", [None, 1, 2, 3])
+    def test_phases_wrap_into_one_turn(self, bits):
+        # rounding up the top step lands on 2*pi, which must wrap to 0
+        scn = replace(Scenario(), ris=replace(Scenario().ris, phase_bits=bits))
+        grid, phases = scn.ris_config()
+        assert grid.shape == (100, 3) and phases.shape == (100,)
+        assert np.all(phases >= 0.0) and np.all(phases < 2 * np.pi)
 
 
 class TestNoiselessHelper:
