@@ -10,11 +10,11 @@ per-seed part and the one channel draw. It takes `draw_size` standard
 normals per seed from the caller, so this module draws no random
 numbers, and slices H_I, h_T, h_D and the clutter out of them, real then
 imaginary parts per component; the Rician mix, path-loss scale and
-clutter symmetrization then run once over the (S, ...) stack. Each seed
-gets the bits it gets alone, and an (n,) block gives a plain realization.
-The RIS reflection Gamma is diagonal, so it is kept as its (N,) diagonal.
-The one end-to-end signal model on these components, two rank-1 target
-terms plus clutter, is `scenario.compose_record` on a seed's draw.
+clutter symmetrization then run once over the (S, ...) stack, one row
+per seed; a lone run is a stack of one. The RIS reflection Gamma is
+diagonal, so it is kept as its (N,) diagonal. The one end-to-end
+signal model on these components, two rank-1 target terms plus clutter,
+is `scenario.compose_record` on a seed's draw.
 
 Propagation phase convention is exp(-j*2*pi*d/lambda) with one-way Friis
 amplitude lambda/(4*pi*d) per link leg, so the far-field line-of-sight
@@ -65,29 +65,28 @@ def build_ris_grid(center, normal, rows: int, cols: int,
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One block-fading draw of all channel components.
+    """Block-fading draws of all channel components, one row per seed.
 
-    A batch of seeds stacks its draws on a leading axis, (S, M, N) and so
-    on; the RIS reflection is shared by every seed.
+    Every component but the RIS reflection, which every seed shares, has a
+    leading seed axis of length S.
     """
 
-    H_I: np.ndarray    # (M, N) radar <-> RIS
-    h_T: np.ndarray    # (N,)   RIS <-> target
-    h_D: np.ndarray    # (M,)   radar <-> target
-    H_C: np.ndarray    # (M, M) static clutter
+    H_I: np.ndarray    # (S, M, N) radar <-> RIS
+    h_T: np.ndarray    # (S, N)    RIS <-> target
+    h_D: np.ndarray    # (S, M)    radar <-> target
+    H_C: np.ndarray    # (S, M, M) static clutter
     reflection: np.ndarray  # (N,) RIS reflection, the diagonal of Gamma
 
     def __post_init__(self):
         for name in ("H_I", "h_T", "h_D", "H_C", "reflection"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=complex))
-        if self.H_I.ndim not in (2, 3):
-            raise ChannelError("H_I must be (M, N) or (S, M, N)")
-        *stack, m, n = self.H_I.shape
-        stack = tuple(stack)
-        if self.h_T.shape != stack + (n,) or self.h_D.shape != stack + (m,):
+        if self.H_I.ndim != 3:
+            raise ChannelError("H_I must be (S, M, N)")
+        s, m, n = self.H_I.shape
+        if self.h_T.shape != (s, n) or self.h_D.shape != (s, m):
             raise ChannelError("channel component shapes are inconsistent")
-        if self.H_C.shape != stack + (m, m) or self.reflection.shape != (n,):
+        if self.H_C.shape != (s, m, m) or self.reflection.shape != (n,):
             raise ChannelError("channel component shapes are inconsistent")
         if np.max(np.abs(np.abs(self.reflection) - 1.0)) > 1e-12:
             raise ChannelError("reflection entries must have unit modulus")
@@ -97,7 +96,7 @@ class ChannelRealization:
 
     @property
     def ris_cascade(self) -> np.ndarray:
-        """One-way radar->RIS->target channel vector H_I @ Gamma @ h_T."""
+        """One-way radar->RIS->target channels H_I @ Gamma @ h_T, (S, M)."""
         return (self.H_I @ (self.reflection * self.h_T)[..., None])[..., 0]
 
 
@@ -200,12 +199,9 @@ def realize_channel(model: ChannelModel,
 
     The unit-variance nLoS draw of each component is scaled to the RMS
     magnitude of its LoS counterpart so fading perturbs the link without
-    erasing its path loss. An (S, draw_size) block gives one realization
-    stacked over a leading seed axis, validated once; a (draw_size,) block
-    gives a plain one.
+    erasing its path loss. The (S, draw_size) block gives one realization
+    stacked over a leading seed axis, validated once.
     """
-    stacked = normals.ndim == 2
-    normals = np.atleast_2d(normals)
     m = model.los[2].size
     bounds = np.cumsum([0] + [2 * part.size for part in model.los]).tolist()
     parts = [scale * _rician(model.k_factor, los, _complex_normal(
@@ -213,6 +209,4 @@ def realize_channel(model: ChannelModel,
              for los, scale, lo, hi
              in zip(model.los, model.scales, bounds, bounds[1:])]
     parts.append(_clutter(model.clutter_strength, normals[:, bounds[-1]:], m))
-    if not stacked:
-        parts = [part[0] for part in parts]
     return ChannelRealization(*parts, reflection=model.reflection)

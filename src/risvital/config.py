@@ -10,12 +10,13 @@ section, which has no dataclass, keeps its defaults here.
 Every section is a mapping and unknown keys are rejected. Quantities carry
 unit suffixes ("7.15 GHz", "250 ms", "10 mW", "-3 dBm", "2 cm", "10 dB") or
 are finite bare SI numbers, and what they derive (watts, Rician factor,
-wavelength, slow rate, noise scale) must not overflow; counts are whole
-numbers, and sizes (RIS rows and cols, fast-time samples, zero-pad factor,
-hysteresis windows) whole numbers >= 1; the radar has at least 2 elements, a
-positive carrier frequency and a positive pulse interval; the band's low
-edge is in (0, slow rate / 2); a window (duration x slow rate) holds at
-least 2 slow-time samples; table gains lie in [0, 1]; distortion strength
+wavelength, slow rate, noise scale, window length, 2 ** phase_bits) must
+not overflow; counts are whole numbers, and sizes (RIS rows and cols,
+fast-time samples, zero-pad factor, hysteresis windows) whole numbers
+>= 1; the radar has at least 2 elements, a positive carrier frequency and
+a positive pulse interval; the band's low edge is in (0, slow rate / 2);
+a window (duration x slow rate) holds 2 to MAX_WINDOW_SAMPLES slow-time
+samples; table gains lie in [0, 1]; distortion strength
 and adaptation step are >= 0; flags are true/false; `clutter_window` is an
 odd count no longer than a window, or off; a `trace_file`'s front column
 holds duration x slow-rate finite samples; the sweep's `gammas` are a
@@ -48,6 +49,8 @@ from .strategy import StrategyConfig
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent configuration input."""
 
+
+MAX_WINDOW_SAMPLES = 2 ** 20  # 72 h at the default 4 Hz pulse rate
 
 _UNIT_TABLES = {
     "frequency": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9},
@@ -280,11 +283,15 @@ def parse_config(doc: dict):
                 "radar.noise_figure")
         k_db = scenario.channel.k_rice_db
         _finite(lambda: db_to_linear(k_db), k_db, "channel.rician_k")
+        bits = scenario.ris.phase_bits
+        _finite(lambda: 2.0 ** (bits or 0), bits, "ris.phase_bits")
         scenario.channel_model
         scenario.receive_weights
-        _require(scenario.slow_time_samples >= 2, scenario.slow_time_samples,
+        samples = _finite(lambda: scenario.slow_time_samples,
+                          scenario.physio.duration, "physiology.duration")
+        _require(2 <= samples <= MAX_WINDOW_SAMPLES, samples,
                  "slow-time samples per window (duration x slow rate)",
-                 "at least 2")
+                 f"at least 2 and at most {MAX_WINDOW_SAMPLES}")
         window = scenario.processing.clutter_window
         _require(window is None or window <= scenario.slow_time_samples,
                  window, "processing.clutter_window",

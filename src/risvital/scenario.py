@@ -22,9 +22,9 @@ direct RCS jitter (L each, reserved even without distortion), then the
 (2, M, L) noise, real parts first. Only `draw_acquisition` knows that
 layout; it hands the channel block to `realize_channel`, the one channel
 draw. `compose_record` excites a draw under a schedule and only reads
-it, so one draw serves every share of a sweep. A list of seeds is a
-leading batch axis that `extract_vital_signs` grades with the same code,
-one estimate per path. Every seed gets the bits it gets alone.
+it, so one draw serves every share of a sweep. Seeds always come as a
+list, a leading axis of every draw, record and estimate; a lone run is
+the batch of one seed, and every seed gets the same bits in any batch.
 """
 
 from dataclasses import dataclass, field, replace
@@ -280,25 +280,21 @@ def child_seeds(seed, n: int) -> list[np.random.SeedSequence]:
             for i in range(n)]
 
 
-def simulate_acquisition(scn: Scenario, schedule: np.ndarray, seed):
-    """Run one acquisition of L pulses under a per-pulse precoder schedule.
+def simulate_acquisition(scn: Scenario, schedule: np.ndarray,
+                         seeds: list) -> np.ndarray:
+    """The (S, M, L) records of the S `seeds` under one precoder schedule.
 
     `schedule` is (M, L). Per pulse, the end-to-end channel response is
     excited and each antenna row is matched filtered to one complex sample.
     The matched filter conj(s)/E turns white fast-time noise of variance N0
     per sample into CN(0, N0/E) per sample of the record, which is drawn
-    directly. `seed` is not mutated: the same seed replays the same record.
-
-    Returns (record, channel). A list of seeds runs them as one batch: the
-    record is then (S, M, L), the channel is one realization stacked over
-    the seeds, and each seed draws the stream a lone run draws.
+    directly. No seed is mutated: the same seed replays the same record.
     """
     schedule = np.asarray(schedule, dtype=complex)
     window = (scn.radar.element_count, scn.slow_time_samples)
     if schedule.shape != window:
         raise ValueError(f"schedule shape {schedule.shape} != {window}")
-    draw = draw_acquisition(scn, seed, window[1])
-    return compose_record(draw, schedule), draw[0]
+    return compose_record(draw_acquisition(scn, seeds, window[1]), schedule)
 
 
 def standard_normals(seeds: list, shape: tuple) -> np.ndarray:
@@ -313,20 +309,17 @@ def standard_normals(seeds: list, shape: tuple) -> np.ndarray:
     return out
 
 
-def draw_acquisition(scn: Scenario, seed, length: int) -> tuple:
-    """All `seed` fixes for the first `length` pulses, whatever the schedule:
-    (channel, alpha, beta, noise). The RCS series (S, L) and scaled noise
-    (S, M, L) keep the seed axis; a lone seed's channel is plain."""
-    batch = isinstance(seed, list)
-    seeds = seed if batch else [seed]
+def draw_acquisition(scn: Scenario, seeds: list, length: int) -> tuple:
+    """All the `seeds` fix for the first `length` pulses, whatever the
+    schedule: (channel, alpha, beta, noise), each with a leading seed axis;
+    the RCS series are (S, L) and the scaled noise (S, M, L)."""
     model, rate = scn.channel_model, scn.radar.slow_rate
     m, trace = scn.radar.element_count, scn.trace[:length]
     # one stream per seed: channel block, 2 x L jitter, (2, M, L) noise
     n_ch = model.draw_size
     normals = standard_normals([child_seeds(s, 1)[0] for s in seeds],
                                (n_ch + 2 * length + 2 * m * length,))
-    channel = realize_channel(model,
-                              (normals if batch else normals[0])[..., :n_ch])
+    channel = realize_channel(model, normals[:, :n_ch])
     jitter = normals[:, n_ch:n_ch + 2 * length].reshape(-1, 2, length)
     noise = normals[:, n_ch + 2 * length:].reshape(-1, 2, m, length)
     lam, angles = scn.radar.wavelength, scn.angles
@@ -342,22 +335,22 @@ def draw_acquisition(scn: Scenario, seed, length: int) -> tuple:
 
 
 def compose_record(draw: tuple, schedule: np.ndarray) -> np.ndarray:
-    """The record of `draw` under schedule (M, L), stacked like its channel.
-    The draw is only read, so one draw serves any number of schedules."""
+    """The (S, M, L) records of `draw` under schedule (M, L). The draw is
+    only read, so one draw serves any number of schedules."""
     channel, alpha, beta, noise = draw
     v_ris, h_d = channel.ris_cascade, channel.h_D
-    # (..., 1, M) @ (M, L) keeps each seed's vector product bit-identical
-    # to a lone run; an (S, M) @ (M, L) product rounds differently. The sum
-    # is built in place in the order ((RIS + direct) + clutter) + noise.
-    samples = v_ris[..., :, None] * (alpha[:, None]
-                                     * (v_ris[..., None, :] @ schedule))
-    samples += h_d[..., :, None] * (beta[:, None]
-                                    * (h_d[..., None, :] @ schedule))
+    # (S, 1, M) @ (M, L) gives each seed the bits of a batch of one; an
+    # (S, M) @ (M, L) product rounds with the batch size. The sum is built
+    # in place in the order ((RIS + direct) + clutter) + noise.
+    samples = v_ris[:, :, None] * (alpha[:, None]
+                                   * (v_ris[:, None, :] @ schedule))
+    samples += h_d[:, :, None] * (beta[:, None]
+                                  * (h_d[:, None, :] @ schedule))
     samples += channel.H_C @ schedule
     samples += noise
     if not np.all(np.isfinite(samples)):
         raise SignalError("slow-time record contains non-finite entries")
-    return samples if h_d.ndim > 1 else samples[0]
+    return samples
 
 
 def extract_vital_signs(scn: Scenario, record: np.ndarray,
@@ -369,7 +362,7 @@ def extract_vital_signs(scn: Scenario, record: np.ndarray,
     demodulated over its own slots only; otherwise over the full record.
     Returns a dict of path label to estimate (None for a branch too short
     to grade, or for a path with an angle gain of 0, which cannot see the
-    chest). An (S, M, L) record gives one estimate per path whose traces,
+    chest). The (S, M, L) records give one estimate per path whose traces,
     spectra, peaks and prominences carry the leading seed axis.
     """
     proc = scn.processing

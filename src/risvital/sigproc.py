@@ -4,11 +4,11 @@ phase demodulation, spectral estimation, and root-MUSIC.
 The chain collapses each pulse to one complex sample per antenna, strips
 the static environment in slow time, splits the record into the two path
 branches, and converts unwrapped phase back to chest displacement. Every
-stage from the clutter filter to the peak grading also takes a leading
-seed axis, giving each seed the bits it would get alone.
+stage from the clutter filter to the peak grading takes a leading seed
+axis and gives each seed the same bits whatever the batch around it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,15 +40,22 @@ class Spectrum:
 class VitalSignEstimate:
     """Per-path extraction product: trace, spectrum, peak, and quality.
 
-    A stacked record gives one estimate per path with a leading seed axis:
-    (S, n) displacement samples, (S, F) spectrum power, and (S,) peak and
-    prominence arrays where one record gives Python floats.
+    Extraction gives one estimate per path with a leading seed axis: (S, n)
+    displacement samples, (S, F) spectrum power, and (S,) peak and
+    prominence arrays. `row(i)` is seed i's own estimate, with (n,) and
+    (F,) arrays and Python-float peak and prominence.
     """
 
     displacement: np.ndarray  # [m] at the radar's slow rate
     spectrum: Spectrum
     peak_freq: float | np.ndarray
     peak_prominence_db: float | np.ndarray
+
+    def row(self, i: int) -> "VitalSignEstimate":
+        return VitalSignEstimate(
+            self.displacement[i],
+            replace(self.spectrum, power=self.spectrum.power[i]),
+            float(self.peak_freq[i]), float(self.peak_prominence_db[i]))
 
 
 def make_waveform(f0: float, fs: float, n_samples: int) -> np.ndarray:
@@ -118,7 +125,7 @@ def phase_demodulate(r: np.ndarray, wavelength: float,
     if zero.size:
         raise SignalError("zero-magnitude sample at slow-time index "
                           f"{zero[0] % r.shape[-1]}")
-    # rows reduce like a lone 1-D row only when contiguous
+    # a row reduces alike in any batch only when the rows are contiguous
     phi = np.ascontiguousarray(np.unwrap(np.angle(r)))
     if detrend:
         # closed-form least-squares line about the centred slot index
@@ -137,7 +144,7 @@ def power_spectrum(x: np.ndarray, slow_rate: float, zero_pad_factor: int = 4,
     overrides the transform length, letting short slot records be
     evaluated on the frequency grid of a longer acquisition.
     """
-    # a row mean rounds like the 1-D mean only over contiguous rows
+    # a row mean rounds alike in any batch only over contiguous rows
     x = np.ascontiguousarray(x, dtype=float)
     n = x.shape[-1]
     if n < 8:
@@ -162,8 +169,8 @@ def peak_quality(spectrum: Spectrum, band=RESPIRATION_BAND):
     """Strongest in-band bin and its prominence over the in-band median [dB].
 
     The median excludes two bins either side of the peak so a sharp tone is
-    judged against the surrounding floor rather than its own skirt. Stacked
-    spectra give one (peak, prominence) array pair over the leading axis.
+    judged against the surrounding floor rather than its own skirt. Gives
+    one (peak, prominence) array pair over the spectra's leading axes.
     """
     f_lo, f_hi = band
     in_band = np.flatnonzero((spectrum.freqs >= f_lo) & (spectrum.freqs <= f_hi))
@@ -184,10 +191,7 @@ def peak_quality(spectrum: Spectrum, band=RESPIRATION_BAND):
         ratio = np.where(floor > 0.0, peak_power / floor,
                          np.where(peak_power > 0, np.inf, 1.0))
     prominence = np.maximum(10.0 * np.log10(ratio), 0.0)
-    peak_freq = spectrum.freqs[in_band[peak_pos[..., 0]]]
-    if band_power.ndim == 1:
-        return float(peak_freq), float(prominence)
-    return peak_freq, prominence
+    return spectrum.freqs[in_band[peak_pos[..., 0]]], prominence
 
 
 def root_music_doa(snapshots: np.ndarray, n_sources: int,

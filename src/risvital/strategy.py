@@ -139,14 +139,14 @@ def evaluate_and_update(state: LoopState, est_direct: VitalSignEstimate,
 def run_once(scn: Scenario, strategy: StrategyConfig, seed):
     """One acquisition window under a strategy, extracted on both paths.
 
-    Returns (record, estimates) as `simulate_acquisition` and
-    `extract_vital_signs` give them: with a leading seed axis for a list
-    of seeds, which run as one array pass, and plain for one seed.
+    Returns the (M, L) record and the per-path estimates of `seed`: row 0
+    of its batch of one, so each estimate holds Python-float peaks.
     """
-    schedule, slots_direct, slots_ris = plan_transmissions(
-        scn, strategy, scn.slow_time_samples)
-    record, _ = simulate_acquisition(scn, schedule, seed)
-    return record, extract_vital_signs(scn, record, slots_direct, slots_ris)
+    schedule, *slots = plan_transmissions(scn, strategy,
+                                          scn.slow_time_samples)
+    record = simulate_acquisition(scn, schedule, [seed])
+    return record[0], {label: est and est.row(0) for label, est
+                       in extract_vital_signs(scn, record, *slots).items()}
 
 
 def gamma_sweep(scn: Scenario, kind: str, gamma_grid, seeds) -> list[dict]:
@@ -221,7 +221,7 @@ def estimate_position(scn: Scenario, seed) -> float:
     """
     n = min(PROBE_PULSES, scn.slow_time_samples)
     schedule = plan_transmissions(scn, StrategyConfig(), n)[0]
-    record = compose_record(draw_acquisition(scn, seed, n), schedule)
+    record = compose_record(draw_acquisition(scn, [seed], n), schedule)[0]
     snapshots = record - record.mean(axis=1, keepdims=True)
     angles = root_music_doa(snapshots, 2, scn.radar.array_config)
     return float(angles[np.argmax(np.abs(angles - scn.angles.theta_ris))])

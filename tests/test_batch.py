@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from risvital import scenario as scenario_module
 from risvital.config import load_config
 from risvital.physio import RcsModel
-from risvital.scenario import Scenario, extract_vital_signs, \
-    simulate_acquisition
+from risvital.scenario import Scenario, draw_acquisition, \
+    extract_vital_signs, simulate_acquisition
 from risvital.sigproc import Spectrum, VitalSignEstimate
 from risvital.strategy import (SEED_CHUNK, StrategyConfig, gamma_sweep,
                                plan_transmissions, run_once)
@@ -34,15 +34,6 @@ def assert_same_estimates(a: dict, b: dict):
                                b[label].spectrum.power)
         assert repr((a[label].peak_freq, a[label].peak_prominence_db)) == \
             repr((b[label].peak_freq, b[label].peak_prominence_db))
-
-
-def seed_row(estimates: dict, i: int) -> dict:
-    """Row i of every stacked field, in the shape a lone extraction has."""
-    return {label: est and VitalSignEstimate(
-                est.displacement[i],
-                replace(est.spectrum, power=est.spectrum.power[i]),
-                float(est.peak_freq[i]), float(est.peak_prominence_db[i]))
-            for label, est in estimates.items()}
 
 
 @settings(max_examples=25, deadline=None)
@@ -90,7 +81,8 @@ def test_batched_acquisition_stacks_lone_acquisitions():
     schedule, slots_direct, slots_ris = plan_transmissions(
         SCN, strategy, SCN.slow_time_samples)
     seeds = [3, np.random.SeedSequence(5), 3, 11]
-    record, channel = simulate_acquisition(SCN, schedule, seeds)
+    record = simulate_acquisition(SCN, schedule, seeds)
+    channel = draw_acquisition(SCN, seeds, schedule.shape[1])[0]
     assert record.shape == (4,) + schedule.shape
     batch = extract_vital_signs(SCN, record, slots_direct, slots_ris)
     for est in batch.values():  # one estimate per path, seeds stacked
@@ -99,14 +91,16 @@ def test_batched_acquisition_stacks_lone_acquisitions():
         assert est.peak_freq.shape == est.peak_prominence_db.shape \
             == (len(seeds),)
     for i, seed in enumerate(seeds):
-        alone, ch = simulate_acquisition(SCN, schedule, seed)
-        npt.assert_array_equal(record[i], alone)
+        alone = simulate_acquisition(SCN, schedule, [seed])
+        ch = draw_acquisition(SCN, [seed], schedule.shape[1])[0]
+        npt.assert_array_equal(record[i], alone[0])
         for name in ("H_I", "h_T", "h_D", "H_C"):
             npt.assert_array_equal(getattr(channel, name)[i],
-                                   getattr(ch, name))
+                                   getattr(ch, name)[0])
         npt.assert_array_equal(channel.reflection, ch.reflection)
-        assert_same_estimates(seed_row(batch, i), extract_vital_signs(
-            SCN, alone, slots_direct, slots_ris))
+        lone = extract_vital_signs(SCN, alone, slots_direct, slots_ris)
+        assert_same_estimates({p: est.row(i) for p, est in batch.items()},
+                              {p: est.row(0) for p, est in lone.items()})
 
 
 @pytest.mark.parametrize("kind", ["spatial", "temporal"])

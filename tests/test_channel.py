@@ -13,8 +13,8 @@ from risvital.channel import (ChannelError, ChannelModel, ChannelRealization,
                               build_ris_grid, channel_model, los_channel,
                               realize_channel, ris_focus_profile)
 from risvital.geometry import ArrayConfig, ula_steering
-from risvital.scenario import (Scenario, db_to_linear, simulate_acquisition,
-                               standard_normals)
+from risvital.scenario import (Scenario, db_to_linear, draw_acquisition,
+                               simulate_acquisition, standard_normals)
 from risvital.strategy import SEED_CHUNK, gamma_sweep
 
 WAVELENGTH = 299792458.0 / 7.15e9
@@ -29,22 +29,19 @@ def unit_model(k_factor, h_i, clutter_strength=0.0):
                         np.ones(n, dtype=complex), clutter_strength)
 
 
-def seed_draw(model, rng_seed):
-    """`realize_channel` of the first normals of each seed's own stream; a
-    list of seeds gives the stacked realization."""
-    batch = isinstance(rng_seed, list)
-    normals = standard_normals(rng_seed if batch else [rng_seed],
-                               (model.draw_size,))
-    return realize_channel(model, normals if batch else normals[0])
+def seed_draw(model, seeds):
+    """`realize_channel` of the first normals of each seed's own stream."""
+    return realize_channel(model,
+                           standard_normals(seeds, (model.draw_size,)))
 
 
 class TestRicianDraw:
     def test_huge_k_returns_los(self):
         los = np.array([[1 + 2j, -0.5j], [0.25, 1.0]])
-        out = seed_draw(unit_model(1e12, los), 0).H_I
+        out = seed_draw(unit_model(1e12, los), [0]).H_I[0]
         # nLoS weight sqrt(1/(K+1)) = 1e-6; allow a few sigma of that scale
         npt.assert_allclose(out, los, rtol=1e-6, atol=5e-6)
-        out_inf = seed_draw(unit_model(np.inf, los), 0).H_I
+        out_inf = seed_draw(unit_model(np.inf, los), [0]).H_I[0]
         npt.assert_array_equal(out_inf, los)
 
     def test_k_zero_unit_variance(self):
@@ -72,8 +69,8 @@ class TestRicianDraw:
 
     def test_deterministic_per_seed(self):
         model = unit_model(3.0, np.ones((3, 4), dtype=complex))
-        npt.assert_array_equal(seed_draw(model, 42).H_I,
-                               seed_draw(model, 42).H_I)
+        npt.assert_array_equal(seed_draw(model, [42]).H_I[0],
+                               seed_draw(model, [42]).H_I[0])
 
     def test_negative_k_rejected(self):
         scn = Scenario()
@@ -191,20 +188,21 @@ def end_to_end(reflectivity_ris=40.0, reflectivity_direct=3.0,
         channel=replace(base.channel, clutter_strength=clutter_strength))
     m = scn.radar.element_count
     schedule = np.eye(m)[:, np.arange(scn.slow_time_samples) % m]
-    record, ch = simulate_acquisition(scn, schedule, 11)
-    return record[:, :m], ch
+    record = simulate_acquisition(scn, schedule, [11])[0]
+    return record[:, :m], draw_acquisition(scn, [11], schedule.shape[1])[0]
 
 
 class TestAssembleEndToEnd:
     def test_matches_two_path_model(self):
         h, ch = end_to_end()
-        v = ch.ris_cascade
-        model = 40.0 * np.outer(v, v) + 3.0 * np.outer(ch.h_D, ch.h_D) + ch.H_C
+        v, h_d = ch.ris_cascade[0], ch.h_D[0]
+        model = 40.0 * np.outer(v, v) + 3.0 * np.outer(h_d, h_d) + ch.H_C[0]
         npt.assert_allclose(h, model, rtol=0, atol=1e-15 * np.abs(model).max())
 
     def test_direct_only_is_rank_one(self):
         h, ch = end_to_end(reflectivity_ris=0.0, clutter_strength=0.0)
-        npt.assert_allclose(h, 3.0 * np.outer(ch.h_D, ch.h_D), atol=1e-18)
+        npt.assert_allclose(h, 3.0 * np.outer(ch.h_D[0], ch.h_D[0]),
+                            atol=1e-18)
         s = np.linalg.svd(h, compute_uv=False)
         assert s[1] < 1e-10 * s[0]
 
@@ -215,7 +213,7 @@ class TestAssembleEndToEnd:
 
     def test_clutter_passthrough(self):
         h, ch = end_to_end(reflectivity_ris=0.0, reflectivity_direct=0.0)
-        npt.assert_array_equal(h, ch.H_C)
+        npt.assert_array_equal(h, ch.H_C[0])
 
     def test_monostatic_symmetry(self):
         h, _ = end_to_end()
@@ -224,19 +222,26 @@ class TestAssembleEndToEnd:
     def test_shape_mismatch_rejected(self):
         _, ch = end_to_end()
         with pytest.raises(ChannelError):
-            ChannelRealization(ch.H_I, ch.h_T[:-1], ch.h_D, ch.H_C,
+            ChannelRealization(ch.H_I, ch.h_T[:, :-1], ch.h_D, ch.H_C,
+                               ch.reflection)
+
+    def test_plain_realization_rejected(self):
+        # a lone draw is a stack of one, never a plain (M, N) matrix
+        _, ch = end_to_end()
+        with pytest.raises(ChannelError, match=r"\(S, M, N\)"):
+            ChannelRealization(ch.H_I[0], ch.h_T[0], ch.h_D[0], ch.H_C[0],
                                ch.reflection)
 
 
-def drawn_clutter(strength, rng_seed, m):
-    """The (m, m) clutter of a draw, or its stack for a list of seeds."""
-    return seed_draw(unit_model(0.0, np.ones((m, 1)), strength),
-                     rng_seed).H_C
+def drawn_clutter(strength, seeds, m):
+    """The (S, m, m) clutter of the draws of `seeds`."""
+    return seed_draw(unit_model(0.0, np.ones((m, 1)), strength), seeds).H_C
 
 
 class TestClutterDraw:
     def test_zero_strength(self):
-        npt.assert_array_equal(drawn_clutter(0.0, 0, 4), np.zeros((4, 4)))
+        npt.assert_array_equal(drawn_clutter(0.0, [0], 4),
+                               np.zeros((1, 4, 4)))
 
     def test_per_entry_variance(self):
         strength = 0.5
@@ -245,16 +250,16 @@ class TestClutterDraw:
         npt.assert_allclose(var, strength, rtol=0.03)
 
     def test_same_seed_identical(self):
-        npt.assert_array_equal(drawn_clutter(1.0, 9, 5),
-                               drawn_clutter(1.0, 9, 5))
+        npt.assert_array_equal(drawn_clutter(1.0, [9], 5),
+                               drawn_clutter(1.0, [9], 5))
 
     def test_symmetric(self):
-        h_c = drawn_clutter(1.0, 3, 6)
+        h_c = drawn_clutter(1.0, [3], 6)[0]
         npt.assert_array_equal(h_c, h_c.T)
 
     def test_negative_strength_rejected(self):
         with pytest.raises(ChannelError):
-            drawn_clutter(-0.1, 0, 3)
+            drawn_clutter(-0.1, [0], 3)
 
 
 class TestRisConfig:
@@ -294,9 +299,10 @@ class TestRisConfig:
             build_ris_grid([0, 2, 0], [0, -1, 0], 3, 4, spacing)
 
     def test_gamma_modulus_validated(self):
-        with pytest.raises(ChannelError):
-            ChannelRealization(np.ones((2, 3)), np.ones(3), np.ones(2),
-                               np.zeros((2, 2)), np.array([1.0, 1.0, 2.0]))
+        with pytest.raises(ChannelError, match="unit modulus"):
+            ChannelRealization(np.ones((1, 2, 3)), np.ones((1, 3)),
+                               np.ones((1, 2)), np.zeros((1, 2, 2)),
+                               np.array([1.0, 1.0, 2.0]))
 
 
 def _oracle_draw(model, seed):
@@ -348,11 +354,11 @@ class TestDrawEngine:
         stacked = seed_draw(model, seeds)
         assert stacked.H_I.shape == (len(seeds), 5, 100)
         for i, seed in enumerate(seeds):
-            lone = seed_draw(model, seed)
+            lone = seed_draw(model, [seed])
             for name, want in zip(COMPONENTS, _oracle_draw(model, seed)):
-                assert _same_bits(getattr(lone, name), want), name
+                assert _same_bits(getattr(lone, name)[0], want), name
                 assert _same_bits(getattr(stacked, name)[i], want), name
-            assert _same_bits(stacked.ris_cascade[i], lone.ris_cascade)
+            assert _same_bits(stacked.ris_cascade[i], lone.ris_cascade[0])
 
     @settings(max_examples=30, deadline=None)
     @given(seeds=SEED_LISTS, name=st.sampled_from(COMPONENTS),

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risvital.cli import main
-from risvital.config import (SCHEMA, SWEEP_ROWS, ConfigError, config_hash,
-                             load_config, parse_config, parse_quantity,
-                             serialize_config)
+from risvital.config import (MAX_WINDOW_SAMPLES, SCHEMA, SWEEP_ROWS,
+                             ConfigError, config_hash, load_config,
+                             parse_config, parse_quantity, serialize_config)
 from risvital.geometry import SPEED_OF_LIGHT
 from risvital.physio import synth_respiration
 from risvital.scenario import RadarConfig, default_placement
@@ -443,8 +443,16 @@ class TestWindowUnderTwoSamples:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "config error: slow-time samples per window (duration x slow "
-            f"rate): expected at least 2, got {samples}\n")
+            "rate): expected at least 2 and at most 1048576, got "
+            f"{samples}\n")
         assert not out.exists()
+
+    def test_longest_window_and_finest_phases_accepted(self):
+        scenario, _, _ = parse_config({"physiology": {"duration": "262144 s"},
+                                       "ris": {"phase_bits": 1023}})
+        assert scenario.slow_time_samples == MAX_WINDOW_SAMPLES == 2 ** 20
+        assert parse_config({"ris": {"phase_bits": 1000}})[0] \
+            .channel_model.reflection.shape == (100,)
 
 
 class TestLoopProbeShorterThanArray:
@@ -548,6 +556,13 @@ class TestStrictValues:
          "RIS element spacing must be positive"),
         ({"radar": {"carrier_frequency": "1e-320 Hz"}},
          "radar.carrier_frequency: expected a value that does not overflow"),
+        ({"ris": {"phase_bits": 1030}},
+         "ris.phase_bits: expected a value that does not overflow, got 1030"),
+        ({"radar": {"pulse_repetition_interval": "1 us"}},
+         "expected at least 2 and at most 1048576, got 60000000"),
+        ({"physiology": {"duration": "1e300 s"},
+          "radar": {"pulse_repetition_interval": "1e-10 s"}},
+         "physiology.duration: expected a value that does not overflow"),
     ])
     def test_rejected(self, doc, message):
         with pytest.raises(ConfigError, match=message):
@@ -579,7 +594,10 @@ class TestStrictValues:
                                       "radar: {pulse_repetition_interval: "
                                       "1e-320 s}\n",
                                       "ris: {element_spacing: 0 m}\n",
-                                      "ris: {element_spacing: -1 cm}\n"])
+                                      "ris: {element_spacing: -1 cm}\n",
+                                      "ris: {phase_bits: 1030}\n",
+                                      "radar: {pulse_repetition_interval: "
+                                      "1 us}\n"])
     def test_overflow_and_spacing_exit_1(self, tmp_path, capsys, command,
                                          text):
         # filterwarnings = error turns any warning on the way into exit 2
@@ -771,8 +789,10 @@ class TestGoldenHash:
 # meets a default point (all at z = 1 m); a document is kept only if the
 # array can steer its two paths apart (see _steerable). A duration of at
 # least 61 s holds at least 61 pulses at any drawn interval (at most
-# 1 s), so every drawn clutter window fits the window. trace_file names
-# a file and is covered by TestTraceFile instead.
+# 1 s), so every drawn clutter window fits the window, and one of at most
+# 120 s holds at most 2**20 pulses at any drawn interval (at least
+# 0.125 ms). trace_file names a file and is covered by TestTraceFile
+# instead.
 _UNIT = {"frequency": "Hz", "time": "ms", "length": "cm", "power": "dBm",
          "db": "dB"}
 _NUMBER = st.floats(0.01, 1.0)
@@ -797,6 +817,8 @@ _BY_KEY = {
     "initial_path": st.sampled_from(["direct", "ris"]),
     "duration": st.one_of(st.floats(61.0, 120.0),
                           st.floats(61.0, 120.0).map(lambda v: f"{v!r} s")),
+    "pulse_repetition_interval": st.one_of(
+        _NUMBER, st.floats(0.125, 1.0).map(lambda v: f"{v!r} ms")),
     "radar": _point(1.5), "ris_center": _point(2.5), "target": _point(3.5),
     "ris_normal": _UNIT_NORMALS,
     "chest_normal": st.one_of(st.just("auto"), _UNIT_NORMALS),

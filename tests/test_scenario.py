@@ -11,8 +11,8 @@ from risvital.channel import realize_channel
 from risvital.physio import TraceError, rcs_series
 from risvital.scenario import (ProcessingConfig, RadarConfig, Scenario,
                                child_seeds, db_to_linear, dbm_to_watts,
-                               noiseless, simulate_acquisition,
-                               standard_normals)
+                               draw_acquisition, noiseless,
+                               simulate_acquisition, standard_normals)
 from risvital.strategy import StrategyConfig, run_once
 
 
@@ -60,29 +60,34 @@ def constant_schedule(scn, gamma_ris):
     return np.tile(w[:, None], (1, scn.slow_time_samples))
 
 
+def drawn_channel(scn, seeds):
+    """The (S, ...) channel realization that a run of `seeds` draws."""
+    return draw_acquisition(scn, seeds, scn.slow_time_samples)[0]
+
+
 class TestSimulateAcquisition:
     def test_noiseless_ris_only_matches_cascade(self):
         scn = noiseless(Scenario())
         scn = replace(scn, physio=replace(scn.physio, reflectivity_direct=0.0,
                                           distortion_strength=0.0))
         schedule = constant_schedule(scn, 1.0)
-        record, ch = simulate_acquisition(scn, schedule, seed=3)
+        record = simulate_acquisition(scn, schedule, [3])[0]
         trace = scn.base_trace()
         alpha = rcs_series(scn.rcs_models[1], trace,
                            scn.radar.slow_rate, scn.angles.chest_incidence_ris,
                            scn.radar.wavelength,
                            standard_normals([0], trace.shape))[0]
-        v = ch.ris_cascade
+        v = drawn_channel(scn, [3]).ris_cascade[0]
         expected = v[:, None] * (alpha * (v @ schedule))
         npt.assert_allclose(record, expected, rtol=1e-12, atol=1e-30)
 
     def test_same_seed_identical(self):
         scn = Scenario()
         schedule = constant_schedule(scn, 0.5)
-        r1, _ = simulate_acquisition(scn, schedule, seed=11)
-        r2, _ = simulate_acquisition(scn, schedule, seed=11)
+        r1 = simulate_acquisition(scn, schedule, [11])[0]
+        r2 = simulate_acquisition(scn, schedule, [11])[0]
         npt.assert_array_equal(r1, r2)
-        r3, _ = simulate_acquisition(scn, schedule, seed=12)
+        r3 = simulate_acquisition(scn, schedule, [12])[0]
         assert np.any(r3 != r1)
 
     def test_zero_schedule_record_is_matched_filter_noise(self):
@@ -92,7 +97,7 @@ class TestSimulateAcquisition:
         zeros = np.zeros((scn.radar.element_count, scn.slow_time_samples),
                          dtype=complex)
         noise = np.concatenate([
-            simulate_acquisition(scn, zeros, seed)[0].ravel()
+            simulate_acquisition(scn, zeros, [seed])[0].ravel()
             for seed in range(5)])
         expected = scn.radar.noise_power / np.sum(scn.radar.waveform() ** 2)
         assert np.mean(np.abs(noise) ** 2) == pytest.approx(expected, rel=0.05)
@@ -104,8 +109,7 @@ class TestSimulateAcquisition:
         # the channel normals come first in a seed's stream, so they are
         # the bits a run drew before the jitter and noise shared its stream
         scn = Scenario()
-        _, ch = simulate_acquisition(scn, constant_schedule(scn, 0.5),
-                                     list(range(10)))
+        ch = drawn_channel(scn, list(range(10)))
         digest = hashlib.sha256()
         for name in ("H_I", "h_T", "h_D", "H_C"):
             digest.update(getattr(ch, name).tobytes())
@@ -116,10 +120,9 @@ class TestSimulateAcquisition:
         scn = Scenario()
         model = scn.channel_model
         for seed in range(10):
-            _, ch = simulate_acquisition(scn, constant_schedule(scn, 0.5),
-                                         seed)
+            ch = drawn_channel(scn, [seed])
             want = realize_channel(model, standard_normals(
-                child_seeds(seed, 1), (model.draw_size,))[0])
+                child_seeds(seed, 1), (model.draw_size,)))
             for name in ("H_I", "h_T", "h_D", "H_C"):
                 assert getattr(ch, name).tobytes() \
                     == getattr(want, name).tobytes(), (seed, name)
@@ -133,7 +136,7 @@ class TestSimulateAcquisition:
         records = {
             simulate_acquisition(replace(base, physio=replace(
                 base.physio, distortion_strength=strength,
-                gain_table=table)), zeros, [4, 5])[0].tobytes()
+                gain_table=table)), zeros, [4, 5]).tobytes()
             for strength in (0.0, 0.35)
             for table in ((), ((0.0, 1.0), (45.0, 0.6), (90.0, 0.0)))}
         assert len(records) == 1
@@ -141,9 +144,9 @@ class TestSimulateAcquisition:
     def test_seed_sequence_not_mutated(self):
         scn = Scenario()
         ss = np.random.SeedSequence(9)
-        r1, _ = simulate_acquisition(scn, constant_schedule(scn, 0.5), ss)
+        r1 = simulate_acquisition(scn, constant_schedule(scn, 0.5), [ss])
         assert ss.n_children_spawned == 0
-        r2, _ = simulate_acquisition(scn, constant_schedule(scn, 0.5), 9)
+        r2 = simulate_acquisition(scn, constant_schedule(scn, 0.5), [9])
         npt.assert_array_equal(r1, r2)
 
     def test_energy_accounting_direct_path(self):
@@ -157,22 +160,23 @@ class TestSimulateAcquisition:
         for p_total in (10e-3, 20e-3):
             scn = replace(base, radar=replace(base.radar, total_power=p_total))
             schedule = constant_schedule(scn, 0.0)  # all power on direct
-            record, ch = simulate_acquisition(scn, schedule, seed=2)
+            record = simulate_acquisition(scn, schedule, [2])[0]
+            h_d = drawn_channel(scn, [2]).h_D[0]
             w = schedule[:, 0]
-            h_unit = ch.h_D / np.linalg.norm(ch.h_D)
+            h_unit = h_d / np.linalg.norm(h_d)
             trace = scn.base_trace()
             gain = np.abs(
                 rcs_series(scn.rcs_models[0], trace, scn.radar.slow_rate,
                            scn.angles.chest_incidence_direct,
                            scn.radar.wavelength,
                            standard_normals([0], trace.shape)))[0, 0]
-            expected = (gain ** 2 * np.linalg.norm(ch.h_D) ** 4
+            expected = (gain ** 2 * np.linalg.norm(h_d) ** 4
                         * abs(h_unit @ w) ** 2)
             measured = np.sum(np.abs(record[:, 0]) ** 2)
             assert measured == pytest.approx(expected, rel=1e-9)
             # Friis scale: |h_D| entries ~ lambda/(4 pi d) at d = 3 m
             lam = scn.radar.wavelength
-            npt.assert_allclose(np.linalg.norm(ch.h_D) ** 2,
+            npt.assert_allclose(np.linalg.norm(h_d) ** 2,
                                 5 * (lam / (4 * np.pi * 3.0)) ** 2, rtol=1e-3)
             powers[p_total] = measured
         assert powers[20e-3] == pytest.approx(2 * powers[10e-3], rel=1e-9)
@@ -182,12 +186,12 @@ class TestSimulateAcquisition:
         scn = replace(scn, physio=replace(scn.physio, breath_rate=2.5))
         schedule = constant_schedule(scn, 0.5)
         with pytest.raises(TraceError):
-            simulate_acquisition(scn, schedule, seed=0)
+            simulate_acquisition(scn, schedule, [0])
 
     def test_bad_schedule_shape_rejected(self):
         scn = Scenario()
         with pytest.raises(ValueError):
-            simulate_acquisition(scn, np.ones((5, 10)), seed=0)
+            simulate_acquisition(scn, np.ones((5, 10)), [0])
 
 
 class TestExtraction:
@@ -288,8 +292,7 @@ class TestNoiselessHelper:
         assert scn.radar.noise_power == 0.0
         assert scn.channel.clutter_strength == 0.0
         model = scn.channel_model
-        ch = realize_channel(model,
-                             standard_normals([1], (model.draw_size,))[0])
+        ch = realize_channel(model, standard_normals([1], (model.draw_size,)))
         npt.assert_array_equal(ch.H_C, 0.0)
 
 

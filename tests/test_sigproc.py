@@ -8,9 +8,10 @@ from risvital.geometry import ArrayConfig, ula_steering
 from risvital.physio import RcsModel, angle_gain, rcs_series, \
     synth_respiration
 from risvital.scenario import standard_normals
-from risvital.sigproc import (SignalError, Spectrum, clutter_filter,
-                              make_waveform, moving_average_response,
-                              peak_quality, phase_demodulate, power_spectrum,
+from risvital.sigproc import (SignalError, Spectrum, VitalSignEstimate,
+                              clutter_filter, make_waveform,
+                              moving_average_response, peak_quality,
+                              phase_demodulate, power_spectrum,
                               root_music_doa, separate_paths)
 
 from oracles import matched_filter
@@ -302,6 +303,25 @@ class TestPeakQuality:
     def test_empty_band_rejected(self):
         with pytest.raises(SignalError):
             peak_quality(self.flat_spectrum_with_tone(), band=(3.0, 4.0))
+
+    def test_estimate_row_is_one_seed_with_float_peaks(self):
+        tones = [self.flat_spectrum_with_tone(db) for db in (10.0, 20.0)]
+        spectrum = Spectrum(tones[0].freqs,
+                            np.stack([t.power for t in tones]))
+        peaks, proms = peak_quality(spectrum)
+        assert peaks.shape == proms.shape == (2,)
+        est = VitalSignEstimate(np.arange(6.0).reshape(2, 3), spectrum,
+                                peaks, proms)
+        for i, tone in enumerate(tones):
+            row = est.row(i)
+            npt.assert_array_equal(row.displacement, [3 * i, 3 * i + 1,
+                                                      3 * i + 2])
+            npt.assert_array_equal(row.spectrum.power, tone.power)
+            assert row.spectrum.freqs is spectrum.freqs
+            assert (type(row.peak_freq), type(row.peak_prominence_db)) \
+                == (float, float)
+            assert (row.peak_freq, row.peak_prominence_db) \
+                == tuple(map(float, peak_quality(tone)))
 
 
 class TestRootMusic:
