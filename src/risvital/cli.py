@@ -81,7 +81,7 @@ def cmd_acquire(args) -> int:
     length, least = scenario.slow_time_samples, scenario.min_branch_slots
     for label, slots in zip(("direct", "ris"),
                             branch_slots(strategy, length)):
-        have = length if slots is None else len(slots)
+        have = len(range(length)[slots])
         if have < least:
             raise ConfigError(f"the {label} branch gets {have} slow-time "
                               f"slots, fewer than the {least} it needs to "

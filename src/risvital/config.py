@@ -13,8 +13,10 @@ are finite bare SI numbers, and what they derive (watts, Rician factor,
 wavelength, slow rate, noise scale, window length, 2 ** phase_bits) must
 not overflow; counts are whole numbers, and sizes (RIS rows and cols,
 fast-time samples, zero-pad factor, hysteresis windows) whole numbers
->= 1; the radar has at least 2 elements, a positive carrier frequency and
-a positive pulse interval; the band's low edge is in (0, slow rate / 2);
+>= 1; the RIS panel has at most MAX_RIS_ELEMENTS (rows x cols) elements;
+the radar has at least 2 elements, a positive carrier frequency and
+a positive pulse interval; the band's low edge is in (0, slow rate / 2),
+as is a synthetic trace's top harmonic ((harmonics + 1) x breath rate);
 a window (duration x slow rate) holds 2 to MAX_WINDOW_SAMPLES slow-time
 samples; table gains lie in [0, 1]; distortion strength
 and adaptation step are >= 0; flags are true/false; `clutter_window` is an
@@ -51,6 +53,7 @@ class ConfigError(ValueError):
 
 
 MAX_WINDOW_SAMPLES = 2 ** 20  # 72 h at the default 4 Hz pulse rate
+MAX_RIS_ELEMENTS = 2 ** 16  # a 256 x 256 panel
 
 _UNIT_TABLES = {
     "frequency": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9},
@@ -285,6 +288,9 @@ def parse_config(doc: dict):
         _finite(lambda: db_to_linear(k_db), k_db, "channel.rician_k")
         bits = scenario.ris.phase_bits
         _finite(lambda: 2.0 ** (bits or 0), bits, "ris.phase_bits")
+        panel = scenario.ris.rows * scenario.ris.cols
+        _require(panel <= MAX_RIS_ELEMENTS, panel, "ris.rows x ris.cols",
+                 f"at most {MAX_RIS_ELEMENTS} panel elements")
         scenario.channel_model
         scenario.receive_weights
         samples = _finite(lambda: scenario.slow_time_samples,
@@ -299,7 +305,8 @@ def parse_config(doc: dict):
                  "of a window (duration x slow rate)")
         physio = scenario.physio
         if physio.trace_file is None:
-            check_breath_rate(physio.breath_rate, radar.slow_rate)
+            check_breath_rate(physio.breath_rate, radar.slow_rate,
+                              physio.harmonics)
         else:
             have = scenario.trace.size
             _require(have == scenario.slow_time_samples, have,

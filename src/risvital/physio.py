@@ -65,24 +65,31 @@ class RcsModel:
             raise ValueError("distortion_strength must be >= 0")
 
 
-def check_breath_rate(breath_rate: float, slow_rate: float) -> None:
-    """Reject a breathing rate outside (0, slow_rate / 2)."""
-    if not 0 < breath_rate < slow_rate / 2.0:
+def check_breath_rate(breath_rate: float, slow_rate: float,
+                      harmonics: int) -> None:
+    """Reject a breathing rate whose top harmonic, (harmonics + 1) x
+    breath_rate (the rate itself without harmonics), is outside
+    (0, slow_rate / 2)."""
+    top = (harmonics + 1) * breath_rate
+    if not 0 < top < slow_rate / 2.0:
         raise TraceError(
-            f"breathing rate {breath_rate} Hz violates Nyquist at {slow_rate} Hz")
+            f"breathing rate {breath_rate} Hz violates Nyquist at {slow_rate} "
+            f"Hz: harmonic {harmonics + 1} lies at {top} Hz, outside "
+            f"(0, {slow_rate / 2.0}) Hz")
 
 
 def synth_respiration(breath_rate: float, peak_to_peak: float, duration: float,
-                      slow_rate: float, harmonics: int = 0, drift: float = 0.0,
-                      rng_seed=0) -> np.ndarray:
+                      slow_rate: float, harmonics: int = 0,
+                      drift: float = 0.0) -> np.ndarray:
     """Sinusoidal breathing trace with optional small harmonics and drift.
 
-    Harmonic amplitudes and phases are drawn per seed, each at most 10% of
-    the fundamental; `drift` is a total linear excursion in metres over the
-    full duration.
+    Harmonic amplitudes and phases are drawn from `default_rng(0)`, each
+    at most 10% of the fundamental; `drift` is a total linear excursion
+    in metres over the full duration. The top harmonic must lie below
+    Nyquist (`check_breath_rate`).
     """
-    check_breath_rate(breath_rate, slow_rate)
-    rng = np.random.default_rng(rng_seed)
+    check_breath_rate(breath_rate, slow_rate, harmonics)
+    rng = np.random.default_rng(0)
     n = int(round(duration * slow_rate))
     t = np.arange(n) / slow_rate
     amp = peak_to_peak / 2.0

@@ -209,7 +209,7 @@ class Scenario:
             return load_trace_csv(p.trace_file)
         return synth_respiration(p.breath_rate, p.peak_to_peak, p.duration,
                                  self.radar.slow_rate, harmonics=p.harmonics,
-                                 drift=p.drift, rng_seed=0)
+                                 drift=p.drift)
 
     @cached_property
     def channel_model(self) -> ChannelModel:
@@ -354,12 +354,12 @@ def compose_record(draw: tuple, schedule: np.ndarray) -> np.ndarray:
 
 
 def extract_vital_signs(scn: Scenario, record: np.ndarray,
-                        slots_direct=None, slots_ris=None):
+                        slots_direct=slice(None), slots_ris=slice(None)):
     """Clutter-filter, separate, demodulate, and grade both path branches.
 
-    The branches are separated with the scene's receive weights. With
-    temporal slot sets (ascending index arrays), each branch is
-    demodulated over its own slots only; otherwise over the full record.
+    The branches are separated with the scene's receive weights, and each
+    is demodulated over its own slow-time slots, a slice of the record
+    (`branch_slots`; every slot by default).
     Returns a dict of path label to estimate (None for a branch too short
     to grade, or for a path with an angle gain of 0, which cannot see the
     chest). The (S, M, L) records give one estimate per path whose traces,
@@ -377,8 +377,7 @@ def extract_vital_signs(scn: Scenario, record: np.ndarray,
     for label, series, slots, gain in zip(
             ("direct", "ris"), separate_paths(samples, *scn.receive_weights),
             (slots_direct, slots_ris), gains):
-        if slots is not None:
-            series = series[..., slots]
+        series = series[..., slots]
         if gain == 0.0 or series.shape[-1] < scn.min_branch_slots:
             estimates[label] = None
             continue
@@ -387,8 +386,7 @@ def extract_vital_signs(scn: Scenario, record: np.ndarray,
         # common frequency grid across branches: slot subsets are padded to
         # the full acquisition length so peak locations stay comparable
         spectrum = power_spectrum(displacement, radar.slow_rate,
-                                  proc.zero_pad_factor,
-                                  n_fft=proc.zero_pad_factor * samples.shape[-1])
+                                  proc.zero_pad_factor * samples.shape[-1])
         estimates[label] = VitalSignEstimate(
             displacement, spectrum, *peak_quality(spectrum, proc.band))
     return estimates

@@ -135,13 +135,12 @@ def phase_demodulate(r: np.ndarray, wavelength: float,
     return 0.5 * wavelength / (2.0 * np.pi) * phi
 
 
-def power_spectrum(x: np.ndarray, slow_rate: float, zero_pad_factor: int = 4,
-                   n_fft: int | None = None) -> Spectrum:
-    """Mean-removed Hann-windowed periodogram, zero-padded by the given factor.
+def power_spectrum(x: np.ndarray, slow_rate: float, n_fft: int) -> Spectrum:
+    """Mean-removed Hann-windowed periodogram, zero-padded to `n_fft` bins.
 
     `x` is sampled at `slow_rate`, time along the last axis. Normalized so
-    the bin powers sum to the energy of the windowed signal. `n_fft`
-    overrides the transform length, letting short slot records be
+    the bin powers sum to the energy of the windowed signal. The transform
+    length is at least the record's, so a short slot record can be
     evaluated on the frequency grid of a longer acquisition.
     """
     # a row mean rounds alike in any batch only over contiguous rows
@@ -149,13 +148,9 @@ def power_spectrum(x: np.ndarray, slow_rate: float, zero_pad_factor: int = 4,
     n = x.shape[-1]
     if n < 8:
         raise SignalError("need at least 8 samples for a spectrum")
-    if zero_pad_factor < 1:
-        raise SignalError("zero_pad_factor must be >= 1")
-    windowed = (x - np.mean(x, axis=-1, keepdims=True)) * np.hanning(n)
-    if n_fft is None:
-        n_fft = n * zero_pad_factor
-    elif n_fft < n:
+    if n_fft < n:
         raise SignalError(f"n_fft = {n_fft} shorter than the record ({n})")
+    windowed = (x - np.mean(x, axis=-1, keepdims=True)) * np.hanning(n)
     spec = np.fft.rfft(windowed, n=n_fft)
     power = np.abs(spec) ** 2 / n_fft
     power[..., 1:] *= 2.0

@@ -69,16 +69,16 @@ class LoopState:
 
 
 def branch_slots(strategy: StrategyConfig, length: int):
-    """The direct and RIS slot sets: under temporal separation a leading
-    direct block and a trailing RIS block, else None (every slot)."""
+    """The direct and RIS slot slices: under temporal separation a leading
+    direct block and a trailing RIS block, else every slot for both."""
     if strategy.kind != "temporal":
-        return None, None
+        return slice(None), slice(None)
     boundary = length - int(round(strategy.ris_share * length))
-    return np.arange(boundary), np.arange(boundary, length)
+    return slice(boundary), slice(boundary, length)
 
 
 def plan_transmissions(scn: Scenario, strategy: StrategyConfig, length: int):
-    """Per-pulse precoder schedule (M, L) and the slot sets it implies,
+    """Per-pulse precoder schedule (M, L) and the slot slices it implies,
     built on the scene's steering pair and the radar's power budget.
 
     Spatial separation repeats one split precoder; temporal separation
@@ -87,11 +87,13 @@ def plan_transmissions(scn: Scenario, strategy: StrategyConfig, length: int):
     """
     a_direct, a_ris = scn.tx_steering
     slots_direct, slots_ris = branch_slots(strategy, length)
-    # (RIS share, slots) per beam; opportunistic: all on the active path
-    constant = strategy.ris_share if strategy.kind == "spatial" \
-        else float((strategy.initial_path or "ris") == "ris")
-    beams = ((constant, slice(None)),) if slots_direct is None \
-        else ((0.0, slots_direct), (1.0, slots_ris))
+    # (RIS share, slots) per beam; one beam on every slot unless temporal
+    if strategy.kind == "temporal":
+        beams = ((0.0, slots_direct), (1.0, slots_ris))
+    else:  # opportunistic: all on the active path
+        constant = strategy.ris_share if strategy.kind == "spatial" \
+            else float((strategy.initial_path or "ris") == "ris")
+        beams = ((constant, slots_direct),)
     schedule = np.empty((a_direct.size, length), dtype=complex)
     for share, slots in beams:
         schedule[:, slots] = split_precoder(
@@ -188,7 +190,10 @@ def gamma_sweep(scn: Scenario, kind: str, gamma_grid, seeds) -> list[dict]:
 
 @dataclass(frozen=True)
 class WindowLog:
-    """One closed-loop iteration: allocation used and what it measured."""
+    """One closed-loop iteration: allocation used and what it measured.
+
+    `state` is the state after this window's update, so its `active_path`
+    is the path chosen for the next window."""
 
     window: int
     strategy: str

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risvital.cli import main
-from risvital.config import (MAX_WINDOW_SAMPLES, SCHEMA, SWEEP_ROWS,
-                             ConfigError, config_hash, load_config,
-                             parse_config, parse_quantity, serialize_config)
+from risvital.config import (MAX_RIS_ELEMENTS, MAX_WINDOW_SAMPLES, SCHEMA,
+                             SWEEP_ROWS, ConfigError, config_hash,
+                             load_config, parse_config, parse_quantity,
+                             serialize_config)
 from risvital.geometry import SPEED_OF_LIGHT
 from risvital.physio import synth_respiration
-from risvital.scenario import RadarConfig, default_placement
+from risvital.scenario import PhysioConfig, RadarConfig, default_placement
 from risvital.sigproc import SignalError
 from risvital.strategy import STRATEGY_KINDS, run_once
 
@@ -563,10 +564,26 @@ class TestStrictValues:
         ({"physiology": {"duration": "1e300 s"},
           "radar": {"pulse_repetition_interval": "1e-10 s"}},
          "physiology.duration: expected a value that does not overflow"),
+        ({"physiology": {"harmonics": 15}},
+         r"harmonic 16 lies at 2.128 Hz, outside \(0, 2.0\) Hz"),
+        ({"physiology": {"harmonics": 10 ** 9}},
+         "harmonic 1000000001 lies at"),
+        ({"ris": {"rows": 257, "cols": 256}},
+         "ris.rows x ris.cols: expected at most 65536 panel elements, "
+         "got 65792"),
     ])
     def test_rejected(self, doc, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(doc)
+
+    def test_largest_harmonic_count_and_panel_parse(self):
+        # harmonic 15 of the default 0.133 Hz lies at 1.995 Hz, below 2 Hz
+        scenario = parse_config({"physiology": {"harmonics": 14}})[0]
+        assert scenario.physio.harmonics == 14
+        assert scenario.trace.size == scenario.slow_time_samples
+        scenario = parse_config({"ris": {"rows": 256, "cols": 256}})[0]
+        assert scenario.ris.rows * scenario.ris.cols == MAX_RIS_ELEMENTS
+        assert scenario.channel_model.reflection.size == MAX_RIS_ELEMENTS
 
     @pytest.mark.parametrize("text", ["radar:\n", "strategy:\n  kind: bogus\n",
                                       "ris: {rows: 0}\n",
@@ -597,7 +614,9 @@ class TestStrictValues:
                                       "ris: {element_spacing: -1 cm}\n",
                                       "ris: {phase_bits: 1030}\n",
                                       "radar: {pulse_repetition_interval: "
-                                      "1 us}\n"])
+                                      "1 us}\n",
+                                      "physiology: {harmonics: 15}\n",
+                                      "ris: {rows: 257, cols: 256}\n"])
     def test_overflow_and_spacing_exit_1(self, tmp_path, capsys, command,
                                          text):
         # filterwarnings = error turns any warning on the way into exit 2
@@ -784,7 +803,8 @@ class TestGoldenHash:
 # is at least one; the tone, the breathing rate, the band edges and the
 # radar's element spacing are drawn as fractions of half the fast-time
 # and slow-time sample rates and of half the wavelength, then scaled to
-# SI; each
+# SI; the harmonic count is drawn out of 64 and scaled down to the
+# counts whose top harmonic lies below half the slow-time rate; each
 # position has its own z range, so no two points coincide, and none
 # meets a default point (all at z = 1 m); a document is kept only if the
 # array can steer its two paths apart (see _steerable). A duration of at
@@ -857,7 +877,8 @@ def _radar_value(radar, key, kind):
 def _scaled(doc):
     """Scale the drawn tone, breathing-rate, band and element-spacing
     fractions to values below half the fast-time and slow-time sample
-    rates and half the wavelength."""
+    rates and half the wavelength, and the drawn harmonic count, out of
+    64, to a count whose top harmonic lies below half the slow-time rate."""
     radar, physio = dict(doc.get("radar", {})), doc.get("physiology", {})
     processing = doc.get("processing", {})
     if "tone_frequency" in radar:
@@ -872,8 +893,14 @@ def _scaled(doc):
         doc["radar"] = radar
     nyquist = 0.5 / _radar_value(radar, "pulse_repetition_interval", "time")
     if "breathing_rate" in physio:
-        doc["physiology"] = physio | {
+        physio = physio | {
             "breathing_rate": physio["breathing_rate"] * nyquist}
+    if "harmonics" in physio:
+        rate = physio.get("breathing_rate", PhysioConfig().breath_rate)
+        most = max(h for h in range(65) if (h + 1) * rate < nyquist)
+        physio = physio | {"harmonics": physio["harmonics"] * most // 64}
+    if "physiology" in doc:
+        doc["physiology"] = physio
     if "band" in processing:
         doc["processing"] = processing | {
             "band": [edge * nyquist for edge in processing["band"]]}

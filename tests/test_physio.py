@@ -29,9 +29,16 @@ class TestSynthRespiration:
         with pytest.raises(TraceError):
             synth_respiration(2.1, 0.02, 60.0, 4.0)
 
+    def test_top_harmonic_below_nyquist(self):
+        # harmonic 15 of 0.133 Hz lies at 1.995 Hz, harmonic 16 at 2.128 Hz
+        trace = synth_respiration(0.133, 0.02, 60.0, 4.0, harmonics=14)
+        assert trace.size == 240
+        with pytest.raises(TraceError, match="harmonic 16 lies at 2.128 Hz"):
+            synth_respiration(0.133, 0.02, 60.0, 4.0, harmonics=15)
+
     def test_harmonics_stay_small_and_deterministic(self):
-        t1 = synth_respiration(0.2, 0.02, 30.0, 4.0, harmonics=2, rng_seed=5)
-        t2 = synth_respiration(0.2, 0.02, 30.0, 4.0, harmonics=2, rng_seed=5)
+        t1 = synth_respiration(0.2, 0.02, 30.0, 4.0, harmonics=2)
+        t2 = synth_respiration(0.2, 0.02, 30.0, 4.0, harmonics=2)
         npt.assert_array_equal(t1, t2)
         base = synth_respiration(0.2, 0.02, 30.0, 4.0)
         extra = t1 - base

@@ -29,7 +29,7 @@ class TestPlanTransmissions:
         schedule, sd, sr = plan_transmissions(
             self.scn, StrategyConfig(kind="spatial", ris_share=0.5), 240)
         assert schedule.shape == (5, 240)
-        assert sd is None and sr is None
+        assert sd == sr == slice(None)
         assert np.all(schedule == schedule[:, :1])
         power = np.real(np.vdot(schedule[:, 0], schedule[:, 0]))
         assert power == pytest.approx(self.p, rel=1e-9)
@@ -37,7 +37,8 @@ class TestPlanTransmissions:
     def test_temporal_half_split(self):
         schedule, sd, sr = plan_transmissions(
             self.scn, StrategyConfig(kind="temporal", ris_share=0.5), 240)
-        assert sd.size == 120 and sr.size == 120
+        sd, sr = range(240)[sd], range(240)[sr]
+        assert len(sd) == 120 and len(sr) == 120
         assert set(sd) | set(sr) == set(range(240))
         for l in (0, 119, 120, 239):
             power = np.real(np.vdot(schedule[:, l], schedule[:, l]))
@@ -54,6 +55,7 @@ class TestPlanTransmissions:
             schedule, sd, sr = plan_transmissions(
                 self.scn, StrategyConfig(kind="temporal", ris_share=share),
                 length)
+            sd, sr = range(length)[sd], range(length)[sr]
             for l in range(length):
                 oracle = temporal_weights(l, sd, sr, self.a_d, self.a_r,
                                           self.p).weights
@@ -86,25 +88,28 @@ class TestPlanTransmissions:
 
 
 def _temporal_slots(length, share):
-    return branch_slots(StrategyConfig(kind="temporal", ris_share=share),
-                        length)
+    """The two temporal branches' slot indices over a `length` window."""
+    slots = branch_slots(StrategyConfig(kind="temporal", ris_share=share),
+                         length)
+    return tuple(range(length)[s] for s in slots)
 
 
 class TestTemporalSlots:
     def test_contiguous_blocks(self):
         direct, ris = _temporal_slots(240, 0.25)
-        assert direct.size == 180 and ris.size == 60
+        assert len(direct) == 180 and len(ris) == 60
         npt.assert_array_equal(ris, np.arange(180, 240))
 
     def test_extreme_shares(self):
         direct, ris = _temporal_slots(240, 0.0)
-        assert ris.size == 0 and direct.size == 240
+        assert len(ris) == 0 and len(direct) == 240
         direct, ris = _temporal_slots(240, 1.0)
-        assert direct.size == 0 and ris.size == 240
+        assert len(direct) == 0 and len(ris) == 240
 
     @pytest.mark.parametrize("kind", ["spatial", "opportunistic"])
     def test_every_slot_without_temporal_split(self, kind):
-        assert branch_slots(StrategyConfig(kind=kind), 240) == (None, None)
+        assert branch_slots(StrategyConfig(kind=kind), 240) \
+            == (slice(None), slice(None))
 
 
 class TestEvaluateAndUpdate:
