@@ -1,34 +1,9 @@
 """Declarative scenario configs: strict parsing, loading, round-trip.
 
-A config is one YAML document with radar / ris / placement / physiology /
-channel / processing / strategy / sweep sections. `SCHEMA` maps each
-section to its dataclass and each key to a field and a value kind; it
-drives both `parse_config` and `serialize_config`. Defaults live in the
-dataclasses (the placement's in `default_placement`); only the sweep
-section, which has no dataclass, keeps its defaults here.
-
-Every section is a mapping and unknown keys are rejected. Quantities carry
-unit suffixes ("7.15 GHz", "250 ms", "10 mW", "-3 dBm", "2 cm", "10 dB") or
-are finite bare SI numbers, and what they derive (watts, Rician factor,
-wavelength, slow rate, noise scale, window length, 2 ** phase_bits) must
-not overflow; counts are whole numbers, and sizes (RIS rows and cols,
-fast-time samples, zero-pad factor, hysteresis windows) whole numbers
->= 1; the RIS panel has at most MAX_RIS_ELEMENTS (rows x cols) elements;
-the radar has at least 2 elements, a positive carrier frequency and
-a positive pulse interval; the band's low edge is in (0, slow rate / 2),
-as is a synthetic trace's top harmonic ((harmonics + 1) x breath rate);
-a window (duration x slow rate) holds 2 to MAX_WINDOW_SAMPLES slow-time
-samples; table gains lie in [0, 1]; distortion strength
-and adaptation step are >= 0; flags are true/false; `clutter_window` is an
-odd count no longer than a window, or off; a `trace_file`'s front column
-holds duration x slow-rate finite samples; the sweep's `gammas` are a
-non-empty list of shares in [0, 1]; the RCS models, noise scale, channel
-model and receive weights build (reflectivity >= 0, gain exponent > 0,
-clutter strength >= 0, total power > 0, RIS spacing > 0, target and RIS off
-the radar's vertical at steering vectors it can tell apart). Any violation,
-including the dataclasses' own checks, raises `ConfigError`.
-`parse_config` builds these by reading the scenario's cached properties,
-which every run then reuses; it reads the trace only from a `trace_file`.
+`SCHEMA` maps each YAML section to its dataclass and each key to a field,
+a value kind and, for a count, its bounds; it drives both `parse_config`
+and `serialize_config`. The README's configuration paragraph (Quick
+start) states every rule; any violation raises `ConfigError`.
 """
 
 import hashlib
@@ -45,7 +20,7 @@ from .physio import check_breath_rate
 from .scenario import (ChannelConfig, PhysioConfig, ProcessingConfig,
                        RadarConfig, RisPanel, Scenario, db_to_linear,
                        dbm_to_watts, default_placement)
-from .strategy import StrategyConfig
+from .strategy import PROBE_PULSES, StrategyConfig
 
 
 class ConfigError(ValueError):
@@ -106,11 +81,12 @@ def parse_quantity(value, kind: str, key: str = "") -> float:
     return _finite(lambda: magnitude * table[unit], value, key)
 
 
-def _count(value, key: str, least: int = 0) -> int:
+def _count(value, key: str, least: int = 0, most: float = math.inf) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    return _require(type(value) is int and value >= least, value, key,
-                    f"a whole number >= {least}")
+    what = f">= {least}" if most == math.inf else f"in [{least}, {most}]"
+    return _require(type(value) is int and least <= value <= most, value, key,
+                    f"a whole number {what}")
 
 
 def _list(value, key: str, what: str, length=None):
@@ -149,7 +125,6 @@ _KINDS = {
        for kind in _UNIT_TABLES},
     "number": _number,
     "count": _count,
-    "size": lambda v, key: _count(v, key, 1),
     "flag": lambda v, key: _require(isinstance(v, bool), v, key,
                                     "true or false"),
     "text": lambda v, key: _require(isinstance(v, str), v, key, "a string"),
@@ -165,14 +140,15 @@ _KINDS = {
 }
 
 # YAML section -> (Scenario attribute, default factory, rows of
-# (YAML key, dataclass field, kind)). The strategy section is the
-# StrategyConfig that parse_config returns beside the Scenario.
+# (YAML key, dataclass field, kind, *bounds)); a count row's bounds are
+# its least and most values. The strategy section is the StrategyConfig
+# that parse_config returns beside the Scenario.
 SCHEMA = {
     "radar": ("radar", RadarConfig, (
-        ("element_count", "element_count", "count"),
+        ("element_count", "element_count", "count", 2, PROBE_PULSES),
         ("carrier_frequency", "carrier_frequency", "frequency"),
         ("bandwidth", "bandwidth", "frequency"),
-        ("fast_time_samples", "fast_time_samples", "size"),
+        ("fast_time_samples", "fast_time_samples", "count", 1),
         ("pulse_repetition_interval", "pulse_repetition_interval", "time"),
         ("total_power", "total_power", "power"),
         ("noise_figure", "noise_figure_db", "db"),
@@ -180,10 +156,10 @@ SCHEMA = {
         ("element_spacing", "element_spacing", "length"),
     )),
     "ris": ("ris", RisPanel, (
-        ("rows", "rows", "size"),
-        ("cols", "cols", "size"),
+        ("rows", "rows", "count", 1),
+        ("cols", "cols", "count", 1),
         ("element_spacing", "element_spacing", "length"),
-        ("phase_bits", "phase_bits", "count"),
+        ("phase_bits", "phase_bits", "count", 0, 1023),
     )),
     "placement": ("placement", default_placement, (
         ("radar", "radar_position", "vector"),
@@ -196,7 +172,7 @@ SCHEMA = {
         ("breathing_rate", "breath_rate", "frequency"),
         ("peak_to_peak", "peak_to_peak", "length"),
         ("duration", "duration", "time"),
-        ("harmonics", "harmonics", "count"),
+        ("harmonics", "harmonics", "count", 0, 64),
         ("drift", "drift", "length"),
         ("reflectivity_ris", "reflectivity_ris", "number"),
         ("reflectivity_direct", "reflectivity_direct", "number"),
@@ -211,7 +187,7 @@ SCHEMA = {
     )),
     "processing": ("processing", ProcessingConfig, (
         ("clutter_window", "clutter_window", "window"),
-        ("zero_pad_factor", "zero_pad_factor", "size"),
+        ("zero_pad_factor", "zero_pad_factor", "count", 1, 64),
         ("band", "band", "band"),
         ("detrend", "detrend", "flag"),
     )),
@@ -220,7 +196,7 @@ SCHEMA = {
         ("ris_share", "ris_share", "number"),
         ("adaptation_step", "adaptation_step", "number"),
         ("prominence_threshold", "prominence_threshold_db", "db"),
-        ("hysteresis_windows", "hysteresis_windows", "size"),
+        ("hysteresis_windows", "hysteresis_windows", "count", 1),
         ("initial_path", "initial_path", "text"),
         ("ideal", "ideal", "flag"),
     )),
@@ -239,8 +215,8 @@ def _parse_section(doc: dict, name: str, rows) -> dict:
     section = doc.pop(name, {})
     section = dict(_require(isinstance(section, dict), section,
                             f"{name!r} section", "a mapping"))
-    fields = {field: _KINDS[kind](section.pop(key), f"{name}.{key}")
-              for key, field, kind in rows if key in section}
+    fields = {field: _KINDS[kind](section.pop(key), f"{name}.{key}", *bounds)
+              for key, field, kind, *bounds in rows if key in section}
     _reject_unknown(section, name)
     return fields
 
@@ -279,15 +255,11 @@ def parse_config(doc: dict):
         _require(0 < low < nyquist, low, "processing.band",
                  f"a low edge in (0, {nyquist}) Hz, below Nyquist")
         radar.array_config
-        _require(radar.element_count >= 2, radar.element_count,
-                 "radar.element_count", "at least 2 elements to steer two paths")
         scenario.rcs_models
         _finite(lambda: scenario.noise_sigma, radar.noise_figure_db,
                 "radar.noise_figure")
         k_db = scenario.channel.k_rice_db
         _finite(lambda: db_to_linear(k_db), k_db, "channel.rician_k")
-        bits = scenario.ris.phase_bits
-        _finite(lambda: 2.0 ** (bits or 0), bits, "ris.phase_bits")
         panel = scenario.ris.rows * scenario.ris.cols
         _require(panel <= MAX_RIS_ELEMENTS, panel, "ris.rows x ris.cols",
                  f"at most {MAX_RIS_ELEMENTS} panel elements")
@@ -355,7 +327,7 @@ def serialize_config(scenario: Scenario, strategy: StrategyConfig,
     for name, (attr, _, rows) in SCHEMA.items():
         owner = strategy if attr == "strategy" else getattr(scenario, attr)
         values = ((key, kind, getattr(owner, field))
-                  for key, field, kind in rows)
+                  for key, field, kind, *_ in rows)
         doc[name] = {key: _plain(value) for key, kind, value in values
                      if not (value is None and kind != "window"
                              or kind == "table" and not value)}

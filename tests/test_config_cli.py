@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -464,7 +465,8 @@ class TestLoopProbeShorterThanArray:
     @pytest.mark.parametrize("text, pulses, elements", [
         ("physiology: {duration: 1 s}\nprocessing: {clutter_window: off}\n",
          4, 5),
-        ("radar: {element_count: 70}\n", 64, 70)])
+        ("radar: {element_count: 64}\nphysiology: {duration: 15 s}\n",
+         60, 64)])
     def test_rejected(self, tmp_path, capsys, text, pulses, elements):
         cfg = tmp_path / "scenario.yaml"
         cfg.write_text(text)
@@ -510,12 +512,15 @@ class TestStrictValues:
         ({"processing": {"clutter_window": 20}}, "odd count"),
         ({"processing": {"band": ["0.7 Hz", "0.05 Hz"]}}, "low < high"),
         ({"radar": {1: 2}}, "unknown keys"),
-        ({"radar": {"element_count": 0}}, "element_count must be >= 1"),
-        ({"radar": {"element_count": 1}}, "at least 2 elements"),
+        ({"radar": {"element_count": 0}},
+         r"radar.element_count: expected a whole number in \[2, 64\], got 0"),
+        ({"radar": {"element_count": 1}},
+         r"radar.element_count: expected a whole number in \[2, 64\], got 1"),
         ({"ris": {"rows": 0}}, "rows: expected a whole number >= 1"),
         ({"ris": {"cols": 0}}, "cols: expected a whole number >= 1"),
         ({"radar": {"fast_time_samples": 0}}, "whole number >= 1"),
-        ({"processing": {"zero_pad_factor": 0}}, "whole number >= 1"),
+        ({"processing": {"zero_pad_factor": 0}},
+         r"processing.zero_pad_factor: expected a whole number in \[1, 64\]"),
         ({"radar": {"tone_frequency": "20 MHz"}}, "aliases"),
         ({"physiology": {"breathing_rate": "3 Hz"}}, "violates Nyquist"),
         ({"physiology": {"gain_table": [[0, 2.0], [90, 1.5]]}},
@@ -558,7 +563,7 @@ class TestStrictValues:
         ({"radar": {"carrier_frequency": "1e-320 Hz"}},
          "radar.carrier_frequency: expected a value that does not overflow"),
         ({"ris": {"phase_bits": 1030}},
-         "ris.phase_bits: expected a value that does not overflow, got 1030"),
+         r"ris.phase_bits: expected a whole number in \[0, 1023\], got 1030"),
         ({"radar": {"pulse_repetition_interval": "1 us"}},
          "expected at least 2 and at most 1048576, got 60000000"),
         ({"physiology": {"duration": "1e300 s"},
@@ -567,7 +572,15 @@ class TestStrictValues:
         ({"physiology": {"harmonics": 15}},
          r"harmonic 16 lies at 2.128 Hz, outside \(0, 2.0\) Hz"),
         ({"physiology": {"harmonics": 10 ** 9}},
-         "harmonic 1000000001 lies at"),
+         r"physiology.harmonics: expected a whole number in \[0, 64\]"),
+        ({"physiology": {"breathing_rate": 1e-9, "harmonics": 10 ** 9}},
+         r"physiology.harmonics: expected a whole number in \[0, 64\]"),
+        ({"physiology": {"breathing_rate": "0.02 Hz", "harmonics": 65}},
+         r"physiology.harmonics: expected a whole number in \[0, 64\]"),
+        ({"radar": {"element_count": 65}},
+         r"radar.element_count: expected a whole number in \[2, 64\]"),
+        ({"processing": {"zero_pad_factor": 65}},
+         r"processing.zero_pad_factor: expected a whole number in \[1, 64\]"),
         ({"ris": {"rows": 257, "cols": 256}},
          "ris.rows x ris.cols: expected at most 65536 panel elements, "
          "got 65792"),
@@ -616,7 +629,11 @@ class TestStrictValues:
                                       "radar: {pulse_repetition_interval: "
                                       "1 us}\n",
                                       "physiology: {harmonics: 15}\n",
-                                      "ris: {rows: 257, cols: 256}\n"])
+                                      "ris: {rows: 257, cols: 256}\n",
+                                      "radar: {element_count: 65}\n",
+                                      "physiology: {breathing_rate: 0.02 Hz, "
+                                      "harmonics: 65}\n",
+                                      "processing: {zero_pad_factor: 65}\n"])
     def test_overflow_and_spacing_exit_1(self, tmp_path, capsys, command,
                                          text):
         # filterwarnings = error turns any warning on the way into exit 2
@@ -799,8 +816,8 @@ class TestGoldenHash:
 
 # Every drawn value is valid for its field: numbers lie in (0, 1], which
 # holds ris_share and gain_exponent; a sweep grid holds one to five
-# shares in [0, 1]; the array has at least two elements and every size
-# is at least one; the tone, the breathing rate, the band edges and the
+# shares in [0, 1]; each count lies within its row's bounds, capped at
+# 64; the tone, the breathing rate, the band edges and the
 # radar's element spacing are drawn as fractions of half the fast-time
 # and slow-time sample rates and of half the wavelength, then scaled to
 # SI; the harmonic count is drawn out of 64 and scaled down to the
@@ -832,7 +849,6 @@ def _table(rows):
 
 
 _BY_KEY = {
-    "element_count": st.integers(2, 64),
     "kind": st.sampled_from(STRATEGY_KINDS),
     "initial_path": st.sampled_from(["direct", "ris"]),
     "duration": st.one_of(st.floats(61.0, 120.0),
@@ -850,8 +866,6 @@ _BY_KIND = {
     **{kind: st.one_of(_NUMBER, _NUMBER.map(lambda v, u=unit: f"{v!r} {u}"))
        for kind, unit in _UNIT.items()},
     "number": _NUMBER,
-    "count": st.integers(0, 64),
-    "size": st.integers(1, 64),
     "flag": st.booleans(),
     "window": st.one_of(st.sampled_from([None, "off", False]),
                         st.integers(1, 30).map(lambda n: 2 * n + 1)),
@@ -862,10 +876,15 @@ _BY_KIND = {
 }
 
 
+def _count(least=0, most=64):
+    return st.integers(least, min(most, 64))
+
+
 def _section(name, rows):
     return st.fixed_dictionaries({}, optional={
-        key: _BY_KEY.get(f"{name}.{key}", _BY_KEY.get(key, _BY_KIND.get(kind)))
-        for key, _, kind in rows
+        key: _count(*bounds) if kind == "count"
+        else _BY_KEY.get(f"{name}.{key}", _BY_KEY.get(key, _BY_KIND.get(kind)))
+        for key, _, kind, *bounds in rows
         if key != "trace_file"})
 
 
@@ -928,16 +947,17 @@ def _steerable(doc):
     return abs(turns - round(turns)) > 1e-3
 
 
+_ROWS = {name: rows for name, (_, _, rows)
+         in (SCHEMA | {"sweep": (None, None, SWEEP_ROWS)}).items()}
 _DOCUMENTS = st.fixed_dictionaries({}, optional={
-    name: _section(name, rows) for name, (_, _, rows)
-    in (SCHEMA | {"sweep": (None, None, SWEEP_ROWS)}).items()}
+    name: _section(name, rows) for name, rows in _ROWS.items()}
 ).map(_scaled).filter(_steerable)
 
 
 class TestSchema:
     def test_every_dataclass_field_has_one_row(self):
         for _, make, rows in SCHEMA.values():
-            names = [field for _, field, _ in rows]
+            names = [field for _, field, *_ in rows]
             assert sorted(names) == sorted(
                 f.name for f in dataclasses.fields(make()))
 
@@ -950,3 +970,33 @@ class TestSchema:
                       load_config_text(yaml.safe_dump(serialized))):
             assert again == first
             assert config_hash(*again) == config_hash(*first)
+
+
+# Every count row with its bounds; the keys a cross-key rule needs beside a
+# count at its bound (harmonic 65 of the default 0.133 Hz breath aliases).
+_COUNTS = {f"{name}.{key}": bounds or [0] for name, rows in _ROWS.items()
+           for key, _, kind, *bounds in rows if kind == "count"}
+_BESIDE = {"physiology.harmonics": {"breathing_rate": "0.02 Hz"}}
+
+
+def _count_doc(name, value):
+    section, key = name.split(".")
+    return {section: {key: value} | _BESIDE.get(name, {})}
+
+
+class TestCountBounds:
+    """A count row's own bounds parse, and a count just past either bound
+    is a config error that names the row's key."""
+
+    @pytest.mark.parametrize("name", sorted(_COUNTS))
+    def test_bounds_parse(self, name):
+        for value in _COUNTS[name]:
+            parse_config(_count_doc(name, value))
+
+    @pytest.mark.parametrize("name", sorted(_COUNTS))
+    def test_past_bounds_rejected(self, name):
+        least, *most = _COUNTS[name]
+        for value in (least - 1, *(m + 1 for m in most)):
+            with pytest.raises(ConfigError, match=rf"^{re.escape(name)}: "
+                               f"expected a whole number .*, got {value}$"):
+                parse_config(_count_doc(name, value))
