@@ -1,13 +1,13 @@
-"""Scenario assembly: bind geometry, channel, physiology, and waveform
-into a simulated slow-time acquisition.
+"""Scenario assembly: bind geometry, channel, physiology, and radar into
+a simulated slow-time acquisition.
 
 A run draws one block-fading channel realization, modulates the two path
 reflectivities with the respiration trace seen from each incidence angle,
 transmits the scheduled precoder per pulse, and adds receiver noise to
 the matched-filtered antennas x pulses record. White fast-time noise at the
 configured floor N0 leaves the matched filter as CN(0, N0/E) for a pulse of
-energy E, so that output is drawn directly, independently per antenna and
-pulse; the channel and clutter stay fixed for the run.
+energy E (`RadarConfig.pulse_energy`), so that output is drawn directly,
+independently per antenna and pulse; the channel and clutter stay fixed.
 
 A run splits into a seed-independent part and per-seed draws. Each
 seed-independent piece is one cached property of `Scenario`: `angles`,
@@ -41,8 +41,8 @@ from .geometry import (SPEED_OF_LIGHT, ArrayConfig, PathAngles, Placement,
 from .physio import RcsModel, angle_gain, load_trace_csv, rcs_series, \
     synth_respiration
 from .sigproc import (SignalError, VitalSignEstimate, clutter_filter,
-                      make_waveform, peak_quality, phase_demodulate,
-                      power_spectrum, separate_paths)
+                      peak_quality, phase_demodulate, power_spectrum,
+                      separate_paths)
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
@@ -74,11 +74,6 @@ class RadarConfig:
         return SPEED_OF_LIGHT / self.carrier_frequency
 
     @property
-    def fast_rate(self) -> float:
-        """Fast-time sample rate: K samples across the 1/B pulse."""
-        return self.fast_time_samples * self.bandwidth
-
-    @property
     def slow_rate(self) -> float:
         return 1.0 / self.pulse_repetition_interval
 
@@ -101,10 +96,21 @@ class RadarConfig:
     def array_config(self) -> ArrayConfig:
         return ArrayConfig(self.element_count, self.spacing, self.wavelength)
 
-    def waveform(self) -> np.ndarray:
+    @property
+    def pulse_energy(self) -> float:
+        """Energy of the tone sqrt(2) cos(theta k), k < K, theta = 2 pi f0 / fs
+        at fs = K B: K + sin(K theta) cos((K - 1) theta) / sin(theta). Tones
+        at f0 and fs / 2 - f0 have one energy, so f0 folds below fs / 4,
+        where sin(theta) keeps its relative precision."""
+        k = self.fast_time_samples
+        fs = k * self.bandwidth
         f0 = self.tone_frequency if self.tone_frequency is not None \
-            else self.fast_rate / 4.0
-        return make_waveform(f0, self.fast_rate, self.fast_time_samples)
+            else fs / 4.0
+        if not 0 < f0 < fs / 2.0:
+            raise SignalError(f"tone frequency {f0} Hz aliases at fs = {fs} Hz")
+        theta = 2.0 * np.pi * min(f0, fs / 2.0 - f0) / fs
+        return float(k + np.sin(k * theta) * np.cos((k - 1) * theta)
+                     / np.sin(theta))
 
 
 @dataclass(frozen=True)
@@ -261,8 +267,8 @@ class Scenario:
     @cached_property
     def noise_sigma(self) -> float:
         """Per real component of the matched-filter noise."""
-        energy = np.sum(self.radar.waveform() ** 2)
-        return np.sqrt(self.radar.noise_power / (2.0 * energy))
+        radar = self.radar
+        return np.sqrt(radar.noise_power / (2.0 * radar.pulse_energy))
 
 
 def child_seeds(seed, n: int) -> list[np.random.SeedSequence]:

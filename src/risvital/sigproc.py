@@ -1,5 +1,5 @@
-"""Receive-side processing: waveform, clutter removal, path separation,
-phase demodulation, spectral estimation, and root-MUSIC.
+"""Receive-side processing: clutter removal, path separation, phase
+demodulation, spectral estimation, and root-MUSIC.
 
 The chain collapses each pulse to one complex sample per antenna, strips
 the static environment in slow time, splits the record into the two path
@@ -56,14 +56,6 @@ class VitalSignEstimate:
             self.displacement[i],
             replace(self.spectrum, power=self.spectrum.power[i]),
             float(self.peak_freq[i]), float(self.peak_prominence_db[i]))
-
-
-def make_waveform(f0: float, fs: float, n_samples: int) -> np.ndarray:
-    """Unit-power pulsed sinusoid sqrt(2)*cos(2*pi*f0*k/fs), k = 0..K-1."""
-    if not 0 < f0 < fs / 2.0:
-        raise SignalError(f"tone frequency {f0} Hz aliases at fs = {fs} Hz")
-    k = np.arange(n_samples)
-    return np.sqrt(2.0) * np.cos(2.0 * np.pi * f0 * k / fs)
 
 
 def clutter_filter(record: np.ndarray, window: int) -> np.ndarray:

@@ -192,12 +192,13 @@ def gamma_sweep(scn: Scenario, kind: str, gamma_grid, seeds) -> list[dict]:
 class WindowLog:
     """One closed-loop iteration: allocation used and what it measured.
 
-    `state` is the state after this window's update, so its `active_path`
-    is the path chosen for the next window."""
+    `active_path` is the path this window transmitted on, None when it
+    probed both; `state` is the state after this window's update."""
 
     window: int
     strategy: str
     gamma_ris: float | None
+    active_path: str | None
     estimates: dict
     state: LoopState
 
@@ -205,8 +206,8 @@ class WindowLog:
         entry = {"window": self.window, "strategy": self.strategy}
         if self.gamma_ris is not None:
             entry["gamma_ris"] = round(self.gamma_ris, 6)
-        if self.state.active_path is not None:
-            entry["active_path"] = self.state.active_path
+        if self.active_path is not None:
+            entry["active_path"] = self.active_path
         for label, est in sorted(self.estimates.items()):
             if est is None:
                 continue
@@ -261,6 +262,7 @@ def run_closed_loop(scn: Scenario, strategy: StrategyConfig, n_windows: int,
     window_seeds, fix_seeds = seeds[1:n_windows + 1], seeds[n_windows + 1:]
     state.theta_direct_estimate = estimate_position(scn, seeds[0])
     for idx, (wseed, fix_seed) in enumerate(zip(window_seeds, fix_seeds)):
+        path = state.active_path  # the path this window transmits on
         window_strategy = _window_strategy(strategy, state)
         _, estimates = run_once(scn, window_strategy, wseed)
         state = evaluate_and_update(state, estimates["direct"],
@@ -270,7 +272,8 @@ def run_closed_loop(scn: Scenario, strategy: StrategyConfig, n_windows: int,
         gamma = None if window_strategy.kind == "opportunistic" \
             else window_strategy.ris_share
         logs.append(WindowLog(window=idx, strategy=strategy.kind,
-                              gamma_ris=gamma, estimates=estimates,
+                              gamma_ris=gamma, active_path=path,
+                              estimates=estimates,
                               state=replace(state)))
     return logs
 

@@ -9,6 +9,14 @@ from risvital.physio import _CM_PER_M, TRACE_HEADER, TraceError
 from risvital.sigproc import SignalError
 
 
+def make_waveform(f0: float, fs: float, n_samples: int) -> np.ndarray:
+    """Unit-power pulsed sinusoid sqrt(2)*cos(2*pi*f0*k/fs), k = 0..K-1."""
+    if not 0 < f0 < fs / 2.0:
+        raise SignalError(f"tone frequency {f0} Hz aliases at fs = {fs} Hz")
+    k = np.arange(n_samples)
+    return np.sqrt(2.0) * np.cos(2.0 * np.pi * f0 * k / fs)
+
+
 def matched_filter(y_fast: np.ndarray, waveform: np.ndarray) -> complex:
     """Correlate one fast-time row with the waveform, normalized by its energy.
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,8 +8,7 @@ from hypothesis import strategies as st
 
 from risvital.beamform import (IllConditionedConstraints, min_norm_precoder,
                                min_power_closed_form, split_precoder,
-                               split_scale, steering_correlation,
-                               temporal_weights)
+                               steering_correlation, temporal_weights)
 from risvital.geometry import ArrayConfig, ula_steering
 
 
@@ -142,19 +143,50 @@ class TestMinPowerClosedForm:
             min_power_closed_form(1.0, 1.0, 1.0)
 
 
+def pair_with_correlation(m, corr, phase=0.0, vec_seed=0):
+    """Unit-norm (a1, a2) with a1^H a2 = corr e^{j phase}: a2 = e^{j phase}
+    (corr a1 + sqrt(1 - corr^2) u) with u orthogonal to a1."""
+    rng = np.random.default_rng(vec_seed)
+    a1, u = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+    a1 /= np.linalg.norm(a1)
+    u -= np.vdot(a1, u) * a1
+    u /= np.linalg.norm(u)
+    return a1, np.exp(1j * phase) * (corr * a1 + np.sqrt(1.0 - corr ** 2) * u)
+
+
+def split_scale(total_power, gamma, a_c):
+    """Scale s making the (s*gamma, s*(1-gamma)) split realize the budget,
+    from the split's own power s^2 (1 - 2 gamma (1 + |a_c|)
+    + 2 gamma^2 (1 + |a_c|)) / (1 - |a_c|^2)."""
+    mag = abs(a_c)
+    denom = 1.0 - 2.0 * gamma * (1.0 + mag) + 2.0 * gamma ** 2 * (1.0 + mag)
+    return np.sqrt(total_power * (1.0 - mag ** 2) / denom)
+
+
+def responses(a1, a2, p):
+    return abs(np.vdot(a1, p.weights)), abs(np.vdot(a2, p.weights))
+
+
 class TestSplitScale:
     def test_gamma_zero(self):
-        p_total, a_c = 0.25, 0.4 + 0.1j
-        s = split_scale(p_total, 0.0, a_c)
-        assert s == pytest.approx(np.sqrt(p_total * (1 - abs(a_c) ** 2)),
-                                  rel=1e-12)
+        p_total = 0.25
+        a1, a2 = pair_with_correlation(5, abs(0.4 + 0.1j),
+                                       np.angle(0.4 + 0.1j))
+        a_c = steering_correlation(a1, a2)
+        s = np.sqrt(p_total * (1 - abs(a_c) ** 2))
+        r1, r2 = responses(a1, a2, split_precoder(a1, a2, 0.0, p_total))
+        assert r1 < 1e-12
+        assert r2 == pytest.approx(s, rel=1e-12)
         # plugging (0, s) into the minimum-power form returns the budget
         assert min_power_closed_form(0.0, s, a_c) == pytest.approx(p_total,
                                                                    rel=1e-12)
 
     def test_even_split_orthogonal(self):
-        assert split_scale(0.5, 0.5, 0.0) == pytest.approx(np.sqrt(2 * 0.5),
-                                                           rel=1e-12)
+        a1, a2 = pair_with_correlation(4, 0.0)
+        s = np.sqrt(2 * 0.5)
+        r1, r2 = responses(a1, a2, split_precoder(a1, a2, 0.5, 0.5))
+        assert r1 == pytest.approx(s * 0.5, rel=1e-12)
+        assert r2 == pytest.approx(s * 0.5, rel=1e-12)
 
     def test_power_conservation_random(self):
         rng = np.random.default_rng(33)
@@ -168,14 +200,28 @@ class TestSplitScale:
             assert p.achieved_power == pytest.approx(0.01, rel=1e-9)
 
     def test_gamma_out_of_range(self):
-        with pytest.raises(ValueError):
-            split_scale(1.0, 1.5, 0.2)
+        a1, a2 = steer(3, 0.1), steer(3, 0.6)
+        for gamma in (1.5, -0.1):
+            with pytest.raises(ValueError, match="outside"):
+                split_precoder(a1, a2, gamma, 1.0)
 
-    def test_vanishing_denominator_raises(self):
-        # |a_c| one ulp below 1 rounds the even-split denominator to zero;
-        # the guard must be an exception that `python -O` keeps
-        with pytest.raises(IllConditionedConstraints):
-            split_scale(1.0, 0.5, float(np.nextafter(1.0, 0.0)))
+    def test_non_positive_budget(self):
+        a1, a2 = steer(3, 0.1), steer(3, 0.6)
+        for total_power in (0.0, -1.0):
+            with pytest.raises(ValueError, match="total_power"):
+                split_precoder(a1, a2, 0.5, total_power)
+
+    @pytest.mark.parametrize("corr", [float(np.nextafter(1.0, 0.0)),
+                                      1.0 - 1e-12])
+    def test_vanishing_denominator_raises(self, corr):
+        # one ulp below 1 the pair's |a_c| rounds to 1, which zeroes
+        # 1 - |a_c|^2; 1 - 1e-12 lies past COLLINEAR_LIMIT. The guard must
+        # run before any division, as an exception that `python -O` keeps
+        a1, a2 = pair_with_correlation(5, corr, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedConstraints):
+                split_precoder(a1, a2, 0.5, 1.0)
 
     @settings(max_examples=300, deadline=None)
     @given(m=st.integers(2, 8), vec_seed=st.integers(0, 2 ** 32 - 1),
@@ -185,25 +231,17 @@ class TestSplitScale:
            total_power=st.floats(1e-6, 10.0))
     def test_split_meets_budget_and_shares(self, m, vec_seed, corr, phase,
                                            gamma, total_power):
-        # a2 = e^{j phase} (corr a1 + sqrt(1 - corr^2) u) with u orthogonal
-        # to a1, so |a_c| = corr
-        rng = np.random.default_rng(vec_seed)
-        a1, u = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
-        a1 /= np.linalg.norm(a1)
-        u -= np.vdot(a1, u) * a1
-        u /= np.linalg.norm(u)
-        a2 = np.exp(1j * phase) * (corr * a1 + np.sqrt(1.0 - corr ** 2) * u)
+        a1, a2 = pair_with_correlation(m, corr, phase, vec_seed)
         a_c = steering_correlation(a1, a2)
         assert abs(a_c) < 1.0 - 1e-6 + 1e-12
         p = split_precoder(a1, a2, gamma, total_power)
         s = split_scale(total_power, gamma, a_c)
         # rounding grows with the Gram condition number 1 / (1 - |a_c|^2)
         tol = 1e-12 / (1.0 - abs(a_c) ** 2)
+        r1, r2 = responses(a1, a2, p)
         assert p.achieved_power == pytest.approx(total_power, rel=tol)
-        assert abs(np.vdot(a1, p.weights)) == pytest.approx(s * gamma,
-                                                            abs=tol * s)
-        assert abs(np.vdot(a2, p.weights)) == pytest.approx(s * (1 - gamma),
-                                                            abs=tol * s)
+        assert r1 == pytest.approx(s * gamma, abs=tol * s)
+        assert r2 == pytest.approx(s * (1 - gamma), abs=tol * s)
 
 
 class TestSplitPrecoder:
@@ -237,6 +275,13 @@ class TestSplitPrecoder:
             split_precoder(2.0 * self.a1, self.a2, 0.5, 0.01)
         with pytest.raises(ValueError, match="unit norm"):
             split_precoder(self.a1, 0.5 * self.a2, 0.5, 0.01)
+
+    def test_non_unit_collinear_pair_names_the_norm(self):
+        # the norm is checked before the collinearity guard, so a scaled
+        # copy is refused for its norm, not as an ill-conditioned pair
+        with pytest.raises(ValueError, match="unit norm") as err:
+            split_precoder(2.0 * self.a1, self.a1, 0.5, 0.01)
+        assert not isinstance(err.value, IllConditionedConstraints)
 
 
 class TestTemporalWeights:

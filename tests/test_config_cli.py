@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -597,6 +598,18 @@ class TestStrictValues:
         scenario = parse_config({"ris": {"rows": 256, "cols": 256}})[0]
         assert scenario.ris.rows * scenario.ris.cols == MAX_RIS_ELEMENTS
         assert scenario.channel_model.reflection.size == MAX_RIS_ELEMENTS
+
+    def test_long_pulse_parses_without_building_it(self):
+        # 10^10 fast-time samples would take 80 GB as an array
+        tracemalloc.start()
+        try:
+            scenario = parse_config(
+                {"radar": {"fast_time_samples": 10 ** 10}})[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scenario.radar.pulse_energy == pytest.approx(10 ** 10)
+        assert peak < 4 * 2 ** 20
 
     @pytest.mark.parametrize("text", ["radar:\n", "strategy:\n  kind: bogus\n",
                                       "ris: {rows: 0}\n",

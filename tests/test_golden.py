@@ -1,11 +1,14 @@
 """Golden digests of the simulator's outputs at fixed seeds.
 
-The digests were recomputed at version 0.3.0, when each seed's channel,
-RCS jitters and receiver noise came to be drawn from one stream rather
-than from four children of the seed, and the per-row polyfit detrend
-became a closed-form least-squares line; both change the numbers on
-purpose. They pin every bit of a sweep row, a closed-loop log and a
-single-run record. Twenty sweep seeds run as one pass of `SEED_CHUNK` =
+The digests were recomputed at version 0.4.0. A split precoder became
+the min-norm precoder at gains (s * gamma, s * (1 - gamma)) with s from
+the closed-form power, and the noise scale reads the pulse energy in
+closed form (64 at the defaults, where the summed pulse gave
+64.00000000000001); both round differently in the low bits. The loop log's
+`active_path` became the path a window transmitted on, not the state
+after its update, which changes the opportunistic log; the spatial and
+temporal logs and the noiseless probe kept their 0.3.0 digests. They pin
+every bit of a sweep row, a closed-loop log and a single-run record. Twenty sweep seeds run as one pass of `SEED_CHUNK` =
 32; chunk boundaries are covered by `test_batch.py`, which draws up to
 2 * SEED_CHUNK + 1 seeds.
 The loop log holds no position estimate, so the root-MUSIC probe has a
@@ -29,13 +32,13 @@ SEEDS = range(20)
 
 SWEEP_DIGESTS = {
     "spatial":
-        "99c10e26e34e44ca1805bdb7fe24deb51c222ec5b1f53ac7e5b5a30e5f98c7bb",
+        "c727bcfbd2cb4dc1c920f28314a49747aa541db7e685567da0eb155e6eb43b46",
     "temporal":
-        "4b91d09553c13b4c50685f6bb702bfb4589ab253468d19ac733fba644792233a",
+        "ff7aaab5d4d17dc6f1e8dcffae353782fb36196d1e6a7e263753316f92715844",
 }
 LOOP_DIGESTS = {
     "opportunistic":
-        "c7299e1cc7d9164e6f5fa3aea18d2cd60bd7792c311d2ea855bd015c5e116029",
+        "f6093fe8f4e860dc30591bac4e998ed4231f3d1bd95c4f2713863c5c5894cf24",
     "spatial":
         "4aeb208d613a2ad6f9369f909cb46140be5755606077143786bd0f67714a4bda",
     "temporal":
@@ -43,18 +46,18 @@ LOOP_DIGESTS = {
 }
 RUN_DIGESTS = {
     "spatial":
-        "f4fc4b236661becec866f54f4c895ac39a0318556f4f61a5791fa5e43e3a8d14",
+        "ab44c61eb85b4f486ae461aa46603f2bc2c1a481dc9784c34fc63ac3ed392bbd",
     "temporal":
-        "bde78efb2cf8b06988004670247d2ce1396294a531558c4771e88400e85d001c",
+        "ed952e2bde61a978e82e9e10a2758c3bcf5eec9e86fc9cd9b41daa22fccccccc",
 }
 
 PROBE_DIGESTS = {
     "default":
-        "5996eb0de8f0ed1aabb3f5cd21fb97a20f2f3f487a671613a7b5a819475e7087",
+        "6f97cdcaf093213fc1e472e72c574ea881b662c17b421f8c94fd4e07a443904d",
     "noiseless":
         "0d6aa949cd808bc829a2604e6231e8c64e787f5c7930906c1ca866300f2497dd",
     "harmonics_table":
-        "ab4fd790b23a4953730d24071e4fd51d95d31d12845cfd6e4df1600acb9a09b0",
+        "5460b27c2ae671c444be1f8a4ccc3dd5693b24063a1578a92b1ea7ad00a41cd9",
 }
 
 

@@ -13,7 +13,10 @@ from risvital.scenario import (ProcessingConfig, RadarConfig, Scenario,
                                child_seeds, db_to_linear, dbm_to_watts,
                                draw_acquisition, noiseless,
                                simulate_acquisition, standard_normals)
+from risvital.sigproc import SignalError
 from risvital.strategy import StrategyConfig, run_once
+
+from oracles import make_waveform
 
 
 class TestUnits:
@@ -36,7 +39,7 @@ class TestRadarConfig:
         radar = RadarConfig()
         assert radar.element_count == 5
         assert radar.slow_rate == pytest.approx(4.0)
-        assert radar.fast_rate == pytest.approx(32e6)
+        assert radar.pulse_energy == 64.0
         assert radar.wavelength == pytest.approx(0.04193, rel=1e-3)
         assert radar.spacing == pytest.approx(radar.wavelength / 2)
 
@@ -46,11 +49,30 @@ class TestRadarConfig:
         assert radar.noise_floor_dbm == pytest.approx(expected, abs=1e-12)
         assert round(radar.noise_floor_dbm, 1) == -107.0
 
-    def test_waveform_defaults_to_quarter_rate(self):
-        # a tone at fs / 4 samples the cosine at its quarter periods
-        wf = RadarConfig().waveform()
-        npt.assert_allclose(wf, np.sqrt(2) * np.tile([1.0, 0.0, -1.0, 0.0], 16),
-                            atol=1e-12)
+    @pytest.mark.parametrize("k", [1, 63, 64])
+    def test_tone_defaults_to_quarter_rate(self, k):
+        # a tone at fs / 4 samples the cosine at its quarter periods, so
+        # only the even samples carry energy, 2 each
+        energy = RadarConfig(fast_time_samples=k).pulse_energy
+        assert energy == pytest.approx(2 * ((k + 1) // 2), rel=1e-12)
+
+    # f0 as a fraction of fs, from near 0 to near fs / 2
+    @pytest.mark.parametrize("k", [1, 2, 17, 63, 64, 333])
+    @pytest.mark.parametrize("fraction", [1e-9, 1e-3, 0.1, 0.25, 0.3, 0.49,
+                                          0.499999, 0.5 - 1e-9])
+    def test_pulse_energy_is_the_summed_pulse(self, k, fraction):
+        fs = k * 0.5e6
+        radar = RadarConfig(fast_time_samples=k,
+                            tone_frequency=fraction * fs)
+        pulse = make_waveform(fraction * fs, fs, k)
+        assert radar.pulse_energy == pytest.approx(np.sum(pulse ** 2),
+                                                   rel=1e-12)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 0.7])
+    def test_aliased_tone_rejected(self, fraction):
+        radar = RadarConfig(tone_frequency=fraction * 32e6)
+        with pytest.raises(SignalError, match="aliases"):
+            radar.pulse_energy
 
 
 def constant_schedule(scn, gamma_ris):
@@ -99,7 +121,8 @@ class TestSimulateAcquisition:
         noise = np.concatenate([
             simulate_acquisition(scn, zeros, [seed])[0].ravel()
             for seed in range(5)])
-        expected = scn.radar.noise_power / np.sum(scn.radar.waveform() ** 2)
+        pulse = make_waveform(8e6, 32e6, scn.radar.fast_time_samples)
+        expected = scn.radar.noise_power / np.sum(pulse ** 2)
         assert np.mean(np.abs(noise) ** 2) == pytest.approx(expected, rel=0.05)
         assert np.var(noise.real) == pytest.approx(expected / 2, rel=0.1)
         assert np.var(noise.imag) == pytest.approx(expected / 2, rel=0.1)

@@ -9,12 +9,11 @@ from risvital.physio import RcsModel, angle_gain, rcs_series, \
     synth_respiration
 from risvital.scenario import standard_normals
 from risvital.sigproc import (SignalError, Spectrum, VitalSignEstimate,
-                              clutter_filter, make_waveform,
-                              moving_average_response, peak_quality,
-                              phase_demodulate, power_spectrum,
+                              clutter_filter, moving_average_response,
+                              peak_quality, phase_demodulate, power_spectrum,
                               root_music_doa, separate_paths)
 
-from oracles import matched_filter
+from oracles import make_waveform, matched_filter
 
 WAVELENGTH = 299792458.0 / 7.15e9
 

@@ -309,6 +309,24 @@ class TestClosedLoop:
         assert all(log.state.needs_position_fix for log in logs)
         assert len(built) == 1
 
+    def test_log_names_the_path_each_window_transmitted_on(self):
+        # the state after window i's update picks window i + 1's path
+        logs = run_closed_loop(Scenario(), StrategyConfig(
+            kind="opportunistic", initial_path="direct",
+            prominence_threshold_db=60), 4, seed=3)
+        assert [log.to_json_dict()["active_path"] for log in logs] \
+            == ["direct", "direct", "ris", "ris"]
+        assert [log.active_path for log in logs[1:]] \
+            == [log.state.active_path for log in logs[:-1]]
+
+    def test_probing_window_logs_no_path(self):
+        logs = run_closed_loop(Scenario(), StrategyConfig(
+            kind="opportunistic"), 2, seed=1)
+        assert logs[0].active_path is None
+        assert "active_path" not in logs[0].to_json_dict()
+        assert logs[1].to_json_dict()["active_path"] \
+            == logs[0].state.active_path
+
     def test_ideal_opportunistic_fixes_best_path(self):
         scn = noiseless(Scenario())
         logs = run_closed_loop(scn, StrategyConfig(kind="opportunistic",
