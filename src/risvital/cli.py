@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 config error, 2 runtime error, 3 selftest failure.
 """
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -34,16 +33,15 @@ def _write_sidecar(path: Path, meta: dict) -> None:
 
 
 def _write_csv(path: Path, header, rows, meta: dict) -> None:
+    # no field (number, path label, header name) ever needs CSV quoting
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write("".join(",".join(map(_fmt, row)) + "\n"
+                         for row in (header, *rows)))
     _write_sidecar(path, meta)
 
 
-def _fmt(value):
-    return repr(float(value)) if isinstance(value, float) else value
+def _fmt(value) -> str:
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def _load(args):

@@ -27,6 +27,8 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent configuration input."""
 
 
+# PyYAML's libyaml parser with the constructor and resolver of safe_load
+LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 MAX_WINDOW_SAMPLES = 2 ** 20  # 72 h at the default 4 Hz pulse rate
 MAX_RIS_ELEMENTS = 2 ** 16  # a 256 x 256 panel
 
@@ -300,7 +302,7 @@ def load_config(path):
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")
     try:
-        doc = yaml.safe_load(path.read_text()) or {}
+        doc = yaml.load(path.read_text(), Loader=LOADER) or {}
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
     physio = doc.get("physiology") if isinstance(doc, dict) else None

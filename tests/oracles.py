@@ -30,6 +30,18 @@ def matched_filter(y_fast: np.ndarray, waveform: np.ndarray) -> complex:
     return complex(np.vdot(waveform, y_fast) / np.vdot(waveform, waveform))
 
 
+def write_csv(path, header, rows) -> None:
+    """The CLI's CSV writer as it stood on `csv.writer`: floats as their
+    shortest round-trip `repr`, every other field as `csv.writer` renders
+    it, `\\n` line ends."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v
+                             for v in row])
+
+
 def write_trace_csv(path, traces) -> None:
     """Write one or two traces [m -> cm on disk] in the ingestion schema."""
     traces = list(traces)

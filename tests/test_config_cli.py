@@ -1,33 +1,38 @@
+import csv
 import dataclasses
 import json
+import math
 import re
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from risvital.cli import main
-from risvital.config import (MAX_RIS_ELEMENTS, MAX_WINDOW_SAMPLES, SCHEMA,
-                             SWEEP_ROWS, ConfigError, config_hash,
+from risvital.cli import _write_csv, main
+from risvital.config import (LOADER, MAX_RIS_ELEMENTS, MAX_WINDOW_SAMPLES,
+                             SCHEMA, SWEEP_ROWS, ConfigError, config_hash,
                              load_config, parse_config, parse_quantity,
                              serialize_config)
 from risvital.geometry import SPEED_OF_LIGHT
 from risvital.physio import synth_respiration
-from risvital.scenario import PhysioConfig, RadarConfig, default_placement
+from risvital.scenario import (PhysioConfig, RadarConfig, RisPanel,
+                               default_placement)
 from risvital.sigproc import SignalError
 from risvital.strategy import STRATEGY_KINDS, run_once
 
-from oracles import write_trace_csv
+from oracles import write_csv, write_trace_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def load_config_text(text):
-    return parse_config(yaml.safe_load(text))
+    """`text` parsed as `load_config` parses a file's contents."""
+    return parse_config(yaml.load(text, Loader=LOADER))
 
 EXAMPLE = """
 radar:
@@ -130,6 +135,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown keys"):
             parse_config({"radar": {"element_count": 5, "colour": "red"}})
 
+    @pytest.mark.parametrize("name", ["scenario.example.yaml",
+                                      "bench/scenario.yaml"])
+    def test_shipped_configs_load_as_safe_load_reads_them(self, name):
+        path = ROOT / name
+        assert load_config(path) \
+            == parse_config(yaml.safe_load(path.read_text()))
+
+    def test_duplicate_key_keeps_last_value(self, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        path.write_text("ris: {rows: 4, rows: 6}\nris: {cols: 3}\n")
+        scenario = load_config(path)[0]
+        assert (scenario.ris.rows, scenario.ris.cols) == (RisPanel().rows, 3)
+        path.write_text("ris: {rows: 4, rows: 6}\n")
+        assert load_config(path)[0].ris.rows == 6
+
     def test_empty_doc_gives_defaults(self):
         scenario, strategy, sweep = parse_config({})
         from risvital.scenario import Scenario
@@ -177,6 +197,34 @@ class TestCliAcquire:
         for path_a in sorted(out_a.iterdir()):
             path_b = out_b / path_a.name
             assert path_a.read_bytes() == path_b.read_bytes()
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1]
+_CSV_FIELDS = (st.floats() | st.sampled_from(_EDGE_FLOATS) | st.integers()
+               | st.sampled_from(["direct", "ris"]))
+
+
+class TestCsvWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(header=st.lists(st.sampled_from(
+               ["time_s", "displacement_m", "freq_Hz", "power", "gamma",
+                "path", "seed", "peak_freq_Hz", "prominence_db"]),
+               min_size=1, max_size=5),
+           rows=st.lists(st.lists(_CSV_FIELDS, min_size=1, max_size=5),
+                         max_size=8))
+    @example(header=["gamma", "path", "seed"],
+             rows=[_EDGE_FLOATS, [0.5, "direct", 0], [-1, "ris", 2 ** 70]])
+    def test_bytes_match_csv_writer(self, header, rows):
+        # hypothesis refuses function-scoped fixtures such as tmp_path
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, oracle = Path(tmp) / "ours.csv", Path(tmp) / "oracle.csv"
+            _write_csv(ours, header, rows, {})
+            write_csv(oracle, header, rows)
+            assert ours.read_bytes() == oracle.read_bytes()
+            with ours.open(newline="") as fh:
+                assert list(csv.reader(fh)) == [
+                    header, *([repr(v) if isinstance(v, float) else str(v)
+                               for v in row] for row in rows)]
 
 
 class TestCliSweep:
@@ -682,10 +730,17 @@ class TestStrictValues:
     def test_cli_error_line_for_unparsable_yaml(self, tmp_path, capsys):
         text = "radar: {element_count: 5\n"
         with pytest.raises(yaml.YAMLError) as exc:
-            yaml.safe_load(text)
-        assert self._acquire_error(tmp_path, capsys, text) == (
-            f"config error: {tmp_path / 'scenario.yaml'}: invalid YAML: "
-            f"{exc.value}\n")
+            yaml.load(text, Loader=LOADER)
+        err = self._acquire_error(tmp_path, capsys, text)
+        assert err == (f"config error: {tmp_path / 'scenario.yaml'}: "
+                       f"invalid YAML: {exc.value}\n")
+        assert "line 2, column 1" in err
+
+    def test_python_object_tag_is_config_error(self, tmp_path, capsys):
+        err = self._acquire_error(
+            tmp_path, capsys, "radar: !!python/object:os.system {}\n")
+        assert err.startswith("config error:")
+        assert "python/object" in err
 
     def test_cli_error_line_for_short_trace_row(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
@@ -979,8 +1034,14 @@ class TestSchema:
     def test_parse_serialize_parse(self, doc):
         first = parse_config(doc)
         serialized = serialize_config(*first)
-        for again in (parse_config(serialized),
-                      load_config_text(yaml.safe_dump(serialized))):
+        text = yaml.safe_dump(serialized)
+        # hypothesis refuses function-scoped fixtures such as tmp_path
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scenario.yaml"
+            path.write_text(text)
+            from_file = load_config(path)
+        for again in (parse_config(serialized), load_config_text(text),
+                      from_file):
             assert again == first
             assert config_hash(*again) == config_hash(*first)
 

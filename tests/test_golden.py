@@ -13,16 +13,23 @@ every bit of a sweep row, a closed-loop log and a single-run record. Twenty swee
 2 * SEED_CHUNK + 1 seeds.
 The loop log holds no position estimate, so the root-MUSIC probe has a
 digest of its own (ten seeds on three scenarios).
+The CLI digests pin every byte `risvital acquire` and `risvital sweep`
+write on the example config, file names and metadata sidecars included,
+so the CSV text format (shortest round-trip `repr`, `\n` line ends) and
+the sidecar layout are pinned as well as the numbers.
 The values hold for numpy's float64 kernels on x86-64 (numpy 2.4); a
 different numpy or CPU may round differently and fail them.
 """
 
 import hashlib
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from risvital.cli import main
 from risvital.scenario import Scenario, noiseless
 from risvital.strategy import (StrategyConfig, estimate_position, gamma_sweep,
                                run_closed_loop, run_once)
@@ -58,6 +65,22 @@ PROBE_DIGESTS = {
         "0d6aa949cd808bc829a2604e6231e8c64e787f5c7930906c1ca866300f2497dd",
     "harmonics_table":
         "5460b27c2ae671c444be1f8a4ccc3dd5693b24063a1578a92b1ea7ad00a41cd9",
+}
+
+CLI_DIGESTS = {
+    "acquire-spatial":
+        "dde30c3ec86863392153e1ec842ed3caf56e479316e0e9bbc9e6c926551c429b",
+    "acquire-temporal":
+        "5aee6cfd3f8addd205ebe90db2c9f295e87c3832d3cb7fc5629ba7b0972a722c",
+    "sweep":
+        "d8c1d27452df371d59b6e5791fe16fd25a24a5b5a49bd55f68d91442127baa22",
+}
+
+EXAMPLE = Path(__file__).resolve().parents[1] / "scenario.example.yaml"
+CLI_ARGS = {
+    "acquire-spatial": ["acquire", "--seed", "7", "--strategy", "spatial"],
+    "acquire-temporal": ["acquire", "--seed", "7", "--strategy", "temporal"],
+    "sweep": ["sweep", "--seeds", "3", "--gammas", "0.3,0.5"],
 }
 
 
@@ -106,6 +129,17 @@ def probe_digest(name: str) -> str:
                         for seed in range(10)).encode())
 
 
+def cli_digest(name: str, out: Path) -> str:
+    """Names and bytes of every file one CLI command writes into `out`."""
+    assert main([*CLI_ARGS[name], "--config", str(EXAMPLE),
+                 "--out", str(out)]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        digest.update(path.name.encode() + b"\0")
+        digest.update(_sha(path.read_bytes()).encode())
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("kind", sorted(SWEEP_DIGESTS))
 def test_sweep_rows(kind):
     assert sweep_digest(kind) == SWEEP_DIGESTS[kind]
@@ -126,6 +160,11 @@ def test_position_probe(name):
     assert probe_digest(name) == PROBE_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
+def test_cli_artifacts(name, tmp_path):
+    assert cli_digest(name, tmp_path / "out") == CLI_DIGESTS[name]
+
+
 if __name__ == "__main__":
     for name, table, fn in (("SWEEP", SWEEP_DIGESTS, sweep_digest),
                             ("LOOP", LOOP_DIGESTS, loop_digest),
@@ -133,3 +172,6 @@ if __name__ == "__main__":
                             ("PROBE", PROBE_DIGESTS, probe_digest)):
         for kind in sorted(table):
             print(name, kind, fn(kind))
+    for name in sorted(CLI_DIGESTS):
+        with tempfile.TemporaryDirectory() as tmp:
+            print("CLI", name, cli_digest(name, Path(tmp) / "out"))
