@@ -1,13 +1,16 @@
 """Batch command-line front-end: acquire, loop, sweep, selftest.
 
-Loads a declarative scenario config (or the built-in default profile),
-runs the requested experiment, and writes CSV / JSON-lines artifacts with
-a deterministic metadata sidecar per output file.
+Loads a declarative scenario config (or the built-in default profile)
+and runs the requested experiment. Each command returns its files as
+`{name: (text, sidecar meta)}` and writes nothing; `main` creates `--out`
+and writes every file, `\n` line ends on every platform, beside its
+deterministic `<name>.meta.json` sidecar.
 
 Exit codes: 0 success, 1 config error, 2 runtime error, 3 selftest failure.
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -27,21 +30,10 @@ EXIT_RUNTIME = 2
 EXIT_SELFTEST = 3
 
 
-def _write_sidecar(path: Path, meta: dict) -> None:
-    sidecar = path.with_name(path.name + ".meta.json")
-    sidecar.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-
-
-def _write_csv(path: Path, header, rows, meta: dict) -> None:
-    # no field (number, path label, header name) ever needs CSV quoting
-    with path.open("w", newline="") as fh:
-        fh.write("".join(",".join(map(_fmt, row)) + "\n"
-                         for row in (header, *rows)))
-    _write_sidecar(path, meta)
-
-
-def _fmt(value) -> str:
-    return repr(float(value)) if isinstance(value, float) else str(value)
+def _csv(header, rows) -> str:
+    # every value is a Python float, int or path label, and `str` of a
+    # float is its shortest round-trip repr; no field ever needs quoting
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
 
 
 def _load(args):
@@ -74,7 +66,7 @@ def _meta(scenario, strategy, sweep, seed, command) -> dict:
             "seed": seed, "command": command}
 
 
-def cmd_acquire(args) -> int:
+def cmd_acquire(args) -> dict:
     scenario, strategy, sweep = _load(args)
     length, least = scenario.slow_time_samples, scenario.min_branch_slots
     for label, slots in zip(("direct", "ris"),
@@ -85,43 +77,39 @@ def cmd_acquire(args) -> int:
                               f"slots, fewer than the {least} it needs to "
                               "extract; adjust ris_share or the duration")
     _, estimates = run_once(scenario, strategy, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     meta = _meta(scenario, strategy, sweep, args.seed, "acquire")
+    files = {}
     # a path that cannot see the chest has no estimate and writes nothing
     for label, est in sorted((k, e) for k, e in estimates.items() if e):
         disp = est.displacement
         times = np.arange(disp.size) / scenario.radar.slow_rate
-        _write_csv(out / f"{label}_displacement.csv",
-                   ["time_s", "displacement_m"],
-                   zip(times.tolist(), disp.tolist()),
-                   meta | {"path": label})
-        _write_csv(out / f"{label}_spectrum.csv", ["freq_Hz", "power"],
-                   zip(est.spectrum.freqs.tolist(), est.spectrum.power.tolist()),
-                   meta | {"path": label, "peak_freq_Hz": est.peak_freq,
-                           "prominence_db": est.peak_prominence_db})
-    return EXIT_OK
+        files[f"{label}_displacement.csv"] = (
+            _csv(["time_s", "displacement_m"],
+                 zip(times.tolist(), disp.tolist())),
+            meta | {"path": label})
+        files[f"{label}_spectrum.csv"] = (
+            _csv(["freq_Hz", "power"], zip(est.spectrum.freqs.tolist(),
+                                           est.spectrum.power.tolist())),
+            meta | {"path": label, "peak_freq_Hz": est.peak_freq,
+                    "prominence_db": est.peak_prominence_db})
+    return files
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> dict:
     scenario, strategy, sweep = _load(args)
     gammas = sweep["gammas"] if args.gammas is None else _shares(
         [g for g in args.gammas.split(",") if g != ""], "--gammas")
     n_seeds = args.seeds if args.seeds is not None else sweep["seeds"]
     kind = strategy.kind if strategy.kind in SWEEP_KINDS else "spatial"
+    header = ["gamma", "path", "seed", "peak_freq_Hz", "prominence_db"]
     rows = gamma_sweep(scenario, kind, gammas, range(n_seeds))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "sweep.csv",
-               ["gamma", "path", "seed", "peak_freq_Hz", "prominence_db"],
-               ([r["gamma"], r["path"], r["seed"], r["peak_freq_Hz"],
-                 r["prominence_db"]] for r in rows),
-               _meta(scenario, strategy, sweep, None, "sweep")
-               | {"kind": kind, "gammas": gammas, "seeds": n_seeds})
-    return EXIT_OK
+    return {"sweep.csv": (
+        _csv(header, ([r[key] for key in header] for r in rows)),
+        _meta(scenario, strategy, sweep, None, "sweep")
+        | {"kind": kind, "gammas": gammas, "seeds": n_seeds})}
 
 
-def cmd_loop(args) -> int:
+def cmd_loop(args) -> dict:
     scenario, strategy, sweep = _load(args)
     probe = min(PROBE_PULSES, scenario.slow_time_samples)
     if args.windows >= 1 and probe < scenario.radar.element_count:
@@ -129,18 +117,14 @@ def cmd_loop(args) -> int:
                           f"than the {scenario.radar.element_count} array "
                           "elements root-MUSIC needs; lengthen the duration")
     logs = run_closed_loop(scenario, strategy, args.windows, seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "loop.jsonl"
-    with path.open("w") as fh:
-        for entry in logs:
-            fh.write(json.dumps(entry.to_json_dict(), sort_keys=True) + "\n")
-    _write_sidecar(path, _meta(scenario, strategy, sweep, args.seed, "loop")
-                   | {"windows": args.windows})
-    return EXIT_OK
+    return {"loop.jsonl": (
+        "".join(json.dumps(entry.to_json_dict(), sort_keys=True) + "\n"
+                for entry in logs),
+        _meta(scenario, strategy, sweep, args.seed, "loop")
+        | {"windows": args.windows})}
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest() -> int:
     from . import acceptance
     results = acceptance.run_all(stream=sys.stdout)
     failed = [r for r in results if not r.passed]
@@ -150,6 +134,7 @@ def cmd_selftest(args) -> int:
     return EXIT_SELFTEST if failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="risvital",
@@ -183,16 +168,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_loop.add_argument("--ris-share", type=float, dest="ris_share")
     p_loop.set_defaults(func=cmd_loop)
 
-    p_self = sub.add_parser("selftest", help="run the acceptance suite")
-    p_self.set_defaults(func=cmd_selftest)
+    sub.add_parser("selftest", help="run the acceptance suite")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "selftest":
+            return cmd_selftest()
+        files = args.func(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, (text, meta) in files.items():
+            (out / name).write_text(text, newline="")
+            (out / f"{name}.meta.json").write_text(
+                json.dumps(meta, sort_keys=True, indent=2) + "\n", newline="")
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import math
 import re
@@ -13,7 +14,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from risvital.cli import _write_csv, main
+from risvital.cli import _csv, main
 from risvital.config import (LOADER, MAX_RIS_ELEMENTS, MAX_WINDOW_SAMPLES,
                              SCHEMA, SWEEP_ROWS, ConfigError, config_hash,
                              load_config, parse_config, parse_quantity,
@@ -215,16 +216,15 @@ class TestCsvWriter:
     @example(header=["gamma", "path", "seed"],
              rows=[_EDGE_FLOATS, [0.5, "direct", 0], [-1, "ris", 2 ** 70]])
     def test_bytes_match_csv_writer(self, header, rows):
+        text = _csv(header, rows)
         # hypothesis refuses function-scoped fixtures such as tmp_path
         with tempfile.TemporaryDirectory() as tmp:
-            ours, oracle = Path(tmp) / "ours.csv", Path(tmp) / "oracle.csv"
-            _write_csv(ours, header, rows, {})
+            oracle = Path(tmp) / "oracle.csv"
             write_csv(oracle, header, rows)
-            assert ours.read_bytes() == oracle.read_bytes()
-            with ours.open(newline="") as fh:
-                assert list(csv.reader(fh)) == [
-                    header, *([repr(v) if isinstance(v, float) else str(v)
-                               for v in row] for row in rows)]
+            assert text.encode() == oracle.read_bytes()
+        assert list(csv.reader(io.StringIO(text, newline=""))) == [
+            header, *([repr(v) if isinstance(v, float) else str(v)
+                       for v in row] for row in rows)]
 
 
 class TestCliSweep:
@@ -425,6 +425,19 @@ class TestCliRuntimeHandler:
         assert capsys.readouterr().err == (
             "error: slow-time record contains non-finite entries\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["acquire"], ["sweep", "--seeds", "1", "--gammas", "0.5"],
+        ["loop", "--windows", "1"]])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, argv):
+        # writing the files is inside the same error mapping as the run
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(argv + ["--out", str(blocker / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "Not a directory" in err
+        assert blocker.read_text() == ""
 
 
 class TestSweepGrid:
