@@ -22,13 +22,15 @@ direct RCS jitter (L each, reserved even without distortion), then the
 (2, M, L) noise, real parts first. Only `draw_acquisition` knows that
 layout; it hands the channel block to `realize_channel`, the one channel
 draw. `compose_record` excites a draw under a schedule and only reads
-it, so one draw serves every share of a sweep. Seeds always come as a
-list, a leading axis of every draw, record and estimate; a lone run is
-the batch of one seed, and every seed gets the same bits in any batch.
+it, so one draw serves every share of a sweep and every window of a
+loop (`draw_rows`). Seeds always come as a list, a leading axis of every
+draw, record and estimate; a lone run is the batch of one seed, and
+every seed gets the same bits in any batch.
 """
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -338,6 +340,15 @@ def draw_acquisition(scn: Scenario, seeds: list, length: int) -> tuple:
     z += noise[:, 0]
     z *= scn.noise_sigma
     return channel, alpha, beta, z
+
+
+def draw_rows(draw: tuple):
+    """Seed by seed, what `compose_record` reads of `draw`, unchecked again."""
+    channel, *series = draw
+    arrays = channel.ris_cascade, channel.h_D, channel.H_C, *series
+    for i in range(len(channel.h_D)):
+        v_ris, h_d, h_c, *row = (a[i:i + 1] for a in arrays)
+        yield (SimpleNamespace(ris_cascade=v_ris, h_D=h_d, H_C=h_c), *row)
 
 
 def compose_record(draw: tuple, schedule: np.ndarray) -> np.ndarray:

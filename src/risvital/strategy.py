@@ -13,13 +13,13 @@ import numpy as np
 
 from .beamform import split_precoder
 from .scenario import (Scenario, child_seeds, compose_record,
-                       draw_acquisition, extract_vital_signs,
+                       draw_acquisition, draw_rows, extract_vital_signs,
                        simulate_acquisition)
 from .sigproc import VitalSignEstimate, root_music_doa
 
 STRATEGY_KINDS = ("temporal", "spatial", "opportunistic")
 SWEEP_KINDS = ("spatial", "temporal")  # the kinds with a share to sweep
-SEED_CHUNK = 32  # seeds per gamma_sweep draw, which bounds its memory
+SEED_CHUNK = 32  # seeds per sweep or loop draw, which bounds its memory
 PROBE_PULSES = 64  # a position probe's pulses, from the window's start
 
 
@@ -127,10 +127,9 @@ def evaluate_and_update(state: LoopState, est_direct: VitalSignEstimate,
             state.active_path = max(graded, key=prom.get, default=None)
             state.below_threshold_count = 0
             return state
-        if prom[state.active_path] < threshold:
-            state.below_threshold_count += 1
-        else:
-            state.below_threshold_count = 0
+        state.below_threshold_count = (state.below_threshold_count + 1
+                                       if prom[state.active_path] < threshold
+                                       else 0)
         if state.below_threshold_count >= strategy.hysteresis_windows:
             state.active_path = "direct" if state.active_path == "ris" else "ris"
             state.below_threshold_count = 0
@@ -246,14 +245,14 @@ def run_closed_loop(scn: Scenario, strategy: StrategyConfig, n_windows: int,
     Position estimation seeds the steering, the first window measures with
     the configured allocation (an equal split for opportunistic probing,
     unless `ideal` fixes the known-best path), and each window's quality
-    scores update the allocation for the next one.
+    scores update the allocation for the next one. Window `i` draws child
+    `i + 1` of `seed` in lazy passes of up to SEED_CHUNK windows, and
+    composes its row under its own plan: bit for bit its lone `run_once`.
     """
     state = LoopState(gamma_ris=strategy.ris_share)
     if strategy.kind == "opportunistic":
-        init = strategy.initial_path
-        if strategy.ideal:
-            init = init or _best_path_by_geometry(scn)
-        state.active_path = init
+        state.active_path = strategy.initial_path or (
+            _best_path_by_geometry(scn) if strategy.ideal else None)
     logs: list[WindowLog] = []
     if n_windows <= 0:
         return logs
@@ -261,10 +260,16 @@ def run_closed_loop(scn: Scenario, strategy: StrategyConfig, n_windows: int,
     seeds = child_seeds(seed, 2 * n_windows + 1)
     window_seeds, fix_seeds = seeds[1:n_windows + 1], seeds[n_windows + 1:]
     state.theta_direct_estimate = estimate_position(scn, seeds[0])
-    for idx, (wseed, fix_seed) in enumerate(zip(window_seeds, fix_seeds)):
+    length = scn.slow_time_samples
+    draws = (row for i in range(0, n_windows, SEED_CHUNK) for row in draw_rows(
+        draw_acquisition(scn, window_seeds[i:i + SEED_CHUNK], length)))
+    for idx, (draw, fix_seed) in enumerate(zip(draws, fix_seeds)):
         path = state.active_path  # the path this window transmits on
         window_strategy = _window_strategy(strategy, state)
-        _, estimates = run_once(scn, window_strategy, wseed)
+        schedule, *slots = plan_transmissions(scn, window_strategy, length)
+        estimates = {label: est and est.row(0) for label, est in
+                     extract_vital_signs(scn, compose_record(draw, schedule),
+                                         *slots).items()}
         state = evaluate_and_update(state, estimates["direct"],
                                     estimates["ris"], strategy)
         if state.needs_position_fix:
@@ -273,8 +278,7 @@ def run_closed_loop(scn: Scenario, strategy: StrategyConfig, n_windows: int,
             else window_strategy.ris_share
         logs.append(WindowLog(window=idx, strategy=strategy.kind,
                               gamma_ris=gamma, active_path=path,
-                              estimates=estimates,
-                              state=replace(state)))
+                              estimates=estimates, state=replace(state)))
     return logs
 
 

@@ -1,12 +1,17 @@
 """Test-side references and fixture writers that the package never calls."""
 
 import csv
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from risvital.physio import _CM_PER_M, TRACE_HEADER, TraceError
+from risvital.scenario import child_seeds
 from risvital.sigproc import SignalError
+from risvital.strategy import (LoopState, WindowLog, _best_path_by_geometry,
+                               _window_strategy, estimate_position,
+                               evaluate_and_update, run_once)
 
 
 def make_waveform(f0: float, fs: float, n_samples: int) -> np.ndarray:
@@ -57,3 +62,37 @@ def write_trace_csv(path, traces) -> None:
         for i in range(lengths.pop()):
             writer.writerow([i] + [repr(float(t[i] * _CM_PER_M))
                                    for t in traces])
+
+
+def closed_loop_by_window(scn, strategy, n_windows: int, seed=0) -> list:
+    """The closed loop with one `run_once` per window: the reference that
+    `run_closed_loop`, which draws its windows in passes, equals bit for
+    bit."""
+    state = LoopState(gamma_ris=strategy.ris_share)
+    if strategy.kind == "opportunistic":
+        init = strategy.initial_path
+        if strategy.ideal:
+            init = init or _best_path_by_geometry(scn)
+        state.active_path = init
+    logs = []
+    if n_windows <= 0:
+        return logs
+    # children: the initial probe, one per window, then one per re-fix probe
+    seeds = child_seeds(seed, 2 * n_windows + 1)
+    window_seeds, fix_seeds = seeds[1:n_windows + 1], seeds[n_windows + 1:]
+    state.theta_direct_estimate = estimate_position(scn, seeds[0])
+    for idx, (wseed, fix_seed) in enumerate(zip(window_seeds, fix_seeds)):
+        path = state.active_path  # the path this window transmits on
+        window_strategy = _window_strategy(strategy, state)
+        _, estimates = run_once(scn, window_strategy, wseed)
+        state = evaluate_and_update(state, estimates["direct"],
+                                    estimates["ris"], strategy)
+        if state.needs_position_fix:
+            state.theta_direct_estimate = estimate_position(scn, fix_seed)
+        gamma = None if window_strategy.kind == "opportunistic" \
+            else window_strategy.ris_share
+        logs.append(WindowLog(window=idx, strategy=strategy.kind,
+                              gamma_ris=gamma, active_path=path,
+                              estimates=estimates,
+                              state=replace(state)))
+    return logs

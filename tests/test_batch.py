@@ -2,22 +2,26 @@
 
 from collections import Counter
 from dataclasses import replace
+from math import ceil
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import closed_loop_by_window
 from risvital import scenario as scenario_module
+from risvital import strategy as strategy_module
 from risvital.config import load_config
 from risvital.physio import RcsModel
 from risvital.scenario import Scenario, draw_acquisition, \
     extract_vital_signs, simulate_acquisition
 from risvital.sigproc import Spectrum, VitalSignEstimate
-from risvital.strategy import (SEED_CHUNK, StrategyConfig, gamma_sweep,
-                               plan_transmissions, run_once)
+from risvital.strategy import (SEED_CHUNK, STRATEGY_KINDS, StrategyConfig,
+                               gamma_sweep, plan_transmissions,
+                               run_closed_loop, run_once)
 
 SCN = Scenario()
 ROOT = Path(__file__).resolve().parents[1]
@@ -101,6 +105,79 @@ def test_batched_acquisition_stacks_lone_acquisitions():
         lone = extract_vital_signs(SCN, alone, slots_direct, slots_ris)
         assert_same_estimates({p: est.row(i) for p, est in batch.items()},
                               {p: est.row(0) for p, est in lone.items()})
+
+
+def _turned(scn: Scenario) -> Scenario:
+    """The scene with the chest facing the radar instead of the RIS."""
+    place = scn.placement
+    facing = place.radar_position - place.target_position
+    return replace(scn, placement=replace(
+        place, chest_normal=facing / np.linalg.norm(facing)))
+
+
+SEED_SEQUENCES = st.builds(
+    lambda entropy, key: np.random.SeedSequence(entropy, spawn_key=key),
+    st.integers(0, 2 ** 128 - 1),
+    st.lists(st.integers(0, 100), max_size=3).map(tuple))
+
+
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from(STRATEGY_KINDS), ideal=st.booleans(),
+       initial_path=st.sampled_from([None, "direct", "ris"]),
+       threshold_db=st.sampled_from([6.0, 1e3]), turned=st.booleans(),
+       n_windows=st.integers(0, SEED_CHUNK + 2),
+       seed=st.one_of(st.integers(0, 2 ** 32 - 1), SEED_SEQUENCES))
+@example(kind="opportunistic", ideal=False, initial_path=None,
+         threshold_db=6.0, turned=False, n_windows=2 * SEED_CHUNK + 1,
+         seed=3)
+def test_closed_loop_equals_one_run_per_window(
+        kind, ideal, initial_path, threshold_db, turned, n_windows, seed):
+    # a threshold of 1e3 dB is never reached, so every window re-fixes
+    scn = _turned(SCN) if turned else SCN
+    strategy = StrategyConfig(kind=kind, ideal=ideal,
+                              initial_path=initial_path,
+                              prominence_threshold_db=threshold_db)
+    logs = run_closed_loop(scn, strategy, n_windows, seed)
+    want = closed_loop_by_window(scn, strategy, n_windows, seed)
+    assert len(logs) == len(want) == n_windows
+    for log, ref in zip(logs, want):
+        assert log.to_json_dict() == ref.to_json_dict()
+        assert log.state == ref.state
+        assert log.estimates.keys() == ref.estimates.keys()
+        for label, est in log.estimates.items():
+            other = ref.estimates[label]
+            if est is None or other is None:
+                assert est is other is None
+                continue
+            for a, b in ((est.displacement, other.displacement),
+                         (est.spectrum.freqs, other.spectrum.freqs),
+                         (est.spectrum.power, other.spectrum.power)):
+                assert a.tobytes() == b.tobytes()
+            assert repr((est.peak_freq, est.peak_prominence_db)) == \
+                repr((other.peak_freq, other.peak_prominence_db))
+
+
+@pytest.mark.parametrize("n_windows, threshold_db", [
+    (0, 6.0), (1, 1e3), (SEED_CHUNK, 6.0), (2 * SEED_CHUNK + 1, 6.0)])
+def test_closed_loop_draws_each_window_pass_once(n_windows, threshold_db,
+                                                 monkeypatch):
+    draws = []
+    real_draw = strategy_module.draw_acquisition
+
+    def record_draw(scn, seeds, length):
+        draws.append((len(seeds), length))
+        return real_draw(scn, seeds, length)
+
+    monkeypatch.setattr(strategy_module, "draw_acquisition", record_draw)
+    logs = run_closed_loop(SCN, StrategyConfig(
+        kind="spatial", prominence_threshold_db=threshold_db), n_windows, 5)
+    length = SCN.slow_time_samples
+    windows = [n for n, n_pulses in draws if n_pulses == length]
+    refixes = sum(log.state.needs_position_fix for log in logs)
+    assert windows == [min(SEED_CHUNK, n_windows - start)
+                       for start in range(0, n_windows, SEED_CHUNK)]
+    assert len(windows) == ceil(n_windows / SEED_CHUNK)
+    assert len(draws) == len(windows) + (n_windows > 0) + refixes
 
 
 @pytest.mark.parametrize("kind", ["spatial", "temporal"])

@@ -13,10 +13,11 @@ every bit of a sweep row, a closed-loop log and a single-run record. Twenty swee
 2 * SEED_CHUNK + 1 seeds.
 The loop log holds no position estimate, so the root-MUSIC probe has a
 digest of its own (ten seeds on three scenarios).
-The CLI digests pin every byte `risvital acquire` and `risvital sweep`
-write on the example config, file names and metadata sidecars included,
-so the CSV text format (shortest round-trip `repr`, `\n` line ends) and
-the sidecar layout are pinned as well as the numbers.
+The CLI digests pin every byte `risvital acquire`, `risvital sweep` and
+`risvital loop` write on the example config, file names and metadata
+sidecars included, so the CSV text format (shortest round-trip `repr`,
+`\n` line ends) and the sidecar layout are pinned as well as the numbers.
+A 33-window loop draws its windows in two passes (`SEED_CHUNK` = 32).
 The values hold for numpy's float64 kernels on x86-64 (numpy 2.4); a
 different numpy or CPU may round differently and fail them.
 """
@@ -72,6 +73,12 @@ CLI_DIGESTS = {
         "dde30c3ec86863392153e1ec842ed3caf56e479316e0e9bbc9e6c926551c429b",
     "acquire-temporal":
         "5aee6cfd3f8addd205ebe90db2c9f295e87c3832d3cb7fc5629ba7b0972a722c",
+    "loop-opportunistic":
+        "0f9da4e7846c274e90cc67e150e019a376a7852b556556b573da2eb66b561029",
+    "loop-spatial":
+        "9bcbb67bc1d6509c1d43f2b9472b34ada68d275149f8ca99367b1928df8440cf",
+    "loop-temporal":
+        "525e4a1d461f1e3063f83200634216ddf77412deceb89a328c550336cf4d5fc1",
     "sweep":
         "d8c1d27452df371d59b6e5791fe16fd25a24a5b5a49bd55f68d91442127baa22",
 }
@@ -81,7 +88,9 @@ CLI_ARGS = {
     "acquire-spatial": ["acquire", "--seed", "7", "--strategy", "spatial"],
     "acquire-temporal": ["acquire", "--seed", "7", "--strategy", "temporal"],
     "sweep": ["sweep", "--seeds", "3", "--gammas", "0.3,0.5"],
-}
+} | {f"loop-{kind}": ["loop", "--windows", "33", "--seed", "3",
+                      "--strategy", kind]
+     for kind in ("opportunistic", "spatial", "temporal")}
 
 
 def _probe_scenario(name: str) -> Scenario:

@@ -270,28 +270,29 @@ class TestClosedLoop:
             assert key in entry
 
     def test_position_fix_probes_draw_their_own_streams(self, monkeypatch):
-        # an unreachable threshold forces a re-fix after every window
-        used = {"window": [], "probe": []}
-        real_run_once = strategy_module.run_once
+        # an unreachable threshold forces a re-fix after every window;
+        # windows and probes alike draw through draw_acquisition
+        drawn, probes = [], []
+        real_draw = strategy_module.draw_acquisition
         real_estimate = strategy_module.estimate_position
 
-        def record_run(scn, strategy, seed):
-            used["window"].append(seed.spawn_key)
-            return real_run_once(scn, strategy, seed)
+        def record_draw(scn, seeds, length):
+            drawn.extend(seed.spawn_key for seed in seeds)
+            return real_draw(scn, seeds, length)
 
         def record_probe(scn, seed):
-            used["probe"].append(seed.spawn_key)
+            probes.append(seed.spawn_key)
             return real_estimate(scn, seed)
 
-        monkeypatch.setattr(strategy_module, "run_once", record_run)
+        monkeypatch.setattr(strategy_module, "draw_acquisition", record_draw)
         monkeypatch.setattr(strategy_module, "estimate_position",
                             record_probe)
         logs = run_closed_loop(Scenario(), StrategyConfig(
             kind="spatial", prominence_threshold_db=1e3), 3, seed=4)
         assert all(log.state.needs_position_fix for log in logs)
-        keys = used["window"] + used["probe"]
-        assert len(used["probe"]) == 4
-        assert len(set(keys)) == len(keys) == 7
+        assert len(probes) == 4
+        assert len(set(drawn)) == len(drawn) == 7
+        assert set(probes) < set(drawn)
 
     def test_probes_share_the_scenario_scene(self, monkeypatch):
         # an unreachable threshold forces a re-fix after every window; every
