@@ -70,7 +70,8 @@ def cmd_acquire(args) -> dict:
     scenario, strategy, sweep = _load(args)
     length, least = scenario.slow_time_samples, scenario.min_branch_slots
     for label, slots in zip(("direct", "ris"),
-                            branch_slots(strategy, length)):
+                            branch_slots(strategy.kind, strategy.ris_share,
+                                         length)):
         have = len(range(length)[slots])
         if have < least:
             raise ConfigError(f"the {label} branch gets {have} slow-time "

@@ -4,7 +4,8 @@ Three ways to divide the budget between the direct and RIS paths:
 temporal (alternate full-power beams over slow-time slots), spatial
 (one constant split precoder), and opportunistic (all power on the
 currently trusted path, switching on sustained quality loss). The share
-parameter is always the RIS path's share of the resource.
+parameter is always the RIS path's share of the resource, and a transmit
+plan is fixed by its kind and that share alone.
 """
 
 from dataclasses import dataclass, replace
@@ -21,6 +22,9 @@ STRATEGY_KINDS = ("temporal", "spatial", "opportunistic")
 SWEEP_KINDS = ("spatial", "temporal")  # the kinds with a share to sweep
 SEED_CHUNK = 32  # seeds per sweep or loop draw, which bounds its memory
 PROBE_PULSES = 64  # a position probe's pulses, from the window's start
+# RIS share of an opportunistic window: all power on its path, or the
+# even split that a probe of both paths (and `estimate_position`) uses
+PATH_SHARES = {"direct": 0.0, "ris": 1.0, None: 0.5}
 
 
 @dataclass(frozen=True)
@@ -68,36 +72,35 @@ class LoopState:
     needs_position_fix: bool = False
 
 
-def branch_slots(strategy: StrategyConfig, length: int):
+def branch_slots(kind: str, share: float, length: int):
     """The direct and RIS slot slices: under temporal separation a leading
     direct block and a trailing RIS block, else every slot for both."""
-    if strategy.kind != "temporal":
+    if kind != "temporal":
         return slice(None), slice(None)
-    boundary = length - int(round(strategy.ris_share * length))
+    boundary = length - int(round(share * length))
     return slice(boundary), slice(boundary, length)
 
 
-def plan_transmissions(scn: Scenario, strategy: StrategyConfig, length: int):
+def plan_transmissions(scn: Scenario, kind: str, share: float, length: int):
     """Per-pulse precoder schedule (M, L) and the slot slices it implies,
     built on the scene's steering pair and the radar's power budget.
 
-    Spatial separation repeats one split precoder; temporal separation
-    alternates the two full-power beams over the slot pattern;
-    opportunistic transmits full power on the selected path throughout.
+    Temporal separation alternates the two full-power beams over the slot
+    pattern, with `share` of the slots on the RIS beam; every other kind
+    repeats one split precoder with `share` of the response on the RIS
+    path, which opportunistic sets from PATH_SHARES.
     """
+    if not 0.0 <= share <= 1.0:
+        raise ValueError(f"RIS share {share} outside [0, 1]")
     a_direct, a_ris = scn.tx_steering
-    slots_direct, slots_ris = branch_slots(strategy, length)
-    # (RIS share, slots) per beam; one beam on every slot unless temporal
-    if strategy.kind == "temporal":
-        beams = ((0.0, slots_direct), (1.0, slots_ris))
-    else:  # opportunistic: all on the active path
-        constant = strategy.ris_share if strategy.kind == "spatial" \
-            else float((strategy.initial_path or "ris") == "ris")
-        beams = ((constant, slots_direct),)
+    slots_direct, slots_ris = branch_slots(kind, share, length)
+    # (direct share, slots) per beam; one beam on every slot unless temporal
+    beams = (((1.0, slots_direct), (0.0, slots_ris)) if kind == "temporal"
+             else ((1.0 - share, slots_direct),))
     schedule = np.empty((a_direct.size, length), dtype=complex)
-    for share, slots in beams:
+    for gamma, slots in beams:
         schedule[:, slots] = split_precoder(
-            a_direct, a_ris, 1.0 - share, scn.radar.total_power).weights[:, None]
+            a_direct, a_ris, gamma, scn.radar.total_power).weights[:, None]
     return schedule, slots_direct, slots_ris
 
 
@@ -141,9 +144,12 @@ def run_once(scn: Scenario, strategy: StrategyConfig, seed):
     """One acquisition window under a strategy, extracted on both paths.
 
     Returns the (M, L) record and the per-path estimates of `seed`: row 0
-    of its batch of one, so each estimate holds Python-float peaks.
+    of its batch of one, so each estimate holds Python-float peaks. A lone
+    opportunistic window transmits on `initial_path`, the RIS by default.
     """
-    schedule, *slots = plan_transmissions(scn, strategy,
+    share = PATH_SHARES[strategy.initial_path or "ris"] \
+        if strategy.kind == "opportunistic" else strategy.ris_share
+    schedule, *slots = plan_transmissions(scn, strategy.kind, share,
                                           scn.slow_time_samples)
     record = simulate_acquisition(scn, schedule, [seed])
     return record[0], {label: est and est.row(0) for label, est
@@ -163,10 +169,9 @@ def gamma_sweep(scn: Scenario, kind: str, gamma_grid, seeds) -> list[dict]:
     if kind not in SWEEP_KINDS:
         raise ValueError(f"sweep supports {' or '.join(SWEEP_KINDS)}, got {kind!r}")
     length, seeds = scn.slow_time_samples, list(seeds)
-    # StrategyConfig rejects a share outside [0, 1] before any draw
-    plans = [(g, plan_transmissions(
-        scn, StrategyConfig(kind=kind, ris_share=g), length))
-        for g in map(float, gamma_grid)]
+    # a share outside [0, 1] is rejected here, before any draw
+    plans = [(g, plan_transmissions(scn, kind, g, length))
+             for g in map(float, gamma_grid)]
     if not plans:
         raise ValueError("gamma grid is empty")
     rows = [[] for _ in plans]
@@ -225,7 +230,7 @@ def estimate_position(scn: Scenario, seed) -> float:
     farther from the known RIS direction is taken as the target.
     """
     n = min(PROBE_PULSES, scn.slow_time_samples)
-    schedule = plan_transmissions(scn, StrategyConfig(), n)[0]
+    schedule = plan_transmissions(scn, "spatial", PATH_SHARES[None], n)[0]
     record = compose_record(draw_acquisition(scn, [seed], n), schedule)[0]
     snapshots = record - record.mean(axis=1, keepdims=True)
     angles = root_music_doa(snapshots, 2, scn.radar.array_config)
@@ -242,12 +247,14 @@ def run_closed_loop(scn: Scenario, strategy: StrategyConfig, n_windows: int,
                     seed=0) -> list[WindowLog]:
     """Execute the full sensing loop for a number of acquisition windows.
 
-    Position estimation seeds the steering, the first window measures with
-    the configured allocation (an equal split for opportunistic probing,
-    unless `ideal` fixes the known-best path), and each window's quality
-    scores update the allocation for the next one. Window `i` draws child
-    `i + 1` of `seed` in lazy passes of up to SEED_CHUNK windows, and
-    composes its row under its own plan: bit for bit its lone `run_once`.
+    Position estimation seeds the steering, and each window's quality
+    scores update the allocation for the next. A window plans its kind at
+    the state's share (spatial, temporal) or at PATH_SHARES of its path
+    (opportunistic: the even split while probing, unless `ideal` fixes the
+    known-best path), and logs that share unless it had a path. Window `i`
+    draws child `i + 1` of `seed` in lazy passes of up to SEED_CHUNK
+    windows, and composes its row under its own plan: bit for bit its
+    lone `run_once`.
     """
     state = LoopState(gamma_ris=strategy.ris_share)
     if strategy.kind == "opportunistic":
@@ -265,8 +272,10 @@ def run_closed_loop(scn: Scenario, strategy: StrategyConfig, n_windows: int,
         draw_acquisition(scn, window_seeds[i:i + SEED_CHUNK], length)))
     for idx, (draw, fix_seed) in enumerate(zip(draws, fix_seeds)):
         path = state.active_path  # the path this window transmits on
-        window_strategy = _window_strategy(strategy, state)
-        schedule, *slots = plan_transmissions(scn, window_strategy, length)
+        share = PATH_SHARES[path] if strategy.kind == "opportunistic" \
+            else state.gamma_ris
+        schedule, *slots = plan_transmissions(scn, strategy.kind, share,
+                                              length)
         estimates = {label: est and est.row(0) for label, est in
                      extract_vital_signs(scn, compose_record(draw, schedule),
                                          *slots).items()}
@@ -274,21 +283,8 @@ def run_closed_loop(scn: Scenario, strategy: StrategyConfig, n_windows: int,
                                     estimates["ris"], strategy)
         if state.needs_position_fix:
             state.theta_direct_estimate = estimate_position(scn, fix_seed)
-        gamma = None if window_strategy.kind == "opportunistic" \
-            else window_strategy.ris_share
         logs.append(WindowLog(window=idx, strategy=strategy.kind,
-                              gamma_ris=gamma, active_path=path,
-                              estimates=estimates, state=replace(state)))
+                              gamma_ris=None if path else share,
+                              active_path=path, estimates=estimates,
+                              state=replace(state)))
     return logs
-
-
-def _window_strategy(strategy: StrategyConfig, state: LoopState) -> StrategyConfig:
-    """Bind the current loop state into the per-window transmit plan."""
-    if strategy.kind == "spatial":
-        return replace(strategy, ris_share=state.gamma_ris)
-    if strategy.kind == "opportunistic":
-        if state.active_path is None:
-            # probing window: split evenly so both paths are observable
-            return StrategyConfig(kind="spatial", ris_share=0.5)
-        return replace(strategy, initial_path=state.active_path)
-    return strategy

@@ -9,8 +9,8 @@ import numpy as np
 from risvital.physio import _CM_PER_M, TRACE_HEADER, TraceError
 from risvital.scenario import child_seeds
 from risvital.sigproc import SignalError
-from risvital.strategy import (LoopState, WindowLog, _best_path_by_geometry,
-                               _window_strategy, estimate_position,
+from risvital.strategy import (LoopState, StrategyConfig, WindowLog,
+                               _best_path_by_geometry, estimate_position,
                                evaluate_and_update, run_once)
 
 
@@ -62,6 +62,18 @@ def write_trace_csv(path, traces) -> None:
         for i in range(lengths.pop()):
             writer.writerow([i] + [repr(float(t[i] * _CM_PER_M))
                                    for t in traces])
+
+
+def _window_strategy(strategy: StrategyConfig, state: LoopState) -> StrategyConfig:
+    """Bind the current loop state into the per-window transmit plan."""
+    if strategy.kind == "spatial":
+        return replace(strategy, ris_share=state.gamma_ris)
+    if strategy.kind == "opportunistic":
+        if state.active_path is None:
+            # probing window: split evenly so both paths are observable
+            return StrategyConfig(kind="spatial", ris_share=0.5)
+        return replace(strategy, initial_path=state.active_path)
+    return strategy
 
 
 def closed_loop_by_window(scn, strategy, n_windows: int, seed=0) -> list:

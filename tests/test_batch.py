@@ -81,9 +81,8 @@ def test_run_once_replays_from_one_seed_sequence(kind, entropy, spawn_key):
 
 
 def test_batched_acquisition_stacks_lone_acquisitions():
-    strategy = StrategyConfig(kind="temporal", ris_share=0.4)
     schedule, slots_direct, slots_ris = plan_transmissions(
-        SCN, strategy, SCN.slow_time_samples)
+        SCN, "temporal", 0.4, SCN.slow_time_samples)
     seeds = [3, np.random.SeedSequence(5), 3, 11]
     record = simulate_acquisition(SCN, schedule, seeds)
     channel = draw_acquisition(SCN, seeds, schedule.shape[1])[0]

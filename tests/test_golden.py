@@ -18,6 +18,10 @@ The CLI digests pin every byte `risvital acquire`, `risvital sweep` and
 sidecars included, so the CSV text format (shortest round-trip `repr`,
 `\n` line ends) and the sidecar layout are pinned as well as the numbers.
 A 33-window loop draws its windows in two passes (`SEED_CHUNK` = 32).
+Two CLI digests pin plans that the default scene never reaches: a lone
+opportunistic `acquire`, and an `ideal` opportunistic loop on a config
+the test writes, with the chest turned to face the radar, so every
+window transmits on the direct beam (RIS share 0).
 The values hold for numpy's float64 kernels on x86-64 (numpy 2.4); a
 different numpy or CPU may round differently and fail them.
 """
@@ -71,6 +75,8 @@ PROBE_DIGESTS = {
 CLI_DIGESTS = {
     "acquire-spatial":
         "dde30c3ec86863392153e1ec842ed3caf56e479316e0e9bbc9e6c926551c429b",
+    "acquire-opportunistic":
+        "8020ab16f4c7f74d0378fad27a0b0c28bbe5ff6251c6543d4b1d24eefe4c1440",
     "acquire-temporal":
         "5aee6cfd3f8addd205ebe90db2c9f295e87c3832d3cb7fc5629ba7b0972a722c",
     "loop-opportunistic":
@@ -79,6 +85,8 @@ CLI_DIGESTS = {
         "9bcbb67bc1d6509c1d43f2b9472b34ada68d275149f8ca99367b1928df8440cf",
     "loop-temporal":
         "525e4a1d461f1e3063f83200634216ddf77412deceb89a328c550336cf4d5fc1",
+    "loop-turned-direct":
+        "8ce51ece8af05f989f8189bb4c696e195ef93fe410742cb0e0208332adf1fa4a",
     "sweep":
         "d8c1d27452df371d59b6e5791fe16fd25a24a5b5a49bd55f68d91442127baa22",
 }
@@ -87,10 +95,16 @@ EXAMPLE = Path(__file__).resolve().parents[1] / "scenario.example.yaml"
 CLI_ARGS = {
     "acquire-spatial": ["acquire", "--seed", "7", "--strategy", "spatial"],
     "acquire-temporal": ["acquire", "--seed", "7", "--strategy", "temporal"],
+    "acquire-opportunistic": ["acquire", "--seed", "7",
+                              "--strategy", "opportunistic"],
+    "loop-turned-direct": ["loop", "--windows", "5", "--seed", "3"],
     "sweep": ["sweep", "--seeds", "3", "--gammas", "0.3,0.5"],
 } | {f"loop-{kind}": ["loop", "--windows", "33", "--seed", "3",
                       "--strategy", kind]
      for kind in ("opportunistic", "spatial", "temporal")}
+# a config the test writes beside `--out` instead of the example config
+CLI_CONFIGS = {"loop-turned-direct": "placement: {chest_normal: [-1, 0, 0]}\n"
+               "strategy: {kind: opportunistic, ideal: true}\n"}
 
 
 def _probe_scenario(name: str) -> Scenario:
@@ -140,7 +154,11 @@ def probe_digest(name: str) -> str:
 
 def cli_digest(name: str, out: Path) -> str:
     """Names and bytes of every file one CLI command writes into `out`."""
-    assert main([*CLI_ARGS[name], "--config", str(EXAMPLE),
+    config = EXAMPLE
+    if name in CLI_CONFIGS:
+        config = out.parent / "config.yaml"
+        config.write_text(CLI_CONFIGS[name])
+    assert main([*CLI_ARGS[name], "--config", str(config),
                  "--out", str(out)]) == 0
     digest = hashlib.sha256()
     for path in sorted(out.iterdir()):

@@ -7,7 +7,8 @@ from risvital import strategy as strategy_module
 from risvital.beamform import temporal_weights
 from risvital.scenario import Scenario, noiseless
 from risvital.sigproc import Spectrum, VitalSignEstimate
-from risvital.strategy import (LoopState, StrategyConfig, branch_slots,
+from risvital.strategy import (PATH_SHARES, STRATEGY_KINDS, SWEEP_KINDS,
+                               LoopState, StrategyConfig, branch_slots,
                                evaluate_and_update, gamma_sweep,
                                plan_transmissions, run_closed_loop, run_once)
 
@@ -26,8 +27,7 @@ class TestPlanTransmissions:
         self.p = self.scn.radar.total_power
 
     def test_spatial_constant_schedule(self):
-        schedule, sd, sr = plan_transmissions(
-            self.scn, StrategyConfig(kind="spatial", ris_share=0.5), 240)
+        schedule, sd, sr = plan_transmissions(self.scn, "spatial", 0.5, 240)
         assert schedule.shape == (5, 240)
         assert sd == sr == slice(None)
         assert np.all(schedule == schedule[:, :1])
@@ -35,8 +35,7 @@ class TestPlanTransmissions:
         assert power == pytest.approx(self.p, rel=1e-9)
 
     def test_temporal_half_split(self):
-        schedule, sd, sr = plan_transmissions(
-            self.scn, StrategyConfig(kind="temporal", ris_share=0.5), 240)
+        schedule, sd, sr = plan_transmissions(self.scn, "temporal", 0.5, 240)
         sd, sr = range(240)[sd], range(240)[sr]
         assert len(sd) == 120 and len(sr) == 120
         assert set(sd) | set(sr) == set(range(240))
@@ -52,28 +51,43 @@ class TestPlanTransmissions:
         # pulse by pulse from temporal_weights
         length = 240
         for share in (0.0, 0.1, 0.5, 0.9, 1.0):
-            schedule, sd, sr = plan_transmissions(
-                self.scn, StrategyConfig(kind="temporal", ris_share=share),
-                length)
+            schedule, sd, sr = plan_transmissions(self.scn, "temporal", share,
+                                                  length)
             sd, sr = range(length)[sd], range(length)[sr]
             for l in range(length):
                 oracle = temporal_weights(l, sd, sr, self.a_d, self.a_r,
                                           self.p).weights
                 assert schedule[:, l].tobytes() == oracle.tobytes(), (share, l)
 
-    def test_opportunistic_pins_one_path(self):
-        schedule, _, _ = plan_transmissions(
-            self.scn, StrategyConfig(kind="opportunistic", initial_path="ris"),
-            100)
+    @pytest.mark.parametrize("path", ["direct", "ris"])
+    def test_opportunistic_pins_one_path(self, path):
+        # all power on the path: the other direction is nulled
+        schedule, sd, sr = plan_transmissions(
+            self.scn, "opportunistic", PATH_SHARES[path], 100)
+        assert sd == sr == slice(None)
         assert np.all(schedule == schedule[:, :1])
-        assert abs(np.vdot(self.a_d, schedule[:, 0])) < 1e-12
+        other = self.a_d if path == "ris" else self.a_r
+        assert abs(np.vdot(other, schedule[:, 0])) < 1e-12
         power = np.real(np.vdot(schedule[:, 0], schedule[:, 0]))
         assert power == pytest.approx(self.p, rel=1e-9)
 
+    def test_probe_plan_is_the_even_spatial_split(self):
+        probe = plan_transmissions(self.scn, "opportunistic",
+                                   PATH_SHARES[None], 100)
+        split = plan_transmissions(self.scn, "spatial", 0.5, 100)
+        assert probe[0].tobytes() == split[0].tobytes()
+        assert probe[1:] == split[1:]
+
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    @pytest.mark.parametrize("share", [-0.1, 1.5, np.nan])
+    def test_plan_rejects_share_outside_unit_interval(self, kind, share):
+        with pytest.raises(ValueError):
+            plan_transmissions(self.scn, kind, share, 100)
+
     def test_power_budget_over_share_grid(self):
         for share in np.linspace(0, 1, 11):
-            strategy = StrategyConfig(kind="spatial", ris_share=float(share))
-            schedule, _, _ = plan_transmissions(self.scn, strategy, 16)
+            schedule, _, _ = plan_transmissions(self.scn, "spatial",
+                                                float(share), 16)
             for l in range(16):
                 power = np.real(np.vdot(schedule[:, l], schedule[:, l]))
                 assert power <= self.p * (1 + 1e-9)
@@ -89,8 +103,7 @@ class TestPlanTransmissions:
 
 def _temporal_slots(length, share):
     """The two temporal branches' slot indices over a `length` window."""
-    slots = branch_slots(StrategyConfig(kind="temporal", ris_share=share),
-                         length)
+    slots = branch_slots("temporal", share, length)
     return tuple(range(length)[s] for s in slots)
 
 
@@ -108,8 +121,9 @@ class TestTemporalSlots:
 
     @pytest.mark.parametrize("kind", ["spatial", "opportunistic"])
     def test_every_slot_without_temporal_split(self, kind):
-        assert branch_slots(StrategyConfig(kind=kind), 240) \
-            == (slice(None), slice(None))
+        for share in (0.0, 0.3, 1.0):
+            assert branch_slots(kind, share, 240) \
+                == (slice(None), slice(None))
 
 
 class TestEvaluateAndUpdate:
@@ -346,9 +360,16 @@ class TestGammaSweep:
         with pytest.raises(ValueError):
             gamma_sweep(Scenario(), "spatial", [], range(2))
 
-    def test_out_of_range_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            gamma_sweep(Scenario(), "spatial", [1.5], range(2))
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    @pytest.mark.parametrize("gamma", [-0.1, 1.5, np.nan])
+    def test_out_of_range_gamma_rejected(self, kind, gamma, monkeypatch):
+        # the plans reject the share before any seed is drawn
+        drawn = []
+        monkeypatch.setattr(strategy_module, "draw_acquisition",
+                            lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match="outside"):
+            gamma_sweep(Scenario(), kind, [0.5, gamma], range(2))
+        assert drawn == []
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
