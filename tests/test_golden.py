@@ -21,7 +21,11 @@ A 33-window loop draws its windows in two passes (`SEED_CHUNK` = 32).
 Two CLI digests pin plans that the default scene never reaches: a lone
 opportunistic `acquire`, and an `ideal` opportunistic loop on a config
 the test writes, with the chest turned to face the radar, so every
-window transmits on the direct beam (RIS share 0).
+window transmits on the direct beam (RIS share 0). Two more pin loops
+whose next plan is hard to foresee, over 33 windows: a spatial loop with
+the chest turned to [-0.8, 0.6, 0], whose share climbs and falls (0.5,
+0.4, 0.3, 0.4, ...), and an opportunistic loop with a 1000 dB threshold,
+which re-fixes every window and switches path every two.
 The values hold for numpy's float64 kernels on x86-64 (numpy 2.4); a
 different numpy or CPU may round differently and fail them.
 """
@@ -87,6 +91,10 @@ CLI_DIGESTS = {
         "525e4a1d461f1e3063f83200634216ddf77412deceb89a328c550336cf4d5fc1",
     "loop-turned-direct":
         "8ce51ece8af05f989f8189bb4c696e195ef93fe410742cb0e0208332adf1fa4a",
+    "loop-oscillating":
+        "652e84ec152041e66e39155d3afe4f09879a04e0c6d941d601163bc53121711c",
+    "loop-switching":
+        "7d9d4ecb1b02695cbc0b7f48336a283a5589a45e21c19efc6f727bbae51e77c8",
     "sweep":
         "d8c1d27452df371d59b6e5791fe16fd25a24a5b5a49bd55f68d91442127baa22",
 }
@@ -98,13 +106,21 @@ CLI_ARGS = {
     "acquire-opportunistic": ["acquire", "--seed", "7",
                               "--strategy", "opportunistic"],
     "loop-turned-direct": ["loop", "--windows", "5", "--seed", "3"],
+    "loop-oscillating": ["loop", "--strategy", "spatial", "--windows", "33",
+                         "--seed", "3"],
+    "loop-switching": ["loop", "--windows", "33", "--seed", "3"],
     "sweep": ["sweep", "--seeds", "3", "--gammas", "0.3,0.5"],
 } | {f"loop-{kind}": ["loop", "--windows", "33", "--seed", "3",
                       "--strategy", kind]
      for kind in ("opportunistic", "spatial", "temporal")}
 # a config the test writes beside `--out` instead of the example config
-CLI_CONFIGS = {"loop-turned-direct": "placement: {chest_normal: [-1, 0, 0]}\n"
-               "strategy: {kind: opportunistic, ideal: true}\n"}
+CLI_CONFIGS = {
+    "loop-turned-direct": "placement: {chest_normal: [-1, 0, 0]}\n"
+                          "strategy: {kind: opportunistic, ideal: true}\n",
+    "loop-oscillating": "placement: {chest_normal: [-0.8, 0.6, 0]}\n",
+    "loop-switching": "strategy: {kind: opportunistic, "
+                      "prominence_threshold: 1000 dB}\n",
+}
 
 
 def _probe_scenario(name: str) -> Scenario:
