@@ -21,16 +21,16 @@ the seed's first child, laid out as the channel block, the RIS then the
 direct RCS jitter (L each, reserved even without distortion), then the
 (2, M, L) noise, real parts first. Only `draw_acquisition` knows that
 layout; it hands the channel block to `realize_channel`, the one channel
-draw. `compose_record` excites a draw under a schedule and only reads
-it, so one draw serves every share of a sweep and every window of a
-loop (`draw_rows`). Seeds always come as a list, a leading axis of every
-draw, record and estimate; a lone run is the batch of one seed, and
+draw. `compose_record` excites a draw, or a range of its seeds, under
+a schedule or a stack of one schedule per seed, and only reads it, so
+one draw serves every share of a sweep and every window of a loop.
+Seeds always come as a list, a leading axis of every draw, record and
+estimate; a lone run is the batch of one seed, and
 every seed gets the same bits in any batch.
 """
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -342,28 +342,24 @@ def draw_acquisition(scn: Scenario, seeds: list, length: int) -> tuple:
     return channel, alpha, beta, z
 
 
-def draw_rows(draw: tuple):
-    """Seed by seed, what `compose_record` reads of `draw`, unchecked again."""
+def compose_record(draw: tuple, schedule: np.ndarray,
+                   rows=slice(None)) -> np.ndarray:
+    """The (K, M, L) records of the K seeds `rows` of `draw` picks (all by
+    default) under schedule (M, L), or row k under schedule k of a
+    (K, M, L) stack. The draw is only read, so one draw serves any number
+    of schedules: every share of a sweep, every window of a loop."""
     channel, *series = draw
-    arrays = channel.ris_cascade, channel.h_D, channel.H_C, *series
-    for i in range(len(channel.h_D)):
-        v_ris, h_d, h_c, *row = (a[i:i + 1] for a in arrays)
-        yield (SimpleNamespace(ris_cascade=v_ris, h_D=h_d, H_C=h_c), *row)
-
-
-def compose_record(draw: tuple, schedule: np.ndarray) -> np.ndarray:
-    """The (S, M, L) records of `draw` under schedule (M, L). The draw is
-    only read, so one draw serves any number of schedules."""
-    channel, alpha, beta, noise = draw
-    v_ris, h_d = channel.ris_cascade, channel.h_D
-    # (S, 1, M) @ (M, L) gives each seed the bits of a batch of one; an
-    # (S, M) @ (M, L) product rounds with the batch size. The sum is built
-    # in place in the order ((RIS + direct) + clutter) + noise.
+    v_ris, h_d, h_c, alpha, beta, noise = (
+        a[rows] for a in (channel.ris_cascade, channel.h_D, channel.H_C,
+                          *series))
+    # (K, 1, M) @ (M, L) or @ (K, M, L) gives each seed the bits of a batch
+    # of one; a (K, M) @ (M, L) product rounds with the batch size. The sum
+    # is built in place in the order ((RIS + direct) + clutter) + noise.
     samples = v_ris[:, :, None] * (alpha[:, None]
                                    * (v_ris[:, None, :] @ schedule))
     samples += h_d[:, :, None] * (beta[:, None]
                                   * (h_d[:, None, :] @ schedule))
-    samples += channel.H_C @ schedule
+    samples += h_c @ schedule
     samples += noise
     if not np.all(np.isfinite(samples)):
         raise SignalError("slow-time record contains non-finite entries")
@@ -376,7 +372,8 @@ def extract_vital_signs(scn: Scenario, record: np.ndarray,
 
     The branches are separated with the scene's receive weights, and each
     is demodulated over its own slow-time slots, a slice of the record
-    (`branch_slots`; every slot by default).
+    (`branch_slots`; every slot by default). Two graded branches over
+    the same slots are demodulated and graded as one stack.
     Returns a dict of path label to estimate (None for a branch too short
     to grade, or for a path with an angle gain of 0, which cannot see the
     chest). The (S, M, L) records give one estimate per path whose traces,
@@ -390,23 +387,33 @@ def extract_vital_signs(scn: Scenario, record: np.ndarray,
     rcs_direct, rcs_ris = scn.rcs_models
     gains = (angle_gain(rcs_direct, angles.chest_incidence_direct),
              angle_gain(rcs_ris, angles.chest_incidence_ris))
-    estimates = {}
+    branches = {}
     for label, series, slots, gain in zip(
             ("direct", "ris"), separate_paths(samples, *scn.receive_weights),
             (slots_direct, slots_ris), gains):
         series = series[..., slots]
-        if gain == 0.0 or series.shape[-1] < scn.min_branch_slots:
-            estimates[label] = None
-            continue
+        if gain != 0.0 and series.shape[-1] >= scn.min_branch_slots:
+            branches[label] = series
+
+    def grade(series):
         displacement = phase_demodulate(series, radar.wavelength,
                                         detrend=proc.detrend)
         # common frequency grid across branches: slot subsets are padded to
         # the full acquisition length so peak locations stay comparable
         spectrum = power_spectrum(displacement, radar.slow_rate,
                                   proc.zero_pad_factor * samples.shape[-1])
-        estimates[label] = VitalSignEstimate(
-            displacement, spectrum, *peak_quality(spectrum, proc.band))
-    return estimates
+        return displacement, spectrum, *peak_quality(spectrum, proc.band)
+
+    if len(branches) == 2 and slots_direct == slots_ris:
+        # both branches over the same slots: one pass over a (2, S, n) stack
+        displacement, spectrum, peak, prominence = grade(
+            np.stack(list(branches.values())))
+        return {label: VitalSignEstimate(
+                    displacement[j], replace(spectrum, power=spectrum.power[j]),
+                    peak[j], prominence[j])
+                for j, label in enumerate(branches)}
+    return {label: VitalSignEstimate(*grade(branches[label]))
+            if label in branches else None for label in ("direct", "ris")}
 
 
 def noiseless(scn: Scenario) -> Scenario:

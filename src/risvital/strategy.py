@@ -14,7 +14,7 @@ import numpy as np
 
 from .beamform import split_precoder
 from .scenario import (Scenario, child_seeds, compose_record,
-                       draw_acquisition, draw_rows, extract_vital_signs,
+                       draw_acquisition, extract_vital_signs,
                        simulate_acquisition)
 from .sigproc import VitalSignEstimate, root_music_doa
 
@@ -253,8 +253,16 @@ def run_closed_loop(scn: Scenario, strategy: StrategyConfig, n_windows: int,
     (opportunistic: the even split while probing, unless `ideal` fixes the
     known-best path), and logs that share unless it had a path. Window `i`
     draws child `i + 1` of `seed` in lazy passes of up to SEED_CHUNK
-    windows, and composes its row under its own plan: bit for bit its
-    lone `run_once`.
+    windows. Within a pass the loop predicts the coming windows' states by
+    chaining its own update, as if each measured what the latest window
+    did, and composes and extracts their rows, each under its own plan, as
+    one batch. It keeps windows in order while the real share equals the
+    predicted one, which compares all a plan is built from (a loop's kind
+    is fixed; only temporal plans split the slots, at a fixed share), and
+    predicts afresh from the first miss. Window 0, with no estimate yet,
+    runs alone; a batch holds at most twice the windows the last one kept
+    after a miss, and the cap doubles after a full hit. Each window is bit
+    for bit its lone `run_once`.
     """
     state = LoopState(gamma_ris=strategy.ris_share)
     if strategy.kind == "opportunistic":
@@ -267,24 +275,47 @@ def run_closed_loop(scn: Scenario, strategy: StrategyConfig, n_windows: int,
     seeds = child_seeds(seed, 2 * n_windows + 1)
     window_seeds, fix_seeds = seeds[1:n_windows + 1], seeds[n_windows + 1:]
     state.theta_direct_estimate = estimate_position(scn, seeds[0])
-    length = scn.slow_time_samples
-    draws = (row for i in range(0, n_windows, SEED_CHUNK) for row in draw_rows(
-        draw_acquisition(scn, window_seeds[i:i + SEED_CHUNK], length)))
-    for idx, (draw, fix_seed) in enumerate(zip(draws, fix_seeds)):
-        path = state.active_path  # the path this window transmits on
-        share = PATH_SHARES[path] if strategy.kind == "opportunistic" \
-            else state.gamma_ris
-        schedule, *slots = plan_transmissions(scn, strategy.kind, share,
-                                              length)
-        estimates = {label: est and est.row(0) for label, est in
-                     extract_vital_signs(scn, compose_record(draw, schedule),
-                                         *slots).items()}
-        state = evaluate_and_update(state, estimates["direct"],
-                                    estimates["ris"], strategy)
-        if state.needs_position_fix:
-            state.theta_direct_estimate = estimate_position(scn, fix_seed)
-        logs.append(WindowLog(window=idx, strategy=strategy.kind,
-                              gamma_ris=None if path else share,
-                              active_path=path, estimates=estimates,
-                              state=replace(state)))
+    length, plans = scn.slow_time_samples, {}  # a plan per share seen
+
+    def share_of(state):
+        return PATH_SHARES[state.active_path] \
+            if strategy.kind == "opportunistic" else state.gamma_ris
+
+    idx, latest, cap = 0, None, SEED_CHUNK
+    for start in range(0, n_windows, SEED_CHUNK):
+        stop = min(start + SEED_CHUNK, n_windows)
+        draw = draw_acquisition(scn, window_seeds[start:stop], length)
+        while idx < stop:
+            # the coming windows' states, as if each measured `latest`
+            predicted = [state]
+            while latest and len(predicted) < min(cap, stop - idx):
+                predicted.append(evaluate_and_update(
+                    predicted[-1], latest["direct"], latest["ris"], strategy))
+            shares = [share_of(s) for s in predicted]
+            for share in set(shares) - plans.keys():
+                plans[share] = plan_transmissions(scn, strategy.kind, share,
+                                                  length)
+            rows = slice(idx - start, idx - start + len(shares))
+            batch = extract_vital_signs(scn, compose_record(
+                draw, np.stack([plans[share][0] for share in shares]), rows),
+                *plans[shares[0]][1:])
+            for k, share in enumerate(shares):
+                if share_of(state) != share:  # mispredicted: redo from here
+                    cap = 2 * k
+                    break
+                path = state.active_path  # the path this window transmits on
+                latest = {label: est and est.row(k)
+                          for label, est in batch.items()}
+                state = evaluate_and_update(state, latest["direct"],
+                                            latest["ris"], strategy)
+                if state.needs_position_fix:
+                    state.theta_direct_estimate = estimate_position(
+                        scn, fix_seeds[idx])
+                logs.append(WindowLog(window=idx, strategy=strategy.kind,
+                                      gamma_ris=None if path else share,
+                                      active_path=path, estimates=latest,
+                                      state=replace(state)))
+                idx += 1
+            else:  # every prediction held
+                cap = min(2 * cap, SEED_CHUNK)
     return logs

@@ -16,7 +16,7 @@ from risvital import scenario as scenario_module
 from risvital import strategy as strategy_module
 from risvital.config import load_config
 from risvital.physio import RcsModel
-from risvital.scenario import Scenario, draw_acquisition, \
+from risvital.scenario import Scenario, compose_record, draw_acquisition, \
     extract_vital_signs, simulate_acquisition
 from risvital.sigproc import Spectrum, VitalSignEstimate
 from risvital.strategy import (SEED_CHUNK, STRATEGY_KINDS, StrategyConfig,
@@ -106,12 +106,16 @@ def test_batched_acquisition_stacks_lone_acquisitions():
                               {p: est.row(0) for p, est in lone.items()})
 
 
-def _turned(scn: Scenario) -> Scenario:
-    """The scene with the chest facing the radar instead of the RIS."""
+def _facing(scn: Scenario, chest: str) -> Scenario:
+    """The scene with the chest facing the RIS (as built), the radar, or
+    [-0.8, 0.6, 0], where a spatial loop's share climbs and falls."""
     place = scn.placement
-    facing = place.radar_position - place.target_position
+    if chest == "ris":
+        return scn
+    normal = place.radar_position - place.target_position \
+        if chest == "radar" else np.array([-0.8, 0.6, 0.0])
     return replace(scn, placement=replace(
-        place, chest_normal=facing / np.linalg.norm(facing)))
+        place, chest_normal=normal / np.linalg.norm(normal)))
 
 
 SEED_SEQUENCES = st.builds(
@@ -123,16 +127,23 @@ SEED_SEQUENCES = st.builds(
 @settings(max_examples=12, deadline=None)
 @given(kind=st.sampled_from(STRATEGY_KINDS), ideal=st.booleans(),
        initial_path=st.sampled_from([None, "direct", "ris"]),
-       threshold_db=st.sampled_from([6.0, 1e3]), turned=st.booleans(),
+       threshold_db=st.sampled_from([6.0, 1e3]),
+       chest=st.sampled_from(["ris", "radar", "oscillating"]),
        n_windows=st.integers(0, SEED_CHUNK + 2),
        seed=st.one_of(st.integers(0, 2 ** 32 - 1), SEED_SEQUENCES))
 @example(kind="opportunistic", ideal=False, initial_path=None,
-         threshold_db=6.0, turned=False, n_windows=2 * SEED_CHUNK + 1,
+         threshold_db=6.0, chest="ris", n_windows=2 * SEED_CHUNK + 1,
          seed=3)
+# the two loops whose plans are hardest to predict: a spatial share that
+# climbs and falls, and a path switch every two windows
+@example(kind="spatial", ideal=False, initial_path=None, threshold_db=6.0,
+         chest="oscillating", n_windows=2 * SEED_CHUNK + 1, seed=3)
+@example(kind="opportunistic", ideal=False, initial_path=None,
+         threshold_db=1e3, chest="ris", n_windows=2 * SEED_CHUNK + 1, seed=3)
 def test_closed_loop_equals_one_run_per_window(
-        kind, ideal, initial_path, threshold_db, turned, n_windows, seed):
+        kind, ideal, initial_path, threshold_db, chest, n_windows, seed):
     # a threshold of 1e3 dB is never reached, so every window re-fixes
-    scn = _turned(SCN) if turned else SCN
+    scn = _facing(SCN, chest)
     strategy = StrategyConfig(kind=kind, ideal=ideal,
                               initial_path=initial_path,
                               prominence_threshold_db=threshold_db)
@@ -154,6 +165,61 @@ def test_closed_loop_equals_one_run_per_window(
                 assert a.tobytes() == b.tobytes()
             assert repr((est.peak_freq, est.peak_prominence_db)) == \
                 repr((other.peak_freq, other.peak_prominence_db))
+
+
+def _extracted_rows(monkeypatch) -> list:
+    """Rows of each `extract_vital_signs` call the closed loop makes."""
+    rows = []
+    real_extract = strategy_module.extract_vital_signs
+
+    def record_extract(scn, record, *slots):
+        rows.append(len(record))
+        return real_extract(scn, record, *slots)
+
+    monkeypatch.setattr(strategy_module, "extract_vital_signs",
+                        record_extract)
+    return rows
+
+
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_closed_loop_extracts_predicted_windows_as_one_batch(kind,
+                                                             monkeypatch):
+    # window 0 has no estimate to predict from; the other four are one batch
+    rows = _extracted_rows(monkeypatch)
+    run_closed_loop(SCN, StrategyConfig(kind=kind), 5, 3)
+    assert rows == [1, 4]
+
+
+@pytest.mark.parametrize("n_windows", [SEED_CHUNK + 1, 2 * SEED_CHUNK + 1])
+def test_closed_loop_bounds_rows_lost_to_mispredictions(n_windows,
+                                                        monkeypatch):
+    # the share climbs and falls, so predictions often miss
+    rows = _extracted_rows(monkeypatch)
+    logs = run_closed_loop(_facing(SCN, "oscillating"),
+                           StrategyConfig(kind="spatial"), n_windows, 3)
+    shares = [log.gamma_ris for log in logs]
+    assert any(a > b for a, b in zip(shares, shares[1:]))
+    assert any(a < b for a, b in zip(shares, shares[1:]))
+    assert n_windows < sum(rows) <= 3 * n_windows
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["spatial", "temporal"]),
+       seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=6),
+       shares=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+       start=st.integers(0, 2))
+def test_record_of_schedule_stack_equals_rows_composed_alone(
+        kind, seeds, shares, start):
+    length = SCN.slow_time_samples
+    draw = draw_acquisition(SCN, [99] * start + seeds, length)
+    schedules = [plan_transmissions(SCN, kind, share, length)[0]
+                 for share in shares[:len(seeds)]]
+    record = compose_record(draw, np.stack(schedules),
+                            slice(start, start + len(seeds)))
+    assert record.shape == (len(seeds),) + schedules[0].shape
+    for row, seed, schedule in zip(record, seeds, schedules):
+        assert row.tobytes() == \
+            simulate_acquisition(SCN, schedule, [seed])[0].tobytes()
 
 
 @pytest.mark.parametrize("n_windows, threshold_db", [
@@ -195,7 +261,10 @@ def test_sweep_pass_builds_one_estimate_per_path(kind, monkeypatch):
         return dict(counts)
 
     one = built(1)
-    assert one["VitalSignEstimate"] == one["Spectrum"] == 2
+    # a spatial pass grades both branches as one stack: its spectrum, then
+    # one per path; temporal branches differ in length and stay apart
+    assert one["VitalSignEstimate"] == 2
+    assert one["Spectrum"] == (3 if kind == "spatial" else 2)
     assert built(20) == one
 
 

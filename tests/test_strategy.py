@@ -1,7 +1,11 @@
+from copy import deepcopy
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
-from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risvital import strategy as strategy_module
 from risvital.beamform import temporal_weights
@@ -172,6 +176,32 @@ class TestEvaluateAndUpdate:
                      for p in (est_direct, est_ris)]
         out = evaluate_and_update(LoopState(), *estimates, cfg)
         assert out.active_path == chosen
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(STRATEGY_KINDS), gamma=st.floats(0.05, 0.95),
+           path=st.sampled_from([None, "direct", "ris"]),
+           count=st.integers(0, 3), fix=st.booleans(),
+           proms=st.lists(st.one_of(st.none(), st.floats(0.0, 40.0)),
+                          min_size=2, max_size=2))
+    def test_leaves_state_and_estimates_unmodified(self, kind, gamma, path,
+                                                   count, fix, proms):
+        # the closed loop chains the update from its real state to predict
+        # the coming windows, reusing one window's estimates for each
+        state = LoopState(gamma, path, count, 0.1, fix)
+        estimates = [None if p is None else fake_estimate(p) for p in proms]
+        before = deepcopy((state, estimates))
+        evaluate_and_update(state, *estimates, StrategyConfig(kind=kind))
+        assert state == before[0]
+        for est, old in zip(estimates, before[1]):
+            if est is None or old is None:
+                assert est is old is None
+                continue
+            assert (est.peak_freq, est.peak_prominence_db) == \
+                (old.peak_freq, old.peak_prominence_db)
+            for a, b in ((est.displacement, old.displacement),
+                         (est.spectrum.freqs, old.spectrum.freqs),
+                         (est.spectrum.power, old.spectrum.power)):
+                assert a.tobytes() == b.tobytes()
 
     def test_opportunistic_hysteresis(self):
         cfg = StrategyConfig(kind="opportunistic", prominence_threshold_db=6.0,
