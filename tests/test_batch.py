@@ -203,6 +203,26 @@ def test_closed_loop_bounds_rows_lost_to_mispredictions(n_windows,
     assert n_windows < sum(rows) <= 3 * n_windows
 
 
+# (extraction calls, rows extracted) of a seed-3 loop at 5, 33 and 65
+# windows: what the loop's batching costs, which any rewrite must keep
+STEADY_BATCHES = {5: (2, 5), 33: (3, 33), 65: (4, 65)}
+
+
+@pytest.mark.parametrize("kind, chest, threshold_db, batches", [
+    ("spatial", "oscillating", 6.0, {5: (4, 8), 33: (21, 90), 65: (43, 156)}),
+    ("opportunistic", "ris", 1e3, STEADY_BATCHES),
+    ("spatial", "ris", 6.0, STEADY_BATCHES),
+    ("temporal", "ris", 6.0, STEADY_BATCHES),
+])
+@pytest.mark.parametrize("n_windows", [5, 33, 65])
+def test_closed_loop_batches_are_pinned(kind, chest, threshold_db, batches,
+                                        n_windows, monkeypatch):
+    rows = _extracted_rows(monkeypatch)
+    run_closed_loop(_facing(SCN, chest), StrategyConfig(
+        kind=kind, prominence_threshold_db=threshold_db), n_windows, 3)
+    assert (len(rows), sum(rows)) == batches[n_windows]
+
+
 @settings(max_examples=20, deadline=None)
 @given(kind=st.sampled_from(["spatial", "temporal"]),
        seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=6),
