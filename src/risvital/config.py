@@ -131,7 +131,7 @@ _KINDS = {
                                     "true or false"),
     "text": lambda v, key: _require(isinstance(v, str), v, key, "a string"),
     "vector": _vector,
-    # None stands for auto, resolved against the placement in parse_config.
+    # None stands for auto, which Placement resolves to face the RIS.
     "chest": lambda v, key: None if v == "auto" else _vector(v, key),
     "window": _window,
     "band": _band,
@@ -235,11 +235,7 @@ def parse_config(doc: dict):
     _reject_unknown(doc, "top-level")
 
     defaults = {attr: make() for attr, make, _ in SCHEMA.values()}
-    placement, base = fields["placement"], defaults["placement"]
-    if placement.get("chest_normal") is None:  # auto: face the RIS
-        facing = (placement.get("ris_center", base.ris_center)
-                  - placement.get("target_position", base.target_position))
-        placement["chest_normal"] = facing / np.linalg.norm(facing)
+    fields["placement"].setdefault("chest_normal", None)  # auto unless given
     try:
         built = {attr: replace(default, **fields[attr])
                  for attr, default in defaults.items()}

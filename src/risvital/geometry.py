@@ -20,8 +20,8 @@ class GeometryError(ValueError):
 
 def _as_point(v) -> np.ndarray:
     a = np.asarray(v, dtype=float)
-    if a.shape != (3,):
-        raise GeometryError(f"expected a 3-vector, got shape {a.shape}")
+    if a.shape != (3,) or not np.all(np.isfinite(a)):
+        raise GeometryError(f"expected a finite 3-vector, got {v!r}")
     return a
 
 
@@ -59,13 +59,15 @@ class ArrayConfig:
 
 @dataclass(frozen=True, eq=False)
 class Placement:
-    """Radar, RIS panel, and target positions with surface normals [m]."""
+    """Radar, RIS panel, and target positions with surface normals [m].
+
+    A chest normal of None (auto) faces the chest toward the RIS."""
 
     radar_position: np.ndarray
     ris_center: np.ndarray
     ris_normal: np.ndarray
     target_position: np.ndarray
-    chest_normal: np.ndarray
+    chest_normal: np.ndarray | None = None
 
     _FIELDS = ("radar_position", "ris_center", "ris_normal",
                "target_position", "chest_normal")
@@ -77,12 +79,9 @@ class Placement:
                    for name in self._FIELDS)
 
     def __post_init__(self):
-        for name in self._FIELDS:
+        given = self._FIELDS[:-1] if self.chest_normal is None else self._FIELDS
+        for name in given:
             object.__setattr__(self, name, _as_point(getattr(self, name)))
-        for name in ("ris_normal", "chest_normal"):
-            norm = np.linalg.norm(getattr(self, name))
-            if abs(norm - 1.0) > 1e-12:
-                raise GeometryError(f"{name} must have unit length, got {norm}")
         points = [self.radar_position, self.ris_center, self.target_position]
         labels = ["radar", "ris", "target"]
         for i in range(3):
@@ -90,6 +89,14 @@ class Placement:
                 if np.linalg.norm(points[i] - points[j]) == 0.0:
                     raise GeometryError(
                         f"{labels[i]} and {labels[j]} positions coincide")
+        if self.chest_normal is None:
+            facing = self.ris_center - self.target_position
+            object.__setattr__(self, "chest_normal",
+                               facing / np.linalg.norm(facing))
+        for name in ("ris_normal", "chest_normal"):
+            norm = np.linalg.norm(getattr(self, name))
+            if abs(norm - 1.0) > 1e-12:
+                raise GeometryError(f"{name} must have unit length, got {norm}")
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,10 @@ draw. `compose_record` excites a draw, or a range of its seeds, under
 a schedule or a stack of one schedule per seed, and only reads it, so
 one draw serves every share of a sweep and every window of a loop.
 Seeds always come as a list, a leading axis of every draw, record and
-estimate; a lone run is the batch of one seed, and
-every seed gets the same bits in any batch.
+estimate; a lone run is the batch of one seed, and every seed gets the
+same bits in any batch of fewer than 16384 pulses in all (seeds x
+pulses). A larger batch may round apart: numpy then reuses its complex
+temporaries in place. Hence sweeps and loops size their passes in pulses.
 """
 
 from dataclasses import dataclass, field, replace
@@ -155,16 +157,11 @@ class ProcessingConfig:
 
 
 def default_placement() -> Placement:
-    """Radar 3 m from the chest, RIS panel facing the chest from the front."""
-    target = np.array([3.0, 0.0, 1.0])
-    ris = np.array([2.707, 1.4606, 1.0])
-    chest_normal = ris - target
-    chest_normal /= np.linalg.norm(chest_normal)
+    """Radar 3 m from the chest, the chest facing the RIS panel (auto)."""
     return Placement(radar_position=np.array([0.0, 0.0, 1.0]),
-                     ris_center=ris,
+                     ris_center=np.array([2.707, 1.4606, 1.0]),
                      ris_normal=np.array([0.0, -1.0, 0.0]),
-                     target_position=target,
-                     chest_normal=chest_normal)
+                     target_position=np.array([3.0, 0.0, 1.0]))
 
 
 def _read_only(*arrays) -> tuple:

@@ -9,6 +9,7 @@ plan is fixed by its kind and that share alone.
 """
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .sigproc import VitalSignEstimate, root_music_doa
 
 STRATEGY_KINDS = ("temporal", "spatial", "opportunistic")
 SWEEP_KINDS = ("spatial", "temporal")  # the kinds with a share to sweep
-SEED_CHUNK = 32  # seeds per sweep or loop draw, which bounds its memory
+PASS_PULSES = 32 * 240  # pulses per sweep or loop draw, which bound its memory
 PROBE_PULSES = 64  # a position probe's pulses, from the window's start
 # RIS share of an opportunistic window: all power on its path, or the
 # even split that a probe of both paths (and `estimate_position`) uses
@@ -61,9 +62,9 @@ class StrategyConfig:
                 f"adaptation_step {self.adaptation_step} must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoopState:
-    """Mutable state carried across acquisition windows."""
+    """State carried across acquisition windows; each update is a copy."""
 
     gamma_ris: float = 0.5
     active_path: str | None = None
@@ -116,28 +117,24 @@ def evaluate_and_update(state: LoopState, est_direct: VitalSignEstimate,
     """
     prom = {"direct": est_direct.peak_prominence_db if est_direct else 0.0,
             "ris": est_ris.peak_prominence_db if est_ris else 0.0}
-    state = replace(state)  # the caller's state is left as it was
     threshold = strategy.prominence_threshold_db
-    state.needs_position_fix = (prom["direct"] < threshold
-                                and prom["ris"] < threshold)
+    fix = prom["direct"] < threshold and prom["ris"] < threshold
     if strategy.kind == "spatial":
         step = strategy.adaptation_step * np.sign(prom["ris"] - prom["direct"])
-        state.gamma_ris = float(np.clip(state.gamma_ris + step, 0.05, 0.95))
-        return state
-    if strategy.kind == "opportunistic":
-        if state.active_path is None:  # probing: a graded path, if any
-            graded = [p for p, e in zip(prom, (est_direct, est_ris)) if e]
-            state.active_path = max(graded, key=prom.get, default=None)
-            state.below_threshold_count = 0
-            return state
-        state.below_threshold_count = (state.below_threshold_count + 1
-                                       if prom[state.active_path] < threshold
-                                       else 0)
-        if state.below_threshold_count >= strategy.hysteresis_windows:
-            state.active_path = "direct" if state.active_path == "ris" else "ris"
-            state.below_threshold_count = 0
-        return state
-    return state  # temporal: fixed slot pattern
+        return replace(state, needs_position_fix=fix, gamma_ris=float(
+            np.clip(state.gamma_ris + step, 0.05, 0.95)))
+    if strategy.kind != "opportunistic":  # temporal: fixed slot pattern
+        return replace(state, needs_position_fix=fix)
+    path, count = state.active_path, 0
+    if path is None:  # probing: a graded path, if any
+        graded = [p for p, e in zip(prom, (est_direct, est_ris)) if e]
+        path = max(graded, key=prom.get, default=None)
+    elif prom[path] < threshold:
+        count = state.below_threshold_count + 1
+        if count >= strategy.hysteresis_windows:
+            path, count = "direct" if path == "ris" else "ris", 0
+    return replace(state, needs_position_fix=fix, active_path=path,
+                   below_threshold_count=count)
 
 
 def run_once(scn: Scenario, strategy: StrategyConfig, seed):
@@ -162,9 +159,10 @@ def gamma_sweep(scn: Scenario, kind: str, gamma_grid, seeds) -> list[dict]:
     Returns one row per (gamma, path, seed) with the dominant in-band peak
     and its prominence. A share of zero for the temporal RIS branch (or one
     for the direct branch) leaves that branch without slots; such rows carry
-    NaN peak and zero prominence. Each share gets one plan; each pass of up
-    to SEED_CHUNK seeds is drawn once and composed under every plan. Rows
-    come in grid order and equal the lone `run_once` bit for bit.
+    NaN peak and zero prominence. Each share gets one plan; each pass of
+    PASS_PULSES' worth of seeds (one at least) is drawn once and composed
+    under every plan. Rows come in grid order and equal the lone `run_once`
+    bit for bit.
     """
     if kind not in SWEEP_KINDS:
         raise ValueError(f"sweep supports {' or '.join(SWEEP_KINDS)}, got {kind!r}")
@@ -174,9 +172,9 @@ def gamma_sweep(scn: Scenario, kind: str, gamma_grid, seeds) -> list[dict]:
              for g in map(float, gamma_grid)]
     if not plans:
         raise ValueError("gamma grid is empty")
-    rows = [[] for _ in plans]
-    for start in range(0, len(seeds), SEED_CHUNK):
-        chunk = seeds[start:start + SEED_CHUNK]
+    rows, per_pass = [[] for _ in plans], max(1, PASS_PULSES // length)
+    for start in range(0, len(seeds), per_pass):
+        chunk = seeds[start:start + per_pass]
         draw = draw_acquisition(scn, chunk, length)
         for (gamma, (schedule, *slots)), out in zip(plans, rows):
             estimates = extract_vital_signs(
@@ -252,70 +250,66 @@ def run_closed_loop(scn: Scenario, strategy: StrategyConfig, n_windows: int,
     the state's share (spatial, temporal) or at PATH_SHARES of its path
     (opportunistic: the even split while probing, unless `ideal` fixes the
     known-best path), and logs that share unless it had a path. Window `i`
-    draws child `i + 1` of `seed` in lazy passes of up to SEED_CHUNK
-    windows. Within a pass the loop predicts the coming windows' states by
-    chaining its own update, as if each measured what the latest window
-    did, and composes and extracts their rows, each under its own plan, as
-    one batch. It keeps windows in order while the real share equals the
-    predicted one, which compares all a plan is built from (a loop's kind
-    is fixed; only temporal plans split the slots, at a fixed share), and
-    predicts afresh from the first miss. Window 0, with no estimate yet,
-    runs alone; a batch holds at most twice the windows the last one kept
-    after a miss, and the cap doubles after a full hit. Each window is bit
-    for bit its lone `run_once`.
+    draws child `i + 1` of `seed`, in passes of PASS_PULSES' worth of
+    windows (one at least). A window takes its row from the latest batch
+    when that batch composed it under the share its real state picks: the
+    batch is keyed by (window, share), all a plan is built from (a loop's
+    kind is fixed; only temporal plans split the slots, at a fixed share).
+    Otherwise the loop predicts a batch from it to the end of the pass by
+    chaining its own update, as if each window measured what the latest
+    one did, and composes and extracts each row under its predicted plan.
+    Window 0, with no estimate yet, runs alone; a batch holds at most twice
+    the windows the last one kept when it missed, and the cap doubles after
+    a batch is used up. Each window is bit for bit its lone `run_once`.
     """
-    state = LoopState(gamma_ris=strategy.ris_share)
-    if strategy.kind == "opportunistic":
-        state.active_path = strategy.initial_path or (
-            _best_path_by_geometry(scn) if strategy.ideal else None)
-    logs: list[WindowLog] = []
     if n_windows <= 0:
-        return logs
+        return []
     # children: the initial probe, one per window, then one per re-fix probe
     seeds = child_seeds(seed, 2 * n_windows + 1)
     window_seeds, fix_seeds = seeds[1:n_windows + 1], seeds[n_windows + 1:]
-    state.theta_direct_estimate = estimate_position(scn, seeds[0])
-    length, plans = scn.slow_time_samples, {}  # a plan per share seen
+    path = strategy.initial_path or (_best_path_by_geometry(scn)
+                                     if strategy.ideal else None)
+    state = LoopState(
+        gamma_ris=strategy.ris_share,
+        active_path=path if strategy.kind == "opportunistic" else None,
+        theta_direct_estimate=estimate_position(scn, seeds[0]))
+    length = scn.slow_time_samples
+    per_pass = max(1, PASS_PULSES // length)
+    plan = cache(lambda share: plan_transmissions(scn, strategy.kind, share,
+                                                  length))
 
     def share_of(state):
         return PATH_SHARES[state.active_path] \
             if strategy.kind == "opportunistic" else state.gamma_ris
 
-    idx, latest, cap = 0, None, SEED_CHUNK
-    for start in range(0, n_windows, SEED_CHUNK):
-        stop = min(start + SEED_CHUNK, n_windows)
-        draw = draw_acquisition(scn, window_seeds[start:stop], length)
-        while idx < stop:
+    logs, batch, latest, cap = [], {}, None, per_pass
+    for idx in range(n_windows):
+        if idx % per_pass == 0:  # a pass starts: draw its windows
+            start, stop = idx, min(idx + per_pass, n_windows)
+            draw = draw_acquisition(scn, window_seeds[start:stop], length)
+        path, share = state.active_path, share_of(state)  # what it transmits
+        if (idx, share) not in batch:
+            kept = sum(i < idx for i, _ in batch)  # rows the last batch served
+            cap = min(2 * (kept if kept < len(batch) else cap), per_pass)
             # the coming windows' states, as if each measured `latest`
             predicted = [state]
             while latest and len(predicted) < min(cap, stop - idx):
                 predicted.append(evaluate_and_update(
                     predicted[-1], latest["direct"], latest["ris"], strategy))
             shares = [share_of(s) for s in predicted]
-            for share in set(shares) - plans.keys():
-                plans[share] = plan_transmissions(scn, strategy.kind, share,
-                                                  length)
-            rows = slice(idx - start, idx - start + len(shares))
-            batch = extract_vital_signs(scn, compose_record(
-                draw, np.stack([plans[share][0] for share in shares]), rows),
-                *plans[shares[0]][1:])
-            for k, share in enumerate(shares):
-                if share_of(state) != share:  # mispredicted: redo from here
-                    cap = 2 * k
-                    break
-                path = state.active_path  # the path this window transmits on
-                latest = {label: est and est.row(k)
-                          for label, est in batch.items()}
-                state = evaluate_and_update(state, latest["direct"],
-                                            latest["ris"], strategy)
-                if state.needs_position_fix:
-                    state.theta_direct_estimate = estimate_position(
-                        scn, fix_seeds[idx])
-                logs.append(WindowLog(window=idx, strategy=strategy.kind,
-                                      gamma_ris=None if path else share,
-                                      active_path=path, estimates=latest,
-                                      state=replace(state)))
-                idx += 1
-            else:  # every prediction held
-                cap = min(2 * cap, SEED_CHUNK)
+            estimates = extract_vital_signs(scn, compose_record(
+                draw, np.stack([plan(g)[0] for g in shares]),
+                slice(idx - start, idx - start + len(shares))),
+                *plan(shares[0])[1:])
+            batch = {(idx + k, g): k for k, g in enumerate(shares)}
+        latest = {label: est and est.row(batch[idx, share])
+                  for label, est in estimates.items()}
+        state = evaluate_and_update(state, latest["direct"], latest["ris"],
+                                    strategy)
+        if state.needs_position_fix:
+            state = replace(state, theta_direct_estimate=estimate_position(
+                scn, fix_seeds[idx]))
+        logs.append(WindowLog(window=idx, strategy=strategy.kind,
+                              gamma_ris=None if path else share,
+                              active_path=path, estimates=latest, state=state))
     return logs

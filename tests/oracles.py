@@ -80,19 +80,19 @@ def closed_loop_by_window(scn, strategy, n_windows: int, seed=0) -> list:
     """The closed loop with one `run_once` per window: the reference that
     `run_closed_loop`, which draws its windows in passes, equals bit for
     bit."""
-    state = LoopState(gamma_ris=strategy.ris_share)
+    init = None
     if strategy.kind == "opportunistic":
         init = strategy.initial_path
         if strategy.ideal:
             init = init or _best_path_by_geometry(scn)
-        state.active_path = init
     logs = []
     if n_windows <= 0:
         return logs
     # children: the initial probe, one per window, then one per re-fix probe
     seeds = child_seeds(seed, 2 * n_windows + 1)
     window_seeds, fix_seeds = seeds[1:n_windows + 1], seeds[n_windows + 1:]
-    state.theta_direct_estimate = estimate_position(scn, seeds[0])
+    state = LoopState(gamma_ris=strategy.ris_share, active_path=init,
+                      theta_direct_estimate=estimate_position(scn, seeds[0]))
     for idx, (wseed, fix_seed) in enumerate(zip(window_seeds, fix_seeds)):
         path = state.active_path  # the path this window transmits on
         window_strategy = _window_strategy(strategy, state)
@@ -100,11 +100,11 @@ def closed_loop_by_window(scn, strategy, n_windows: int, seed=0) -> list:
         state = evaluate_and_update(state, estimates["direct"],
                                     estimates["ris"], strategy)
         if state.needs_position_fix:
-            state.theta_direct_estimate = estimate_position(scn, fix_seed)
+            state = replace(state, theta_direct_estimate=estimate_position(
+                scn, fix_seed))
         gamma = None if window_strategy.kind == "opportunistic" \
             else window_strategy.ris_share
         logs.append(WindowLog(window=idx, strategy=strategy.kind,
                               gamma_ris=gamma, active_path=path,
-                              estimates=estimates,
-                              state=replace(state)))
+                              estimates=estimates, state=state))
     return logs

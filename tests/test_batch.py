@@ -19,12 +19,13 @@ from risvital.physio import RcsModel
 from risvital.scenario import Scenario, compose_record, draw_acquisition, \
     extract_vital_signs, simulate_acquisition
 from risvital.sigproc import Spectrum, VitalSignEstimate
-from risvital.strategy import (SEED_CHUNK, STRATEGY_KINDS, StrategyConfig,
+from risvital.strategy import (PASS_PULSES, STRATEGY_KINDS, StrategyConfig,
                                gamma_sweep, plan_transmissions,
                                run_closed_loop, run_once)
 
 SCN = Scenario()
 ROOT = Path(__file__).resolve().parents[1]
+PASS_SEEDS = PASS_PULSES // SCN.slow_time_samples  # seeds per draw pass
 
 
 def assert_same_estimates(a: dict, b: dict):
@@ -45,7 +46,7 @@ def assert_same_estimates(a: dict, b: dict):
        grid=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
                                st.floats(0.0, 1.0)), min_size=1, max_size=3),
        seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1,
-                      max_size=2 * SEED_CHUNK + 1),
+                      max_size=2 * PASS_SEEDS + 1),
        detrend=st.booleans())
 def test_sweep_rows_equal_lone_runs(kind, grid, seeds, detrend):
     # without the detrend the row means are large, so a reduction that
@@ -106,6 +107,12 @@ def test_batched_acquisition_stacks_lone_acquisitions():
                               {p: est.row(0) for p, est in lone.items()})
 
 
+def _lasting(scn: Scenario, pulses: int) -> Scenario:
+    """The scene with windows of `pulses` pulses."""
+    return replace(scn, physio=replace(
+        scn.physio, duration=pulses / scn.radar.slow_rate))
+
+
 def _facing(scn: Scenario, chest: str) -> Scenario:
     """The scene with the chest facing the RIS (as built), the radar, or
     [-0.8, 0.6, 0], where a spatial loop's share climbs and falls."""
@@ -129,21 +136,28 @@ SEED_SEQUENCES = st.builds(
        initial_path=st.sampled_from([None, "direct", "ris"]),
        threshold_db=st.sampled_from([6.0, 1e3]),
        chest=st.sampled_from(["ris", "radar", "oscillating"]),
-       n_windows=st.integers(0, SEED_CHUNK + 2),
-       seed=st.one_of(st.integers(0, 2 ** 32 - 1), SEED_SEQUENCES))
+       n_windows=st.integers(0, PASS_SEEDS + 2),
+       seed=st.one_of(st.integers(0, 2 ** 32 - 1), SEED_SEQUENCES),
+       pulses=st.just(SCN.slow_time_samples))
 @example(kind="opportunistic", ideal=False, initial_path=None,
-         threshold_db=6.0, chest="ris", n_windows=2 * SEED_CHUNK + 1,
-         seed=3)
+         threshold_db=6.0, chest="ris", n_windows=2 * PASS_SEEDS + 1,
+         seed=3, pulses=SCN.slow_time_samples)
 # the two loops whose plans are hardest to predict: a spatial share that
 # climbs and falls, and a path switch every two windows
 @example(kind="spatial", ideal=False, initial_path=None, threshold_db=6.0,
-         chest="oscillating", n_windows=2 * SEED_CHUNK + 1, seed=3)
+         chest="oscillating", n_windows=2 * PASS_SEEDS + 1, seed=3,
+         pulses=SCN.slow_time_samples)
 @example(kind="opportunistic", ideal=False, initial_path=None,
-         threshold_db=1e3, chest="ris", n_windows=2 * SEED_CHUNK + 1, seed=3)
+         threshold_db=1e3, chest="ris", n_windows=2 * PASS_SEEDS + 1, seed=3,
+         pulses=SCN.slow_time_samples)
+# windows longer than PASS_PULSES: every pass holds one window
+@example(kind="spatial", ideal=False, initial_path=None, threshold_db=6.0,
+         chest="oscillating", n_windows=3, seed=3, pulses=8192)
 def test_closed_loop_equals_one_run_per_window(
-        kind, ideal, initial_path, threshold_db, chest, n_windows, seed):
+        kind, ideal, initial_path, threshold_db, chest, n_windows, seed,
+        pulses):
     # a threshold of 1e3 dB is never reached, so every window re-fixes
-    scn = _facing(SCN, chest)
+    scn = _facing(_lasting(SCN, pulses), chest)
     strategy = StrategyConfig(kind=kind, ideal=ideal,
                               initial_path=initial_path,
                               prominence_threshold_db=threshold_db)
@@ -181,6 +195,34 @@ def _extracted_rows(monkeypatch) -> list:
     return rows
 
 
+@pytest.mark.parametrize("threshold_db", [6.0, 1e3])
+def test_closed_loop_logs_the_states_it_updates(threshold_db, monkeypatch):
+    # at 1000 dB every window re-fixes, which replaces the position estimate
+    calls = []
+    real_update = strategy_module.evaluate_and_update
+
+    def record_update(state, *estimates):
+        calls.append((state, real_update(state, *estimates)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(strategy_module, "evaluate_and_update",
+                        record_update)
+    logs = run_closed_loop(SCN, StrategyConfig(
+        kind="opportunistic", prominence_threshold_db=threshold_db), 5, 3)
+    before = [calls[0][0]] + [log.state for log in logs[:-1]]
+    for log, state in zip(logs, before):
+        # a window's own update is the last from its state; any earlier
+        # one predicted it
+        out = [new for old, new in calls if old is state][-1]
+        if log.state.needs_position_fix:
+            assert log.state == replace(out, theta_direct_estimate=(
+                log.state.theta_direct_estimate))
+        else:
+            assert log.state is out
+    assert any(log.state.needs_position_fix for log in logs) \
+        == (threshold_db > 100)
+
+
 @pytest.mark.parametrize("kind", STRATEGY_KINDS)
 def test_closed_loop_extracts_predicted_windows_as_one_batch(kind,
                                                              monkeypatch):
@@ -190,7 +232,7 @@ def test_closed_loop_extracts_predicted_windows_as_one_batch(kind,
     assert rows == [1, 4]
 
 
-@pytest.mark.parametrize("n_windows", [SEED_CHUNK + 1, 2 * SEED_CHUNK + 1])
+@pytest.mark.parametrize("n_windows", [PASS_SEEDS + 1, 2 * PASS_SEEDS + 1])
 def test_closed_loop_bounds_rows_lost_to_mispredictions(n_windows,
                                                         monkeypatch):
     # the share climbs and falls, so predictions often miss
@@ -243,7 +285,7 @@ def test_record_of_schedule_stack_equals_rows_composed_alone(
 
 
 @pytest.mark.parametrize("n_windows, threshold_db", [
-    (0, 6.0), (1, 1e3), (SEED_CHUNK, 6.0), (2 * SEED_CHUNK + 1, 6.0)])
+    (0, 6.0), (1, 1e3), (PASS_SEEDS, 6.0), (2 * PASS_SEEDS + 1, 6.0)])
 def test_closed_loop_draws_each_window_pass_once(n_windows, threshold_db,
                                                  monkeypatch):
     draws = []
@@ -259,10 +301,34 @@ def test_closed_loop_draws_each_window_pass_once(n_windows, threshold_db,
     length = SCN.slow_time_samples
     windows = [n for n, n_pulses in draws if n_pulses == length]
     refixes = sum(log.state.needs_position_fix for log in logs)
-    assert windows == [min(SEED_CHUNK, n_windows - start)
-                       for start in range(0, n_windows, SEED_CHUNK)]
-    assert len(windows) == ceil(n_windows / SEED_CHUNK)
+    assert windows == [min(PASS_SEEDS, n_windows - start)
+                       for start in range(0, n_windows, PASS_SEEDS)]
+    assert len(windows) == ceil(n_windows / PASS_SEEDS)
     assert len(draws) == len(windows) + (n_windows > 0) + refixes
+
+
+def test_long_windows_draw_one_seed_per_pass(monkeypatch):
+    # a pass holds PASS_PULSES' worth of windows, and one at least; at 8192
+    # pulses a batch of seeds would also round apart from their lone runs
+    scn = _lasting(SCN, 8192)
+    draws = []
+    real_draw = strategy_module.draw_acquisition
+
+    def record_draw(scn, seeds, length):
+        if length == 8192:
+            draws.append(len(seeds))
+        return real_draw(scn, seeds, length)
+
+    monkeypatch.setattr(strategy_module, "draw_acquisition", record_draw)
+    rows = gamma_sweep(scn, "spatial", [0.5], range(3))
+    assert draws == [1, 1, 1]
+    for pair in zip(rows[::2], rows[1::2]):
+        _, estimates = run_once(scn, StrategyConfig(), pair[0]["seed"])
+        assert [row["prominence_db"] for row in pair] == \
+            [estimates[row["path"]].peak_prominence_db for row in pair]
+    draws.clear()
+    run_closed_loop(scn, StrategyConfig(), 3, 1)
+    assert draws == [1, 1, 1]
 
 
 @pytest.mark.parametrize("kind", ["spatial", "temporal"])

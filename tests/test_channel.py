@@ -15,7 +15,7 @@ from risvital.channel import (ChannelError, ChannelModel, ChannelRealization,
 from risvital.geometry import ArrayConfig, ula_steering
 from risvital.scenario import (Scenario, db_to_linear, draw_acquisition,
                                simulate_acquisition, standard_normals)
-from risvital.strategy import SEED_CHUNK, gamma_sweep
+from risvital.strategy import PASS_PULSES, gamma_sweep
 
 WAVELENGTH = 299792458.0 / 7.15e9
 
@@ -376,15 +376,15 @@ class TestDrawEngine:
 
 def test_traced_sweep_times_one_draw_per_acquisition():
     """The benchmark tracer times `realize_channel` by name, so every draw
-    must go through it: one per seed chunk per sweep, whatever the number
-    of shares, and one extraction per share and chunk."""
+    must go through it: one per seed pass per sweep, whatever the number
+    of shares, and one extraction per share and pass."""
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     with tracer.Tracer() as traced:
         gamma_sweep(Scenario(), "temporal", [0.2, 0.5, 0.5],
-                    range(SEED_CHUNK + 1))
+                    range(PASS_PULSES // Scenario().slow_time_samples + 1))
     assert traced.calls["channel.realize_channel"] == 2
     assert traced.calls["physio.rcs_series"] == 4
     assert traced.calls["scenario.extract_vital_signs"] == 6

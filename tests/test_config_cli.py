@@ -562,6 +562,8 @@ class TestStrictValues:
         ({"strategy": {"ris_share": 1.5}}, "outside"),
         ({"placement": {"chest_normal": [1.0, 1.0, 0.0]}}, "unit length"),
         ({"placement": {"target": [0.0, 0.0, 1.0]}}, "coincide"),
+        # an auto chest is resolved only after the coincidence check
+        ({"placement": {"ris_center": [3.0, 0.0, 1.0]}}, "coincide"),
         ({"placement": {"radar": "here"}}, "3-vector"),
         ({"physiology": {"gain_table": [[0.0, 1.0, 2.0]]}}, "angle_deg"),
         ({"physiology": {"gain_table": 5}}, "angle_deg"),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -132,6 +134,18 @@ class TestAnglesFromPlacement:
             Placement(radar_position=[0, 0, 1], ris_center=[2.707, 1.4606, 1],
                       ris_normal=[0, -1, 0], target_position=[0, 0, 1],
                       chest_normal=[1, 0, 0])
+
+    @pytest.mark.parametrize("name", Placement._FIELDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, name, bad):
+        with pytest.raises(GeometryError, match="finite"):
+            replace(fig4_placement(), **{name: [bad, 0.0, 0.0]})
+
+    def test_auto_chest_faces_the_ris(self):
+        p = fig4_placement()
+        assert replace(p, chest_normal=None) == p
+        with pytest.raises(GeometryError, match="3-vector"):
+            replace(p, target_position=None)  # only the chest has an auto
 
     def test_non_unit_normal_rejected(self):
         with pytest.raises(GeometryError):

@@ -8,16 +8,17 @@ closed form (64 at the defaults, where the summed pulse gave
 `active_path` became the path a window transmitted on, not the state
 after its update, which changes the opportunistic log; the spatial and
 temporal logs and the noiseless probe kept their 0.3.0 digests. They pin
-every bit of a sweep row, a closed-loop log and a single-run record. Twenty sweep seeds run as one pass of `SEED_CHUNK` =
-32; chunk boundaries are covered by `test_batch.py`, which draws up to
-2 * SEED_CHUNK + 1 seeds.
+every bit of a sweep row, a closed-loop log and a single-run record.
+Twenty sweep seeds run as one pass of `PASS_PULSES` // 240 = 32 seeds;
+pass boundaries are covered by `test_batch.py`, which draws up to 65
+seeds and, at 8192 pulses a window, passes of one.
 The loop log holds no position estimate, so the root-MUSIC probe has a
 digest of its own (ten seeds on three scenarios).
 The CLI digests pin every byte `risvital acquire`, `risvital sweep` and
 `risvital loop` write on the example config, file names and metadata
 sidecars included, so the CSV text format (shortest round-trip `repr`,
 `\n` line ends) and the sidecar layout are pinned as well as the numbers.
-A 33-window loop draws its windows in two passes (`SEED_CHUNK` = 32).
+A 33-window loop draws its windows in two passes of up to 32.
 Two CLI digests pin plans that the default scene never reaches: a lone
 opportunistic `acquire`, and an `ideal` opportunistic loop on a config
 the test writes, with the chest turned to face the radar, so every

@@ -1,5 +1,5 @@
 from copy import deepcopy
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -131,6 +131,11 @@ class TestTemporalSlots:
 
 
 class TestEvaluateAndUpdate:
+    def test_loop_state_is_frozen(self):
+        state = LoopState()
+        with pytest.raises(FrozenInstanceError):
+            state.gamma_ris = 0.3
+
     def test_spatial_share_moves_toward_better_path(self):
         state = LoopState(gamma_ris=0.5)
         cfg = StrategyConfig(kind="spatial")
