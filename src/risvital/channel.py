@@ -1,20 +1,20 @@
-"""Dual-path radar channel synthesis.
+"""Dual-path radar channel synthesis: propagation only.
 
 Builds the radar->RIS matrix, RIS->target and radar->target vectors from
 exact element-to-element free-space propagation, draws Rician fading
-around those line-of-sight components, and adds static clutter. A RIS
-panel is a (positions, phases) pair: `build_ris_grid` lays out the (N, 3)
-element positions, `ris_focus_profile` the phases that focus it on the target.
-`channel_model` does the geometry once; `realize_channel` is the
-per-seed part and the one channel draw. It takes `draw_size` standard
-normals per seed from the caller, so this module draws no random
-numbers, and slices H_I, h_T, h_D and the clutter out of them, real then
-imaginary parts per component; the Rician mix, path-loss scale and
-clutter symmetrization then run once over the (S, ...) stack, one row
-per seed; a lone run is a stack of one. The RIS reflection Gamma is
-diagonal, so it is kept as its (N,) diagonal. The one end-to-end
-signal model on these components, two rank-1 target terms plus clutter,
-is `scenario.compose_record` on a seed's draw.
+around those line-of-sight components, and adds static clutter.
+`build_ris_grid` lays out a panel's (N, 3) element positions, and
+`ris_focus_profile` gives the phases that focus it on the target. The
+phases configure the panel rather than propagate, so no channel here
+holds them: the scene's panel applies Gamma = exp(j*phases) in the
+cascade H_I Gamma h_T (`scenario.draw_acquisition`). `channel_model`
+does the geometry once; `realize_channel` is the per-seed part and the
+one channel draw. It takes `draw_size` standard normals per seed from
+the caller, so this module draws no random numbers, and slices H_I,
+h_T, h_D and the clutter out of them, real then imaginary parts per
+component; the Rician mix, path-loss scale and clutter symmetrization
+then run once over the (S, ...) stack, one row per seed; a lone run is
+a stack of one.
 
 Propagation phase convention is exp(-j*2*pi*d/lambda) with one-way Friis
 amplitude lambda/(4*pi*d) per link leg, so the far-field line-of-sight
@@ -65,39 +65,27 @@ def build_ris_grid(center, normal, rows: int, cols: int,
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Block-fading draws of all channel components, one row per seed.
-
-    Every component but the RIS reflection, which every seed shares, has a
-    leading seed axis of length S.
-    """
+    """Block-fading draws of all channel components, one row per seed,
+    each with a leading seed axis of length S."""
 
     H_I: np.ndarray    # (S, M, N) radar <-> RIS
     h_T: np.ndarray    # (S, N)    RIS <-> target
     h_D: np.ndarray    # (S, M)    radar <-> target
     H_C: np.ndarray    # (S, M, M) static clutter
-    reflection: np.ndarray  # (N,) RIS reflection, the diagonal of Gamma
 
     def __post_init__(self):
-        for name in ("H_I", "h_T", "h_D", "H_C", "reflection"):
+        for name in ("H_I", "h_T", "h_D", "H_C"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=complex))
         if self.H_I.ndim != 3:
             raise ChannelError("H_I must be (S, M, N)")
         s, m, n = self.H_I.shape
-        if self.h_T.shape != (s, n) or self.h_D.shape != (s, m):
+        if (self.h_T.shape, self.h_D.shape, self.H_C.shape) \
+                != ((s, n), (s, m), (s, m, m)):
             raise ChannelError("channel component shapes are inconsistent")
-        if self.H_C.shape != (s, m, m) or self.reflection.shape != (n,):
-            raise ChannelError("channel component shapes are inconsistent")
-        if np.max(np.abs(np.abs(self.reflection) - 1.0)) > 1e-12:
-            raise ChannelError("reflection entries must have unit modulus")
         for name in ("H_I", "h_T", "h_D", "H_C"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ChannelError(f"{name} contains non-finite entries")
-
-    @property
-    def ris_cascade(self) -> np.ndarray:
-        """One-way radar->RIS->target channels H_I @ Gamma @ h_T, (S, M)."""
-        return (self.H_I @ (self.reflection * self.h_T)[..., None])[..., 0]
 
 
 def _complex_normal(normals: np.ndarray, shape) -> np.ndarray:
@@ -156,13 +144,12 @@ class ChannelModel:
     `los` holds the unit-RMS line-of-sight parts of (H_I, h_T, h_D), all
     mixed with their fading at the linear Rician factor `k_factor`, and
     `scales` the RMS magnitude of each, so a draw rescales its fading to
-    the path loss; `reflection` is the RIS phase vector.
+    the path loss.
     """
 
     los: tuple
     k_factor: float
     scales: tuple
-    reflection: np.ndarray
     clutter_strength: float
 
     def __post_init__(self):
@@ -179,18 +166,14 @@ class ChannelModel:
         return sum(2 * p.size for p in self.los) + 2 * self.los[2].size ** 2
 
 
-def channel_model(p: Placement, cfg: ArrayConfig, ris: tuple,
+def channel_model(p: Placement, cfg: ArrayConfig, ris_el: np.ndarray,
                   k_rice: float, clutter_strength: float) -> ChannelModel:
-    """The exact LoS geometry normalized to unit RMS, for many draws, on the
-    RIS panel `ris`: (N, 3) element positions [m] and (N,) phases [rad]."""
-    ris_el, phases = ris
-    if np.shape(ris_el) != np.shape(phases) + (3,):
-        raise ChannelError(f"expected (N, 3) element positions and N phases, "
-                           f"got {np.shape(ris_el)} and {np.shape(phases)}")
+    """The exact LoS geometry normalized to unit RMS, for many draws, on
+    the RIS elements at the (N, 3) positions `ris_el` [m]."""
     los = los_channel(p, cfg, ris_el)
     scales = tuple(np.sqrt(np.mean(np.abs(part) ** 2)) for part in los)
     return ChannelModel(tuple(part / scale for part, scale in zip(los, scales)),
-                        k_rice, scales, np.exp(1j * phases), clutter_strength)
+                        k_rice, scales, clutter_strength)
 
 
 def realize_channel(model: ChannelModel,
@@ -209,4 +192,4 @@ def realize_channel(model: ChannelModel,
              for los, scale, lo, hi
              in zip(model.los, model.scales, bounds, bounds[1:])]
     parts.append(_clutter(model.clutter_strength, normals[:, bounds[-1]:], m))
-    return ChannelRealization(*parts, reflection=model.reflection)
+    return ChannelRealization(*parts)

@@ -11,18 +11,20 @@ independently per antenna and pulse; the channel and clutter stay fixed.
 
 A run splits into a seed-independent part and per-seed draws. Each
 seed-independent piece is one cached property of `Scenario`: `angles`,
-`channel_model` (the LoS channel with the RIS profile), `tx_steering`,
-`receive_weights`, `trace`, `rcs_models` and `noise_sigma`, the pairs
-ordered (direct, RIS). Each is built on first use and kept for the
-scenario's lifetime, and its arrays are read-only, since every run
-shares them. Every displacement is a plain array at the radar's slow
-rate. The per-seed part is one stream: one `standard_normals` call on
-the seed's first child, laid out as the channel block, the RIS then the
-direct RCS jitter (L each, reserved even without distortion), then the
-(2, M, L) noise, real parts first. Only `draw_acquisition` knows that
-layout; it hands the channel block to `realize_channel`, the one channel
-draw. `compose_record` excites a draw, or a range of its seeds, under
-a schedule or a stack of one schedule per seed, and only reads it, so
+`panel` (the RIS element positions and reflection), `channel_model` (the
+LoS channel to those elements), `tx_steering`, `receive_weights`,
+`trace`, `rcs_models` and `noise_sigma`, the pairs ordered (direct,
+RIS). Each is built on first use and kept for the scenario's lifetime,
+and its arrays are read-only, since every run shares them. Every
+displacement is a plain array at the radar's slow rate. The per-seed
+part is one stream: one `standard_normals` call on the seed's first
+child, laid out as the channel block, the RIS then the direct RCS
+jitter (L each, reserved even without distortion), then the (2, M, L)
+noise, real parts first. Only `draw_acquisition` knows that layout; it
+hands the channel block to `realize_channel`, the one channel draw,
+and applies the panel's reflection to the cascade once per draw.
+`compose_record` excites a draw, or a range of its seeds, under a
+schedule or a stack of one schedule per seed, and only reads it, so
 one draw serves every share of a sweep and every window of a loop.
 Seeds always come as a list, a leading axis of every draw, record and
 estimate; a lone run is the batch of one seed, and every seed gets the
@@ -208,6 +210,13 @@ class Scenario:
             phases = np.mod(np.round(phases / step) * step, 2.0 * np.pi)
         return grid, phases
 
+    @cached_property
+    def panel(self) -> tuple:
+        """The `ris_config` element positions and the reflection Gamma =
+        exp(j*phases), kept as its (N,) diagonal."""
+        grid, phases = self.ris_config()
+        return _read_only(grid, np.exp(1j * phases))
+
     def base_trace(self) -> np.ndarray:
         p = self.physio
         if p.trace_file is not None:
@@ -218,12 +227,12 @@ class Scenario:
 
     @cached_property
     def channel_model(self) -> ChannelModel:
-        """The LoS channel with the RIS profile."""
+        """The LoS channel to the panel's elements."""
         model = channel_model(self.placement, self.radar.array_config,
-                              self.ris_config(),
+                              self.panel[0],
                               db_to_linear(self.channel.k_rice_db),
                               self.channel.clutter_strength)
-        _read_only(model.reflection, *model.los)
+        _read_only(*model.los)
         return model
 
     @cached_property
@@ -270,19 +279,18 @@ class Scenario:
         return np.sqrt(radar.noise_power / (2.0 * radar.pulse_energy))
 
 
-def child_seeds(seed, n: int) -> list[np.random.SeedSequence]:
-    """The first `n` children of `seed`, derived without mutating it.
+def child_seed(seed, i: int) -> np.random.SeedSequence:
+    """Child `i` of `seed`, derived without mutating it.
 
     `SeedSequence.spawn` advances the parent, so spawning twice from one
-    sequence gives different streams. These children depend only on the
+    sequence gives different streams. A child depends only on the
     parent's entropy and spawn key, which makes a run replayable from the
-    sequence it was given; for a fresh sequence they equal `spawn(n)`.
+    sequence it was given; for a fresh sequence it is `spawn(i + 1)[i]`.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
-    return [np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,),
-                                   pool_size=ss.pool_size)
-            for i in range(n)]
+    return np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,),
+                                  pool_size=ss.pool_size)
 
 
 def simulate_acquisition(scn: Scenario, schedule: np.ndarray,
@@ -316,15 +324,19 @@ def standard_normals(seeds: list, shape: tuple) -> np.ndarray:
 
 def draw_acquisition(scn: Scenario, seeds: list, length: int) -> tuple:
     """All the `seeds` fix for the first `length` pulses, whatever the
-    schedule: (channel, alpha, beta, noise), each with a leading seed axis;
-    the RCS series are (S, L) and the scaled noise (S, M, L)."""
+    schedule, and exactly what `compose_record` reads: (v_ris, h_D, H_C,
+    alpha, beta, noise), each with a leading seed axis. v_ris is the
+    cascade H_I Gamma h_T under the scene's panel and, like h_D, (S, M);
+    the clutter is (S, M, M), the RCS series (S, L) and the scaled noise
+    (S, M, L)."""
     model, rate = scn.channel_model, scn.radar.slow_rate
     m, trace = scn.radar.element_count, scn.trace[:length]
     # one stream per seed: channel block, 2 x L jitter, (2, M, L) noise
     n_ch = model.draw_size
-    normals = standard_normals([child_seeds(s, 1)[0] for s in seeds],
+    normals = standard_normals([child_seed(s, 0) for s in seeds],
                                (n_ch + 2 * length + 2 * m * length,))
     channel = realize_channel(model, normals[:, :n_ch])
+    v_ris = (channel.H_I @ (scn.panel[1] * channel.h_T)[..., None])[..., 0]
     jitter = normals[:, n_ch:n_ch + 2 * length].reshape(-1, 2, length)
     noise = normals[:, n_ch + 2 * length:].reshape(-1, 2, m, length)
     lam, angles = scn.radar.wavelength, scn.angles
@@ -336,19 +348,17 @@ def draw_acquisition(scn: Scenario, seeds: list, length: int) -> tuple:
     z = noise[:, 1] * 1j
     z += noise[:, 0]
     z *= scn.noise_sigma
-    return channel, alpha, beta, z
+    return v_ris, channel.h_D, channel.H_C, alpha, beta, z
 
 
 def compose_record(draw: tuple, schedule: np.ndarray,
                    rows=slice(None)) -> np.ndarray:
     """The (K, M, L) records of the K seeds `rows` of `draw` picks (all by
     default) under schedule (M, L), or row k under schedule k of a
-    (K, M, L) stack. The draw is only read, so one draw serves any number
-    of schedules: every share of a sweep, every window of a loop."""
-    channel, *series = draw
-    v_ris, h_d, h_c, alpha, beta, noise = (
-        a[rows] for a in (channel.ris_cascade, channel.h_D, channel.H_C,
-                          *series))
+    (K, M, L) stack: the two rank-1 target terms, the clutter and the
+    noise. The draw is only read, so one draw serves any number of
+    schedules: every share of a sweep, every window of a loop."""
+    v_ris, h_d, h_c, alpha, beta, noise = (a[rows] for a in draw)
     # (K, 1, M) @ (M, L) or @ (K, M, L) gives each seed the bits of a batch
     # of one; a (K, M) @ (M, L) product rounds with the batch size. The sum
     # is built in place in the order ((RIS + direct) + clutter) + noise.

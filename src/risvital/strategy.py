@@ -14,7 +14,7 @@ from functools import cache
 import numpy as np
 
 from .beamform import split_precoder
-from .scenario import (Scenario, child_seeds, compose_record,
+from .scenario import (Scenario, child_seed, compose_record,
                        draw_acquisition, extract_vital_signs,
                        simulate_acquisition)
 from .sigproc import VitalSignEstimate, root_music_doa
@@ -249,12 +249,14 @@ def run_closed_loop(scn: Scenario, strategy: StrategyConfig, n_windows: int,
     scores update the allocation for the next. A window plans its kind at
     the state's share (spatial, temporal) or at PATH_SHARES of its path
     (opportunistic: the even split while probing, unless `ideal` fixes the
-    known-best path), and logs that share unless it had a path. Window `i`
-    draws child `i + 1` of `seed`, in passes of PASS_PULSES' worth of
-    windows (one at least). A window takes its row from the latest batch
-    when that batch composed it under the share its real state picks: the
-    batch is keyed by (window, share), all a plan is built from (a loop's
-    kind is fixed; only temporal plans split the slots, at a fixed share).
+    known-best path), and logs that share unless it had a path. The first
+    position probe draws child 0 of `seed`, window `i` child `i + 1`, in
+    passes of PASS_PULSES' worth of windows (one at least), and its re-fix
+    probe child `n_windows + 1 + i`, each derived when it is used. A
+    window takes its row from the latest batch when that batch composed it
+    under the share its real state picks: the batch is keyed by (window,
+    share), all a plan is built from (a loop's kind is fixed; only
+    temporal plans split the slots, at a fixed share).
     Otherwise the loop predicts a batch from it to the end of the pass by
     chaining its own update, as if each window measured what the latest
     one did, and composes and extracts each row under its predicted plan.
@@ -264,15 +266,12 @@ def run_closed_loop(scn: Scenario, strategy: StrategyConfig, n_windows: int,
     """
     if n_windows <= 0:
         return []
-    # children: the initial probe, one per window, then one per re-fix probe
-    seeds = child_seeds(seed, 2 * n_windows + 1)
-    window_seeds, fix_seeds = seeds[1:n_windows + 1], seeds[n_windows + 1:]
     path = strategy.initial_path or (_best_path_by_geometry(scn)
                                      if strategy.ideal else None)
     state = LoopState(
         gamma_ris=strategy.ris_share,
         active_path=path if strategy.kind == "opportunistic" else None,
-        theta_direct_estimate=estimate_position(scn, seeds[0]))
+        theta_direct_estimate=estimate_position(scn, child_seed(seed, 0)))
     length = scn.slow_time_samples
     per_pass = max(1, PASS_PULSES // length)
     plan = cache(lambda share: plan_transmissions(scn, strategy.kind, share,
@@ -286,7 +285,8 @@ def run_closed_loop(scn: Scenario, strategy: StrategyConfig, n_windows: int,
     for idx in range(n_windows):
         if idx % per_pass == 0:  # a pass starts: draw its windows
             start, stop = idx, min(idx + per_pass, n_windows)
-            draw = draw_acquisition(scn, window_seeds[start:stop], length)
+            draw = draw_acquisition(scn, [child_seed(seed, i + 1) for i
+                                          in range(start, stop)], length)
         path, share = state.active_path, share_of(state)  # what it transmits
         if (idx, share) not in batch:
             kept = sum(i < idx for i, _ in batch)  # rows the last batch served
@@ -308,7 +308,7 @@ def run_closed_loop(scn: Scenario, strategy: StrategyConfig, n_windows: int,
                                     strategy)
         if state.needs_position_fix:
             state = replace(state, theta_direct_estimate=estimate_position(
-                scn, fix_seeds[idx]))
+                scn, child_seed(seed, n_windows + 1 + idx)))
         logs.append(WindowLog(window=idx, strategy=strategy.kind,
                               gamma_ris=None if path else share,
                               active_path=path, estimates=latest, state=state))

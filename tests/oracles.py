@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from risvital.physio import _CM_PER_M, TRACE_HEADER, TraceError
-from risvital.scenario import child_seeds
+from risvital.scenario import child_seed
 from risvital.sigproc import SignalError
 from risvital.strategy import (LoopState, StrategyConfig, WindowLog,
                                _best_path_by_geometry, estimate_position,
@@ -89,7 +89,7 @@ def closed_loop_by_window(scn, strategy, n_windows: int, seed=0) -> list:
     if n_windows <= 0:
         return logs
     # children: the initial probe, one per window, then one per re-fix probe
-    seeds = child_seeds(seed, 2 * n_windows + 1)
+    seeds = [child_seed(seed, i) for i in range(2 * n_windows + 1)]
     window_seeds, fix_seeds = seeds[1:n_windows + 1], seeds[n_windows + 1:]
     state = LoopState(gamma_ris=strategy.ris_share, active_path=init,
                       theta_direct_estimate=estimate_position(scn, seeds[0]))

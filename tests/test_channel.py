@@ -25,8 +25,7 @@ def unit_model(k_factor, h_i, clutter_strength=0.0):
     m, n = h_i.shape
     los = (np.asarray(h_i, dtype=complex), np.ones(n, dtype=complex),
            np.ones(m, dtype=complex))
-    return ChannelModel(los, k_factor, (1.0, 1.0, 1.0),
-                        np.ones(n, dtype=complex), clutter_strength)
+    return ChannelModel(los, k_factor, (1.0, 1.0, 1.0), clutter_strength)
 
 
 def seed_draw(model, seeds):
@@ -76,7 +75,7 @@ class TestRicianDraw:
         scn = Scenario()
         with pytest.raises(ChannelError, match="k_factor"):
             channel_model(scn.placement, scn.radar.array_config,
-                          scn.ris_config(), -1.0, 0.0)
+                          scn.panel[0], -1.0, 0.0)
 
 
 def single_element_placement(distance):
@@ -173,7 +172,8 @@ class TestFocusProfile:
 
 def end_to_end(reflectivity_ris=40.0, reflectivity_direct=3.0,
                clutter_strength=1e-10):
-    """The simulator's M x M end-to-end matrix and the channel behind it.
+    """The simulator's M x M end-to-end matrix and the (v_ris, h_D, H_C)
+    of the draw behind it.
 
     Noiseless, with a still chest and no RCS distortion, each path's
     reflectivity is its constant real amplitude, so under a schedule whose
@@ -189,20 +189,20 @@ def end_to_end(reflectivity_ris=40.0, reflectivity_direct=3.0,
     m = scn.radar.element_count
     schedule = np.eye(m)[:, np.arange(scn.slow_time_samples) % m]
     record = simulate_acquisition(scn, schedule, [11])[0]
-    return record[:, :m], draw_acquisition(scn, [11], schedule.shape[1])[0]
+    draw = draw_acquisition(scn, [11], schedule.shape[1])
+    return record[:, :m], [part[0] for part in draw[:3]]
 
 
 class TestAssembleEndToEnd:
     def test_matches_two_path_model(self):
-        h, ch = end_to_end()
-        v, h_d = ch.ris_cascade[0], ch.h_D[0]
-        model = 40.0 * np.outer(v, v) + 3.0 * np.outer(h_d, h_d) + ch.H_C[0]
+        h, (v, h_d, h_c) = end_to_end()
+        model = 40.0 * np.outer(v, v) + 3.0 * np.outer(h_d, h_d) + h_c
         npt.assert_allclose(h, model, rtol=0, atol=1e-15 * np.abs(model).max())
 
     def test_direct_only_is_rank_one(self):
-        h, ch = end_to_end(reflectivity_ris=0.0, clutter_strength=0.0)
-        npt.assert_allclose(h, 3.0 * np.outer(ch.h_D[0], ch.h_D[0]),
-                            atol=1e-18)
+        h, (_, h_d, _) = end_to_end(reflectivity_ris=0.0,
+                                    clutter_strength=0.0)
+        npt.assert_allclose(h, 3.0 * np.outer(h_d, h_d), atol=1e-18)
         s = np.linalg.svd(h, compute_uv=False)
         assert s[1] < 1e-10 * s[0]
 
@@ -212,25 +212,24 @@ class TestAssembleEndToEnd:
         assert s[1] < 1e-10 * s[0]
 
     def test_clutter_passthrough(self):
-        h, ch = end_to_end(reflectivity_ris=0.0, reflectivity_direct=0.0)
-        npt.assert_array_equal(h, ch.H_C[0])
+        h, (_, _, h_c) = end_to_end(reflectivity_ris=0.0,
+                                    reflectivity_direct=0.0)
+        npt.assert_array_equal(h, h_c)
 
     def test_monostatic_symmetry(self):
         h, _ = end_to_end()
         npt.assert_allclose(h, h.T, rtol=0, atol=1e-18)
 
     def test_shape_mismatch_rejected(self):
-        _, ch = end_to_end()
+        ch = seed_draw(Scenario().channel_model, [11])
         with pytest.raises(ChannelError):
-            ChannelRealization(ch.H_I, ch.h_T[:, :-1], ch.h_D, ch.H_C,
-                               ch.reflection)
+            ChannelRealization(ch.H_I, ch.h_T[:, :-1], ch.h_D, ch.H_C)
 
     def test_plain_realization_rejected(self):
         # a lone draw is a stack of one, never a plain (M, N) matrix
-        _, ch = end_to_end()
+        ch = seed_draw(Scenario().channel_model, [11])
         with pytest.raises(ChannelError, match=r"\(S, M, N\)"):
-            ChannelRealization(ch.H_I[0], ch.h_T[0], ch.h_D[0], ch.H_C[0],
-                               ch.reflection)
+            ChannelRealization(ch.H_I[0], ch.h_T[0], ch.h_D[0], ch.H_C[0])
 
 
 def drawn_clutter(strength, seeds, m):
@@ -264,30 +263,20 @@ class TestClutterDraw:
 
 class TestRisConfig:
     def test_reflection_unit_modulus(self):
-        scn = Scenario()
-        grid = build_ris_grid([0, 2, 0], [0, -1, 0], 3, 4, 0.02)
-        gamma = channel_model(scn.placement, scn.radar.array_config,
-                              (grid, np.linspace(0, 5, 12)), 1.0,
-                              0.0).reflection
+        scn = replace(Scenario(), ris=replace(Scenario().ris, rows=3, cols=4))
+        grid, phases = scn.ris_config()
+        positions, gamma = scn.panel
+        npt.assert_array_equal(positions, grid)
         assert gamma.shape == (12,)
         npt.assert_allclose(np.abs(gamma), 1.0, atol=1e-15)
-        npt.assert_allclose(np.angle(gamma), np.angle(np.exp(
-            1j * np.linspace(0, 5, 12))), atol=1e-12)
+        npt.assert_allclose(np.angle(gamma), np.angle(np.exp(1j * phases)),
+                            atol=1e-12)
 
     def test_grid_spacing_and_extent(self):
         grid = build_ris_grid([0, 2, 0], [0, -1, 0], 10, 10, 0.021)
         assert grid.shape == (100, 3)
         extent = grid.max(axis=0) - grid.min(axis=0)
         assert extent.max() == pytest.approx(9 * 0.021, rel=1e-12)
-
-    def test_positions_and_phases_must_match(self):
-        scn = Scenario()
-        grid = build_ris_grid([0, 2, 0], [0, -1, 0], 3, 4, 0.02)
-        for ris in ((grid, np.zeros(11)), (grid[:, :2], np.zeros(12)),
-                    (grid, np.zeros((12, 1)))):
-            with pytest.raises(ChannelError, match="element positions"):
-                channel_model(scn.placement, scn.radar.array_config, ris,
-                              1.0, 0.0)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ChannelError):
@@ -297,12 +286,6 @@ class TestRisConfig:
     def test_nonpositive_spacing_rejected(self, spacing):
         with pytest.raises(ChannelError, match="spacing must be positive"):
             build_ris_grid([0, 2, 0], [0, -1, 0], 3, 4, spacing)
-
-    def test_gamma_modulus_validated(self):
-        with pytest.raises(ChannelError, match="unit modulus"):
-            ChannelRealization(np.ones((1, 2, 3)), np.ones((1, 3)),
-                               np.ones((1, 2)), np.zeros((1, 2, 2)),
-                               np.array([1.0, 1.0, 2.0]))
 
 
 def _oracle_draw(model, seed):
@@ -350,7 +333,7 @@ class TestDrawEngine:
                                                       clutter):
         scn = Scenario()
         model = channel_model(scn.placement, scn.radar.array_config,
-                              scn.ris_config(), db_to_linear(k_db), clutter)
+                              scn.panel[0], db_to_linear(k_db), clutter)
         stacked = seed_draw(model, seeds)
         assert stacked.H_I.shape == (len(seeds), 5, 100)
         for i, seed in enumerate(seeds):
@@ -358,7 +341,6 @@ class TestDrawEngine:
             for name, want in zip(COMPONENTS, _oracle_draw(model, seed)):
                 assert _same_bits(getattr(lone, name)[0], want), name
                 assert _same_bits(getattr(stacked, name)[i], want), name
-            assert _same_bits(stacked.ris_cascade[i], lone.ris_cascade[0])
 
     @settings(max_examples=30, deadline=None)
     @given(seeds=SEED_LISTS, name=st.sampled_from(COMPONENTS),
@@ -371,7 +353,7 @@ class TestDrawEngine:
         flat = parts[name].reshape(-1)
         flat[int(position * flat.size)] = bad
         with pytest.raises(ChannelError, match=f"{name} contains non-finite"):
-            ChannelRealization(**parts, reflection=stacked.reflection)
+            ChannelRealization(**parts)
 
 
 def test_traced_sweep_times_one_draw_per_acquisition():

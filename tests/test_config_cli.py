@@ -516,7 +516,7 @@ class TestWindowUnderTwoSamples:
                                        "ris": {"phase_bits": 1023}})
         assert scenario.slow_time_samples == MAX_WINDOW_SAMPLES == 2 ** 20
         assert parse_config({"ris": {"phase_bits": 1000}})[0] \
-            .channel_model.reflection.shape == (100,)
+            .panel[1].shape == (100,)
 
 
 class TestLoopProbeShorterThanArray:
@@ -660,7 +660,7 @@ class TestStrictValues:
         assert scenario.trace.size == scenario.slow_time_samples
         scenario = parse_config({"ris": {"rows": 256, "cols": 256}})[0]
         assert scenario.ris.rows * scenario.ris.cols == MAX_RIS_ELEMENTS
-        assert scenario.channel_model.reflection.size == MAX_RIS_ELEMENTS
+        assert scenario.panel[1].size == MAX_RIS_ELEMENTS
 
     def test_long_pulse_parses_without_building_it(self):
         # 10^10 fast-time samples would take 80 GB as an array

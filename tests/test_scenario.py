@@ -10,7 +10,7 @@ from risvital.beamform import split_precoder
 from risvital.channel import realize_channel
 from risvital.physio import TraceError, rcs_series
 from risvital.scenario import (ProcessingConfig, RadarConfig, Scenario,
-                               child_seeds, db_to_linear, dbm_to_watts,
+                               child_seed, db_to_linear, dbm_to_watts,
                                draw_acquisition, noiseless,
                                simulate_acquisition, standard_normals)
 from risvital.sigproc import SignalError
@@ -82,9 +82,16 @@ def constant_schedule(scn, gamma_ris):
     return np.tile(w[:, None], (1, scn.slow_time_samples))
 
 
-def drawn_channel(scn, seeds):
-    """The (S, ...) channel realization that a run of `seeds` draws."""
-    return draw_acquisition(scn, seeds, scn.slow_time_samples)[0]
+def drawn(scn, seeds):
+    """The draw (v_ris, h_D, H_C, alpha, beta, noise) of a run of `seeds`."""
+    return draw_acquisition(scn, seeds, scn.slow_time_samples)
+
+
+def stream_head(scn, seeds):
+    """`realize_channel` of the channel block that leads each seed's stream."""
+    model = scn.channel_model
+    return realize_channel(model, standard_normals(
+        [child_seed(seed, 0) for seed in seeds], (model.draw_size,)))
 
 
 class TestSimulateAcquisition:
@@ -99,7 +106,7 @@ class TestSimulateAcquisition:
                            scn.radar.slow_rate, scn.angles.chest_incidence_ris,
                            scn.radar.wavelength,
                            standard_normals([0], trace.shape))[0]
-        v = drawn_channel(scn, [3]).ris_cascade[0]
+        v = drawn(scn, [3])[0][0]
         expected = v[:, None] * (alpha * (v @ schedule))
         npt.assert_allclose(record, expected, rtol=1e-12, atol=1e-30)
 
@@ -131,8 +138,7 @@ class TestSimulateAcquisition:
     def test_channel_block_leads_each_stream(self):
         # the channel normals come first in a seed's stream, so they are
         # the bits a run drew before the jitter and noise shared its stream
-        scn = Scenario()
-        ch = drawn_channel(scn, list(range(10)))
+        ch = stream_head(Scenario(), range(10))
         digest = hashlib.sha256()
         for name in ("H_I", "h_T", "h_D", "H_C"):
             digest.update(getattr(ch, name).tobytes())
@@ -140,15 +146,17 @@ class TestSimulateAcquisition:
                                       "6cc9700165887af446042da60a3d2b2f")
 
     def test_channel_is_realize_channel_of_the_stream_head(self):
+        # the draw holds the cascade under the panel's reflection, formed
+        # once from the stream head's H_I and h_T
         scn = Scenario()
-        model = scn.channel_model
         for seed in range(10):
-            ch = drawn_channel(scn, [seed])
-            want = realize_channel(model, standard_normals(
-                child_seeds(seed, 1), (model.draw_size,)))
-            for name in ("H_I", "h_T", "h_D", "H_C"):
-                assert getattr(ch, name).tobytes() \
-                    == getattr(want, name).tobytes(), (seed, name)
+            v_ris, h_d, h_c = drawn(scn, [seed])[:3]
+            want = stream_head(scn, [seed])
+            cascade = (want.H_I @ (scn.panel[1] * want.h_T)[..., None])[..., 0]
+            for name, got, bits in (("v_ris", v_ris, cascade),
+                                    ("h_D", h_d, want.h_D),
+                                    ("H_C", h_c, want.H_C)):
+                assert got.tobytes() == bits.tobytes(), (seed, name)
 
     def test_noise_block_ignores_the_chest_model(self):
         # nothing transmitted: the record is the noise alone, which keeps
@@ -184,7 +192,7 @@ class TestSimulateAcquisition:
             scn = replace(base, radar=replace(base.radar, total_power=p_total))
             schedule = constant_schedule(scn, 0.0)  # all power on direct
             record = simulate_acquisition(scn, schedule, [2])[0]
-            h_d = drawn_channel(scn, [2]).h_D[0]
+            h_d = drawn(scn, [2])[1][0]
             w = schedule[:, 0]
             h_unit = h_d / np.linalg.norm(h_d)
             trace = scn.base_trace()
@@ -309,6 +317,22 @@ class TestRisQuantization:
         assert np.all(phases >= 0.0) and np.all(phases < 2 * np.pi)
 
 
+class TestPanel:
+    def test_draw_depends_on_the_panel_only_through_the_cascade(self):
+        # the phases configure the panel, not the channel: coarser phases
+        # change the cascade they reflect and no other bit of the draw
+        base = Scenario()
+        seeds = [0, 5, np.random.SeedSequence(9)]
+        (v_fine, *fine), (v_coarse, *coarse) = (
+            drawn(replace(base, ris=replace(base.ris, phase_bits=bits)), seeds)
+            for bits in (None, 1))
+        for name, a, b in zip(("h_D", "H_C", "alpha", "beta", "noise"),
+                              fine, coarse, strict=True):
+            assert a.tobytes() == b.tobytes(), name
+        assert v_fine.shape == v_coarse.shape == (3, 5)
+        assert np.all(np.any(v_fine != v_coarse, axis=1))
+
+
 class TestNoiselessHelper:
     def test_noise_and_clutter_removed(self):
         scn = noiseless(Scenario())
@@ -322,7 +346,7 @@ class TestNoiselessHelper:
 class TestChildSeeds:
     def test_fresh_sequence_matches_spawn(self):
         for seed in (0, 7, [3, 1, 4]):
-            ours = child_seeds(seed, 4)
+            ours = [child_seed(seed, i) for i in range(4)]
             theirs = np.random.SeedSequence(seed).spawn(4)
             for a, b in zip(ours, theirs):
                 assert a.spawn_key == b.spawn_key
@@ -331,7 +355,7 @@ class TestChildSeeds:
 
     def test_repeatable_from_spawned_sequence(self):
         parent = np.random.SeedSequence(7).spawn(2)[1]
-        first = child_seeds(parent, 3)
+        first = [child_seed(parent, i) for i in range(3)]
         assert parent.n_children_spawned == 0
-        assert [c.spawn_key for c in child_seeds(parent, 3)] == \
+        assert [child_seed(parent, i).spawn_key for i in range(3)] == \
             [c.spawn_key for c in first] == [(1, 0), (1, 1), (1, 2)]
