@@ -332,6 +332,23 @@ class TestPanel:
         assert v_fine.shape == v_coarse.shape == (3, 5)
         assert np.all(np.any(v_fine != v_coarse, axis=1))
 
+    def test_focused_panel_adds_the_cascade_coherently(self):
+        # on line of sight the focused panel lines up every element's
+        # radar->element->target phase, so |H_I Gamma h_T| nears the
+        # coherent sum |H_I| |h_T|; b-bit phases keep sinc(2**-b) of it
+        base = Scenario()
+        for bits in (None, 3, 2, 1):
+            scn = replace(base, ris=replace(base.ris, phase_bits=bits),
+                          channel=replace(base.channel, k_rice_db=300.0))
+            model = scn.channel_model
+            h_i, h_t = (part * scale for part, scale
+                        in zip(model.los[:2], model.scales[:2]))
+            gain = np.abs(drawn(scn, [0, 4])[0]) / (np.abs(h_i) @ np.abs(h_t))
+            if bits is None:
+                assert np.all(gain > 0.998) and np.all(gain <= 1 + 1e-12)
+            else:
+                npt.assert_allclose(gain, np.sinc(2.0 ** -bits), rtol=0.03)
+
 
 class TestNoiselessHelper:
     def test_noise_and_clutter_removed(self):
