@@ -30,10 +30,17 @@ EXIT_RUNTIME = 2
 EXIT_SELFTEST = 3
 
 
-def _csv(header, rows) -> str:
-    # every value is a Python float, int or path label, and `str` of a
-    # float is its shortest round-trip repr; no field ever needs quoting
-    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+def _csv(header, *columns) -> str:
+    # every field is a Python float, int or string (a path label or a field
+    # formatted already): "%s" renders it as `str` does, a float as its
+    # shortest round-trip repr, and no field ever needs quoting. The
+    # equal-length columns interleave into one flat list that one `%` renders
+    width, rows = len(columns), len(columns[0])
+    fields = [None] * (width * rows)
+    for i, column in enumerate(columns):
+        fields[i::width] = column
+    return (",".join(header) + "\n"
+            + (",".join(["%s"] * width) + "\n") * rows % tuple(fields))
 
 
 def _load(args):
@@ -81,16 +88,21 @@ def cmd_acquire(args) -> dict:
     meta = _meta(scenario, strategy, sweep, args.seed, "acquire")
     files = {}
     # a path that cannot see the chest has no estimate and writes nothing
-    for label, est in sorted((k, e) for k, e in estimates.items() if e):
-        disp = est.displacement
-        times = np.arange(disp.size) / scenario.radar.slow_rate
+    seen = sorted((k, e) for k, e in estimates.items() if e)
+    if seen:
+        # a branch's times are the first displacement.size of the window's
+        # (temporal branches differ in length), and both spectra share one
+        # frequency grid: each shared column is formatted once
+        times = [*map(str, (np.arange(length)
+                            / scenario.radar.slow_rate).tolist())]
+        freqs = [*map(str, seen[0][1].spectrum.freqs.tolist())]
+    for label, est in seen:
+        disp = est.displacement.tolist()
         files[f"{label}_displacement.csv"] = (
-            _csv(["time_s", "displacement_m"],
-                 zip(times.tolist(), disp.tolist())),
+            _csv(["time_s", "displacement_m"], times[:len(disp)], disp),
             meta | {"path": label})
         files[f"{label}_spectrum.csv"] = (
-            _csv(["freq_Hz", "power"], zip(est.spectrum.freqs.tolist(),
-                                           est.spectrum.power.tolist())),
+            _csv(["freq_Hz", "power"], freqs, est.spectrum.power.tolist()),
             meta | {"path": label, "peak_freq_Hz": est.peak_freq,
                     "prominence_db": est.peak_prominence_db})
     return files
@@ -105,7 +117,7 @@ def cmd_sweep(args) -> dict:
     header = ["gamma", "path", "seed", "peak_freq_Hz", "prominence_db"]
     rows = gamma_sweep(scenario, kind, gammas, range(n_seeds))
     return {"sweep.csv": (
-        _csv(header, ([r[key] for key in header] for r in rows)),
+        _csv(header, *([r[key] for r in rows] for key in header)),
         _meta(scenario, strategy, sweep, None, "sweep")
         | {"kind": kind, "gammas": gammas, "seeds": n_seeds})}
 

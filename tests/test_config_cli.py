@@ -205,26 +205,88 @@ _CSV_FIELDS = (st.floats() | st.sampled_from(_EDGE_FLOATS) | st.integers()
                | st.sampled_from(["direct", "ris"]))
 
 
+@st.composite
+def _tables(draw):
+    """A header and its equal-length columns: 1-5 columns of 0-8 rows."""
+    width, rows = draw(st.integers(1, 5)), draw(st.integers(0, 8))
+    header = draw(st.lists(st.sampled_from(
+        ["time_s", "displacement_m", "freq_Hz", "power", "gamma", "path",
+         "seed", "peak_freq_Hz", "prominence_db"]),
+        min_size=width, max_size=width))
+    columns = draw(st.lists(st.lists(_CSV_FIELDS, min_size=rows,
+                                     max_size=rows),
+                            min_size=width, max_size=width))
+    return header, columns
+
+
 class TestCsvWriter:
     @settings(max_examples=200, deadline=None)
-    @given(header=st.lists(st.sampled_from(
-               ["time_s", "displacement_m", "freq_Hz", "power", "gamma",
-                "path", "seed", "peak_freq_Hz", "prominence_db"]),
-               min_size=1, max_size=5),
-           rows=st.lists(st.lists(_CSV_FIELDS, min_size=1, max_size=5),
-                         max_size=8))
-    @example(header=["gamma", "path", "seed"],
-             rows=[_EDGE_FLOATS, [0.5, "direct", 0], [-1, "ris", 2 ** 70]])
-    def test_bytes_match_csv_writer(self, header, rows):
-        text = _csv(header, rows)
+    @given(table=_tables())
+    @example(table=(["gamma", "path", "seed"],
+                    [_EDGE_FLOATS, ["direct", "ris"] * 4,
+                     [0, -1, 2 ** 70, -2 ** 70, 2, 5, 7, 12345]]))
+    def test_bytes_match_csv_writer(self, table):
+        header, columns = table
+        text = _csv(header, *columns)
         # hypothesis refuses function-scoped fixtures such as tmp_path
         with tempfile.TemporaryDirectory() as tmp:
             oracle = Path(tmp) / "oracle.csv"
-            write_csv(oracle, header, rows)
+            write_csv(oracle, header, zip(*columns))
             assert text.encode() == oracle.read_bytes()
         assert list(csv.reader(io.StringIO(text, newline=""))) == [
             header, *([repr(v) if isinstance(v, float) else str(v)
-                       for v in row] for row in rows)]
+                       for v in row] for row in zip(*columns))]
+
+
+class TestAcquireCsvOracle:
+    """Every CSV `acquire` writes equals, byte for byte, what the
+    `csv.writer` oracle writes from `run_once`'s estimates. Temporal
+    branches at a share of 0.4 differ in length; [0.6, 0.8, 0] blinds only
+    the direct path (incidence 126.9 degrees) and [1, 0, 0] both."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    @pytest.mark.parametrize("kind, share", [
+        ("spatial", None), ("temporal", None), ("temporal", 0.4),
+        ("opportunistic", None)])
+    @pytest.mark.parametrize("text, labels", [
+        ("", ["direct", "ris"]),
+        ("placement: {chest_normal: [0.6, 0.8, 0]}\n", ["ris"]),
+        ("placement: {chest_normal: [1, 0, 0]}\n", [])],
+        ids=["both-see", "direct-blind", "both-blind"])
+    def test_files_match_oracle(self, tmp_path, seed, kind, share, text,
+                                labels):
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        flags = [] if share is None else ["--ris-share", str(share)]
+        assert main(["acquire", "--config", str(cfg), "--out", str(out),
+                     "--seed", str(seed), "--strategy", kind, *flags]) == 0
+        scenario, strategy, _ = load_config(cfg)
+        strategy = dataclasses.replace(strategy, kind=kind)
+        if share is not None:
+            strategy = dataclasses.replace(strategy, ris_share=share)
+        _, estimates = run_once(scenario, strategy, seed)
+        assert sorted(k for k, e in estimates.items() if e) == labels
+        if share is not None and len(labels) == 2:
+            assert estimates["direct"].displacement.size \
+                != estimates["ris"].displacement.size
+        expected = tmp_path / "oracle"
+        expected.mkdir()
+        for label in labels:
+            est = estimates[label]
+            disp = est.displacement
+            times = np.arange(disp.size) / scenario.radar.slow_rate
+            write_csv(expected / f"{label}_displacement.csv",
+                      ["time_s", "displacement_m"],
+                      zip(times.tolist(), disp.tolist()))
+            write_csv(expected / f"{label}_spectrum.csv", ["freq_Hz", "power"],
+                      zip(est.spectrum.freqs.tolist(),
+                          est.spectrum.power.tolist()))
+        written = sorted(p.name for p in out.glob("*.csv"))
+        assert written == sorted(p.name for p in expected.iterdir())
+        for name in written:
+            assert (out / name).read_bytes() == \
+                (expected / name).read_bytes(), name
 
 
 class TestCliSweep:
@@ -236,6 +298,13 @@ class TestCliSweep:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "gamma,path,seed,peak_freq_Hz,prominence_db"
         assert len(lines) == 1 + 2 * 3 * 2
+
+    def test_zero_seeds_write_the_header_only(self, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--out", str(out), "--seeds", "0",
+                     "--gammas", "0.5"]) == 0
+        assert (out / "sweep.csv").read_bytes() == \
+            b"gamma,path,seed,peak_freq_Hz,prominence_db\n"
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         code = main(["sweep", "--out", str(tmp_path / "x"), "--gammas", "",

@@ -349,6 +349,23 @@ class TestPanel:
             else:
                 npt.assert_allclose(gain, np.sinc(2.0 ** -bits), rtol=0.03)
 
+    def test_cascade_power_grows_as_elements_squared(self):
+        # on line of sight the focused cascade's one-way power
+        # ||H_I (Gamma * h_T)||^2 grows as N^2 in the panel's N elements;
+        # near-field spread costs the 40 x 40 panel 0.29 dB of it
+        base = replace(Scenario(),
+                       channel=replace(Scenario().channel, k_rice_db=300.0))
+
+        def power(side):
+            scn = replace(base, ris=replace(base.ris, rows=side, cols=side))
+            return np.sum(np.abs(drawn(scn, [0])[0]) ** 2)
+
+        reference = power(10)
+        for side in (5, 20, 40):
+            gain_db = 10 * np.log10(power(side) / reference)
+            law_db = 20 * np.log10(side * side / 100)
+            assert abs(gain_db - law_db) < 0.5, side
+
 
 class TestNoiselessHelper:
     def test_noise_and_clutter_removed(self):
